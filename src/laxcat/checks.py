@@ -29,9 +29,9 @@ from .core import (
     validate_marking,
     walking_iso,
 )
-from .constructions import DEFAULT_CAPS, SizeCaps, enumerate_functors, twisted_arrow
+from .constructions import SizeCaps, enumerate_functors, twisted_arrow
 from .diagrams import CatDiagram, MarkedCatDiagram, restrict_set_diagram
-from .equiv import is_equivalent, is_fully_faithful, is_isomorphic
+from .equiv import is_equivalent, is_fully_faithful
 from .errors import (
     GenerationExhausted,
     LaxcatError,
@@ -556,6 +556,12 @@ DEFAULT_CTX: dict[str, Ctx] = {
 }
 
 
+def theorem_defaults(theorem: str) -> tuple[GenParams, Ctx]:
+    """The generator parameters and context a theorem runs with by default."""
+    return (DEFAULT_PARAMS.get(theorem, GenParams()),
+            DEFAULT_CTX.get(theorem) or Ctx())
+
+
 # -- counterexample minimization ---------------------------------------------------
 
 
@@ -675,8 +681,9 @@ def run_check(theorem: str, seed: int = 0, count: int = 50,
               jobs: int = 1) -> CheckReport:
     if theorem not in CHECKS:
         raise KeyError(f"unknown theorem {theorem!r}")
-    params = params or DEFAULT_PARAMS.get(theorem, GenParams())
-    ctx = ctx or DEFAULT_CTX.get(theorem) or Ctx()
+    default_params, default_ctx = theorem_defaults(theorem)
+    params = params or default_params
+    ctx = ctx or default_ctx
     fn = CHECKS[theorem]
     t0 = time.monotonic()
     passes = 0

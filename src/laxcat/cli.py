@@ -9,8 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
-from .checks import CHECKS, Ctx, probe_suite, run_check
+from .checks import CHECKS, run_check, theorem_defaults
 from .constructions import (
     DEFAULT_CAPS,
     SizeCaps,
@@ -25,7 +26,6 @@ from .errors import (
     SearchBudgetExceeded,
     SizeBoundExceeded,
 )
-from .generator import GenParams
 from .grothendieck import all_sections, grothendieck_cart, grothendieck_cocart, marked_sections
 from .io_formats import (
     canonical_json,
@@ -211,19 +211,22 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    params = None
-    if args.max_objects or args.max_morphisms:
-        base = GenParams()
-        params = GenParams(
-            max_objects=args.max_objects or base.max_objects,
-            max_morphisms=args.max_morphisms or base.max_morphisms)
-    ctx = None
-    if args.probes or args.word_bound or args.size_bound:
-        probes = probe_suite()
-        if args.probes:
-            probes = {nm: category_from_data(d)[0]
-                      for nm, d in _load(args.probes).items()}
-        ctx = Ctx(bounds=_bounds(args), probes=probes)
+    # overrides replace single fields of the theorem's own defaults, so a
+    # flag never resets a setting it does not name
+    params, ctx = theorem_defaults(args.theorem)
+    if args.max_objects:
+        params = replace(params, max_objects=args.max_objects)
+    if args.max_morphisms:
+        params = replace(params, max_morphisms=args.max_morphisms)
+    if args.word_bound:
+        ctx = replace(ctx, bounds=replace(ctx.bounds,
+                                          word_length=args.word_bound))
+    if args.size_bound:
+        ctx = replace(ctx, bounds=replace(ctx.bounds,
+                                          max_morphisms=args.size_bound))
+    if args.probes:
+        ctx = replace(ctx, probes={nm: category_from_data(d)[0]
+                                   for nm, d in _load(args.probes).items()})
     report = run_check(args.theorem, seed=args.seed, count=args.count,
                        params=params, ctx=ctx, out_dir=args.out,
                        jobs=args.jobs)

@@ -3,14 +3,25 @@
 Equivalence goes through skeletons: finite categories are equivalent iff
 their skeletons are isomorphic.  Positive verdicts carry a validated witness
 functor; negative verdicts carry a concrete distinguishing certificate.
+
+The isomorphism search first compares invariants (hom-set sizes and object
+profiles), then backtracks over object matchings.  For each matching it
+assigns morphisms in one static order per call: identities, then greedily
+the morphism with the most composition-table entries whose other members
+are already placed.  Each assignment forces the composites it forms with the
+assigned morphisms it composes with, and those entries check it at once, so
+on symmetric products a wrong choice clashes within a few nodes.  Every
+complete assignment is validated as a functor before it is returned; which
+of several valid witnesses comes back depends on that order.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .core import FinCat, Functor, compose_functors, is_iso
-from .errors import SearchBudgetExceeded
+from .errors import InvariantViolation, MalformedTable, SearchBudgetExceeded
 
 DEFAULT_BUDGET = 10**6
 
@@ -117,6 +128,51 @@ def _cat_invariants(C: FinCat) -> dict:
     }
 
 
+def _morphism_order(C: FinCat) -> list[str]:
+    """Identities, then greedily the morphism the placed ones check most.
+
+    An entry ``(g, f) -> h`` of the composition table links its members, as
+    factors or as the composite.  The next morphism is the one with the most
+    entries whose other members are all placed: each of those checks its
+    image the moment it is chosen, so a wrong choice clashes at once (the
+    matching order of VF2, Cordella et al., IEEE TPAMI 2004).  Ties go to the
+    smaller hom-set, then to the smaller name.  A lazy max-heap keeps this
+    O(|comp| log n).
+    """
+    entries: dict[str, list[tuple[str, ...]]] = {m.name: [] for m in C.morphisms}
+    for (g, f), h in C.comp.items():
+        members = tuple(dict.fromkeys((g, f, h)))
+        if len(members) > 1:
+            for m in members:
+                entries[m].append(members)
+    hom_size = {m.name: len(C.hom(m.src, m.tgt)) for m in C.morphisms}
+    links = dict.fromkeys(entries, 0)  # entries whose other members are placed
+    placed: set[str] = set()
+    order: list[str] = []
+    heap: list[tuple[int, int, str]] = []
+
+    def place(m: str) -> None:
+        placed.add(m)
+        order.append(m)
+        for members in entries[m]:
+            rest = [x for x in members if x not in placed]
+            if len(rest) == 1:
+                x = rest[0]
+                links[x] += 1
+                heapq.heappush(heap, (-links[x], hom_size[x], x))
+
+    for m in sorted(C.identity.values()):
+        place(m)
+    for m in entries:
+        if m not in placed:
+            heapq.heappush(heap, (-links[m], hom_size[m], m))
+    while heap:
+        neg, _, m = heapq.heappop(heap)
+        if m not in placed and -neg == links[m]:
+            place(m)
+    return order
+
+
 def is_isomorphic(C: FinCat, D: FinCat,
                   budget: int = DEFAULT_BUDGET) -> EquivalenceVerdict:
     """Backtracking search for a bijective functor, pruned by invariants."""
@@ -173,48 +229,57 @@ def is_isomorphic(C: FinCat, D: FinCat,
             else:
                 stack.append(iter(D.objects))
 
-    mor_names = sorted(m.name for m in C.morphisms)
+    order = _morphism_order(C)
+    c_src = {m.name: m.src for m in C.morphisms}
+    c_tgt = {m.name: m.tgt for m in C.morphisms}
+    iso_c, iso_d = C.iso_set(), D.iso_set()
 
     def match_morphisms(omap: dict[str, str]):
         nonlocal nodes
         mmap: dict[str, str] = {}
         used: set[str] = set()
+        # assigned morphisms indexed by source and by target object; dicts
+        # keep insertion order, so the scans below are deterministic
+        by_src: dict[str, dict[str, None]] = {x: {} for x in C.objects}
+        by_tgt: dict[str, dict[str, None]] = {x: {} for x in C.objects}
 
-        def undo(f: str, d: str, forced: list[str]) -> None:
-            for h in forced:
-                used.discard(mmap[h])
-                del mmap[h]
-            used.discard(d)
-            del mmap[f]
-
-        def try_assign(f: str, d: str) -> list[str] | None:
-            """Commits f -> d plus every composite both force; None on clash."""
+        def commit(f: str, d: str) -> None:
             mmap[f] = d
             used.add(d)
+            by_src[c_src[f]][f] = None
+            by_tgt[c_tgt[f]][f] = None
+
+        def undo(f: str, forced: list[str]) -> None:
+            for h in forced + [f]:
+                used.discard(mmap.pop(h))
+                del by_src[c_src[h]][h]
+                del by_tgt[c_tgt[h]][h]
+
+        def try_assign(f: str, d: str) -> list[str] | None:
+            """Commits f -> d plus every composite both force; None on clash.
+
+            Checks f against the morphisms assigned before it (and itself)
+            that compose with it, on either side; composites forced here are
+            not propagated further at this node.
+            """
+            commit(f, d)
+            pairs = [(f, g) for g in by_tgt[c_src[f]]]
+            pairs += [(g, f) for g in by_src[c_tgt[f]]]
             forced: list[str] = []
-            good = True
-            for g in list(mmap):
-                for (a, b) in ((f, g), (g, f)):
-                    if C.tgt(b) != C.src(a):
-                        continue
-                    h = C.compose(a, b)
-                    dh = D.compose(mmap[a], mmap[b])
-                    if h in mmap:
-                        if mmap[h] != dh:
-                            good = False
-                            break
-                    else:
-                        if dh in used:
-                            good = False
-                            break
-                        mmap[h] = dh
-                        used.add(dh)
-                        forced.append(h)
-                if not good:
+            for (a, b) in pairs:
+                h = C.compose(a, b)
+                dh = D.compose(mmap[a], mmap[b])
+                if h in mmap:
+                    if mmap[h] != dh:
+                        break
+                elif dh in used:
                     break
-            if good:
+                else:
+                    commit(h, dh)
+                    forced.append(h)
+            else:
                 return forced
-            undo(f, d, forced)
+            undo(f, forced)
             return None
 
         def advance(f: str, it) -> tuple[str, list[str]] | None:
@@ -224,7 +289,7 @@ def is_isomorphic(C: FinCat, D: FinCat,
                     continue
                 if C.is_identity(f) != D.is_identity(d):
                     continue
-                if is_iso(C, f) != is_iso(D, d):
+                if (f in iso_c) != (d in iso_d):
                     continue
                 nodes += 1
                 if nodes > budget:
@@ -238,19 +303,19 @@ def is_isomorphic(C: FinCat, D: FinCat,
         frames: list[list] = []
         i = 0
         while True:
-            while i < len(mor_names) and mor_names[i] in mmap:
+            while i < len(order) and order[i] in mmap:
                 i += 1  # forced earlier by a composition constraint
-            if i == len(mor_names):
+            if i == len(order):
                 yield dict(mmap)
             else:
-                f = mor_names[i]
+                f = order[i]
                 frames.append(
-                    [i, f, iter(D.hom(omap[C.src(f)], omap[C.tgt(f)])),
+                    [i, f, iter(D.hom(omap[c_src[f]], omap[c_tgt[f]])),
                      None, None])
             while frames:
                 fr = frames[-1]
                 if fr[3] is not None:
-                    undo(fr[1], fr[3], fr[4])
+                    undo(fr[1], fr[4])
                     fr[3] = fr[4] = None
                 nd = advance(fr[1], fr[2])
                 if nd is not None:
@@ -266,8 +331,8 @@ def is_isomorphic(C: FinCat, D: FinCat,
             F = Functor(C, D, omap, mmap)
             try:
                 F.validate()
-            except Exception:
-                continue
+            except MalformedTable:
+                continue  # a composite the search never paired is not preserved
             return EquivalenceVerdict("isomorphic", witness=F)
     return EquivalenceVerdict(
         "inequivalent",
@@ -284,7 +349,9 @@ def is_equivalent(C: FinCat, D: FinCat,
     witness = compose_functors(
         sd.inclusion, compose_functors(verdict.witness, sc.retraction))
     witness.validate()
-    assert is_fully_faithful(witness) and is_essentially_surjective(witness)
+    if not (is_fully_faithful(witness) and is_essentially_surjective(witness)):
+        raise InvariantViolation(
+            "transported isomorphism of skeletons is not an equivalence")
     return EquivalenceVerdict("equivalent", witness=witness)
 
 
@@ -312,7 +379,3 @@ def is_essentially_surjective(F: Functor) -> bool:
         ):
             return False
     return True
-
-
-def functor_is_equivalence(F: Functor) -> bool:
-    return is_fully_faithful(F) and is_essentially_surjective(F)

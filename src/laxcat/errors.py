@@ -32,20 +32,6 @@ class SizeBoundExceeded(LaxcatError):
         self.cap = cap
 
 
-class WordBoundExceeded(LaxcatError):
-    """Localization did not reach a fixed point within the word-length bound."""
-
-    def __init__(self, bound: int, hom: tuple, frontier: int):
-        src, tgt = hom
-        super().__init__(
-            f"no fixed point at word length {bound}; "
-            f"smallest open hom-set ({src} -> {tgt}) has frontier {frontier}"
-        )
-        self.bound = bound
-        self.hom = hom
-        self.frontier = frontier
-
-
 class InvalidDiagram(LaxcatError):
     """Strict functoriality failure in a Cat- or Set-valued diagram."""
 
@@ -60,3 +46,7 @@ class SearchBudgetExceeded(LaxcatError):
 
 class GenerationExhausted(LaxcatError):
     """Random diagram generation failed within its retry budget."""
+
+
+class InvariantViolation(LaxcatError):
+    """An internal invariant failed: a program bug, never a verdict."""

@@ -32,7 +32,7 @@ from .constructions import (
     marked_functor_category,
 )
 from .equiv import is_essentially_surjective, is_fully_faithful
-from .errors import SizeBoundExceeded, WordBoundExceeded
+from .errors import SizeBoundExceeded
 
 
 @dataclass(frozen=True)

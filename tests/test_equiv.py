@@ -1,14 +1,26 @@
 """Isomorphism and equivalence decisions, skeletons, functor-level checks."""
 
+import itertools
+import random
+
+import pytest
+
+import laxcat.equiv as equiv
+from laxcat.checks import run_check
 from laxcat.core import (
+    FinCat,
+    Functor,
+    Mor,
     chain_cat,
+    check_axioms,
     discrete_cat,
+    fincat,
     opposite_cat,
     terminal_cat,
     walking_arrow,
     walking_iso,
 )
-from laxcat.constructions import functor_category
+from laxcat.constructions import enumerate_functors, functor_category
 from laxcat.equiv import (
     is_equivalent,
     is_essentially_surjective,
@@ -17,6 +29,7 @@ from laxcat.equiv import (
     iso_classes,
     skeleton,
 )
+from laxcat.errors import InvariantViolation, MalformedTable
 from laxcat.generator import GenParams, gen_category
 
 
@@ -86,3 +99,111 @@ def test_positive_witnesses_validate():
         w.validate()
         assert is_fully_faithful(w)
         assert is_essentially_surjective(w)
+
+
+def _relabel(C: FinCat, rng: random.Random) -> FinCat:
+    """An isomorphic copy whose names sort in a shuffled order."""
+    objs = list(C.objects)
+    names = [m.name for m in C.morphisms]
+    on = dict(zip(objs, rng.sample([f"x{i}" for i in range(len(objs))],
+                                   len(objs))))
+    mn = dict(zip(names, rng.sample([f"m{i:02d}" for i in range(len(names))],
+                                    len(names))))
+    return fincat(
+        [on[x] for x in objs],
+        [Mor(mn[m.name], on[m.src], on[m.tgt]) for m in C.morphisms],
+        {on[x]: mn[i] for x, i in C.identity.items()},
+        {(mn[g], mn[f]): mn[h] for (g, f), h in C.comp.items()})
+
+
+def _order3_monoids() -> list[FinCat]:
+    """Every monoid structure on {1, a, b}: equal invariants, few iso types."""
+    out = []
+    for values in itertools.product("1ab", repeat=4):
+        comp = dict(zip(itertools.product("ab", repeat=2), values))
+        for n in "1ab":
+            comp[("1", n)] = comp[(n, "1")] = n
+        C = FinCat(["x"], [Mor(n, "x", "x") for n in "1ab"], {"x": "1"}, comp)
+        if check_axioms(C).ok:
+            out.append(C)
+    return out
+
+
+def _brute_isomorphic(C: FinCat, D: FinCat) -> bool:
+    return any(
+        len(set(F.object_map.values())) == C.n_objects
+        and len(set(F.morphism_map.values())) == C.n_morphisms
+        for F in enumerate_functors(C, D))
+
+
+def test_is_isomorphic_agrees_with_brute_force():
+    rng = random.Random(7)
+    cats = [gen_category(GenParams(seed=s)) for s in range(40)]
+    cats += [gen_category(GenParams(seed=s, max_objects=3, max_morphisms=6))
+             for s in range(120)]
+    pairs = []
+    for C in cats:
+        pairs += [(C, _relabel(C, rng)), (C, opposite_cat(C)),
+                  (C, _relabel(opposite_cat(C), rng))]
+    by_size: dict[tuple[int, int], list[FinCat]] = {}
+    for C in cats:
+        by_size.setdefault((C.n_objects, C.n_morphisms), []).append(C)
+    for group in by_size.values():
+        pairs += [(a, _relabel(b, rng)) for a, b in zip(group, group[1:])]
+    monoids = _order3_monoids()
+    pairs += [(M, N) for M in monoids for N in monoids]
+    verdicts = set()
+    for C, D in pairs:
+        v = is_isomorphic(C, D)
+        assert bool(v) == _brute_isomorphic(C, D)
+        verdicts.add(bool(v))
+        if v:
+            F = v.witness
+            F.validate()
+            assert sorted(F.object_map.values()) == list(D.objects)
+            assert sorted(F.morphism_map.values()) == sorted(
+                m.name for m in D.morphisms)
+    assert verdicts == {True, False}
+
+
+def test_colimit_probe_stream_136_passes():
+    # the parallel and nonposet5 probes of this instance are symmetric
+    # products that a name-ordered search gave up on after 10^6 nodes
+    assert run_check("thm-lax-colim-probe", seed=136, count=1).passes == 1
+
+
+def test_colimit_probe_stream_136_pairs_decided_in_small_budget(monkeypatch):
+    decided = []
+    real = equiv.is_isomorphic
+
+    def small_budget(C, D, budget=equiv.DEFAULT_BUDGET):
+        v = real(C, D, budget=10_000)
+        decided.append((C.n_objects, C.n_morphisms, v.verdict))
+        return v
+
+    monkeypatch.setattr(equiv, "is_isomorphic", small_budget)
+    assert run_check("thm-lax-colim-probe", seed=136, count=1).passes == 1
+    assert (8, 64, "isomorphic") in decided  # parallel^3
+    assert (8, 125, "isomorphic") in decided  # nonposet5^3
+
+
+def test_witness_check_raises_on_program_bugs(monkeypatch):
+    A = walking_arrow()
+
+    def malformed(self):
+        raise MalformedTable("composite not preserved")
+
+    def bug(self):
+        raise RuntimeError("bug in validate")
+
+    monkeypatch.setattr(Functor, "validate", malformed)
+    assert is_isomorphic(A, A).verdict == "inequivalent"
+    monkeypatch.setattr(Functor, "validate", bug)
+    with pytest.raises(RuntimeError):
+        is_isomorphic(A, A)
+
+
+def test_equivalence_invariant_is_a_raised_error(monkeypatch):
+    monkeypatch.setattr(equiv, "is_fully_faithful", lambda F: False)
+    with pytest.raises(InvariantViolation):
+        is_equivalent(walking_iso(), terminal_cat())

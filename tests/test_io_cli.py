@@ -151,6 +151,32 @@ def test_cli_check_and_report(tmp_path, capsys):
     assert report["failures"] == []
 
 
+def test_cli_check_overrides_keep_theorem_defaults(monkeypatch, capsys):
+    import laxcat.cli as cli
+    from laxcat.checks import DEFAULT_CTX, DEFAULT_PARAMS
+
+    seen = {}
+
+    def spy(theorem, **kw):
+        seen.update(kw)
+        return run_check(theorem, **kw)
+
+    run_check = cli.run_check
+    monkeypatch.setattr(cli, "run_check", spy)
+    theorem = "thm-lax-colim-probe"
+    params, ctx = DEFAULT_PARAMS[theorem], DEFAULT_CTX[theorem]
+    assert main(["check", theorem, "--count", "0", "--max-objects", "3",
+                 "--word-bound", "5", "--size-bound", "999"]) == 0
+    assert seen["params"].max_objects == 3
+    assert seen["params"].max_morphisms == params.max_morphisms
+    assert seen["params"].fiber_max_objects == params.fiber_max_objects
+    assert seen["params"].fiber_max_morphisms == params.fiber_max_morphisms
+    assert seen["ctx"].caps == ctx.caps
+    assert seen["ctx"].bounds.word_length == 5
+    assert seen["ctx"].bounds.max_morphisms == 999
+    assert seen["ctx"].bounds.max_words == ctx.bounds.max_words
+
+
 def test_cli_check_unknown_theorem_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["check", "not-a-theorem"])
