@@ -17,6 +17,7 @@ from .core import (
     Functor,
     MarkedFinCat,
     Mor,
+    _product_functor,
     chain_cat,
     discrete_cat,
     fincat,
@@ -25,8 +26,8 @@ from .core import (
     product,
     saturate_marking,
     sharp_marking,
+    subcategory,
     terminal_cat,
-    validate_marking,
     walking_iso,
 )
 from .constructions import SizeCaps, enumerate_functors, twisted_arrow
@@ -59,7 +60,6 @@ from .limits import (
 )
 from .localization import (
     Bounds,
-    _product_functor,
     check_localization_up,
     localize,
     probe_check_colimit_theorem,
@@ -435,12 +435,8 @@ def _ff_lemma_ok(p: GenParams, ctx: Ctx) -> bool:
                 changed = True
 
     def full_sub(C: FinCat, objs: set[str]) -> FinCat:
-        ms = [m for m in C.morphisms if m.src in objs and m.tgt in objs]
-        keep = {m.name for m in ms}
-        return fincat(sorted(objs), ms,
-                      {x: C.identity[x] for x in objs},
-                      {k: v for k, v in C.comp.items()
-                       if k[0] in keep and k[1] in keep})
+        return subcategory(C, sorted(objs), [m for m in C.morphisms
+                                             if m.src in objs and m.tgt in objs])
 
     subfibers = {x: full_sub(F.fiber[x], chosen[x]) for x in I.objects}
     subtrans = {}
@@ -583,9 +579,7 @@ def _delete_base_object(F: CatDiagram, x: str) -> CatDiagram:
     objs = [o for o in I.objects if o != x]
     ms = [m for m in I.morphisms if m.src != x and m.tgt != x]
     keep = {m.name for m in ms}
-    sub = fincat(objs, ms, {o: I.identity[o] for o in objs},
-                 {k: v for k, v in I.comp.items()
-                  if k[0] in keep and k[1] in keep})
+    sub = subcategory(I, objs, ms)
     base = MarkedFinCat(sub, frozenset(F.base.marked & keep))
     return CatDiagram(base, {o: F.fiber[o] for o in objs},
                       {m: T for m, T in F.transition.items() if m in keep})
@@ -595,9 +589,8 @@ def _delete_base_morphism(F: CatDiagram, m: str) -> CatDiagram:
     I = F.base.cat
     ms = [mm for mm in I.morphisms if mm.name != m]
     keep = {mm.name for mm in ms}
-    sub = fincat(list(I.objects), ms, dict(I.identity),
-                 {k: v for k, v in I.comp.items()
-                  if k[0] in keep and k[1] in keep})
+    # the axiom check rejects a deletion that leaves a composite dangling
+    sub = subcategory(I, I.objects, ms)
     base = MarkedFinCat(sub, frozenset(F.base.marked & keep))
     return CatDiagram(base, dict(F.fiber),
                       {k: T for k, T in F.transition.items() if k in keep})

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 counterexample (or inequivalence), 2 resource bound
-exceeded, 3 invalid input.  Bound hits never masquerade as success or failure.
+exceeded, 3 invalid input, 4 internal error (a program bug).  Bound hits never
+masquerade as success or failure, and bugs never as invalid input.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .constructions import (
 from .equiv import is_equivalent, skeleton
 from .errors import (
     GenerationExhausted,
+    InvariantViolation,
     LaxcatError,
     SearchBudgetExceeded,
     SizeBoundExceeded,
@@ -257,6 +259,9 @@ def main(argv: list[str] | None = None) -> int:
     except _BOUND_ERRORS as exc:
         sys.stderr.write(f"bound exceeded: {exc}\n")
         return 2
+    except InvariantViolation as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 4
     except LaxcatError as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return 3

@@ -7,17 +7,15 @@ by morphism id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .core import (
     FinCat,
     Functor,
     MarkedFinCat,
-    Mor,
     NatTrans,
-    fincat,
-    compose_functors,
+    build_category,
     opposite_cat,
     short_id,
     validate_marking,
@@ -204,55 +202,35 @@ class FunCat:
     functors: dict[str, Functor]
     transformations: dict[str, NatTrans]
 
-    def functor_id(self, F: Functor) -> str:
-        return F.key()
-
-    def nat_id(self, a: NatTrans) -> str:
-        return a.key()
-
 
 def _assemble_funcat(functors: list[Functor], D: FinCat, what: str,
-                     caps: SizeCaps) -> FunCat:
+                     caps: SizeCaps,
+                     component_filter: Callable[[str, str], bool] | None = None,
+                     check: bool = False) -> FunCat:
+    """Functors as objects, natural transformations (with components passing
+    component_filter) as morphisms; a hom's payload is its component tuple
+    over the objects of the common domain."""
     caps.check_objects(what, len(functors))
     by_id = {F.key(): F for F in functors}
     ids = sorted(by_id)
+    obj_order = functors[0].dom.objects if functors else ()
     trans: dict[str, NatTrans] = {}
-    morphisms: list[Mor] = []
-    identity: dict[str, str] = {}
+    homs = []
     for fid in ids:
-        F = by_id[fid]
         for gid in ids:
-            G = by_id[gid]
-            for a in enumerate_nat_trans(F, G):
+            for a in enumerate_nat_trans(by_id[fid], by_id[gid],
+                                         component_filter):
                 nid = a.key()
                 trans[nid] = a
-                morphisms.append(Mor(nid, fid, gid))
-                if fid == gid and all(
-                    D.is_identity(a.at(x)) for x in F.dom.objects
-                ):
-                    identity[fid] = nid
-                caps.check_morphisms(what, len(morphisms))
-    comp = {}
-    by_src: dict[str, list[str]] = {}
-    for m in morphisms:
-        by_src.setdefault(m.src, []).append(m.name)
-    # composites resolve through a component-tuple index instead of building
-    # a NatTrans and serializing its id for every composable pair
-    obj_order = functors[0].dom.objects if functors else ()
-    mtgt = {m.name: m.tgt for m in morphisms}
-    comp_tuple = {m.name: tuple(trans[m.name].components[x] for x in obj_order)
-                  for m in morphisms}
-    index = {(m.src, mtgt[m.name], comp_tuple[m.name]): m.name
-             for m in morphisms}
+                homs.append((nid, fid, gid,
+                             tuple(a.components[x] for x in obj_order)))
+                caps.check_morphisms(what, len(homs))
     dcomp = D.comp
-    for m in morphisms:
-        t1 = comp_tuple[m.name]
-        for nid in by_src.get(m.tgt, []):
-            t2 = comp_tuple[nid]
-            comp[(nid, m.name)] = index[(
-                m.src, mtgt[nid],
-                tuple(dcomp[(b, a)] for a, b in zip(t1, t2)))]
-    cat = fincat(ids, morphisms, identity, comp, check=False)
+    cat = build_category(
+        ids, homs,
+        lambda t2, t1: tuple(dcomp[(b, a)] for a, b in zip(t1, t2)),
+        lambda t: all(D.is_identity(c) for c in t),
+        check=check)
     return FunCat(cat, by_id, trans)
 
 
@@ -303,43 +281,30 @@ def twisted_arrow(I: FinCat, caps: SizeCaps = DEFAULT_CAPS) -> TwistedArrowCat:
     (a: src f -> src f', b: tgt f' -> tgt f) with b(f'a) = f."""
     objects = [m.name for m in I.morphisms]
     caps.check_objects("twisted arrow", len(objects))
-    morphisms: list[Mor] = []
-    identity: dict[str, str] = {}
-    legs: dict[str, tuple[str, str]] = {}
+    homs = []
     for f in I.morphisms:
         for f2 in I.morphisms:
             for a in I.hom(f.src, f2.src):
                 fa = I.compose(f2.name, a)
                 for b in I.hom(f2.tgt, f.tgt):
-                    if I.compose(b, fa) != f.name:
-                        continue
-                    mid = tw_mor_id(a, b, f.name, f2.name)
-                    morphisms.append(Mor(mid, f.name, f2.name))
-                    legs[mid] = (a, b)
-                    if f.name == f2.name and I.is_identity(a) and I.is_identity(b):
-                        identity[f.name] = mid
-    caps.check_morphisms("twisted arrow", len(morphisms))
-    comp = {}
-    by_src: dict[str, list[Mor]] = {}
-    for m in morphisms:
-        by_src.setdefault(m.src, []).append(m)
-    for m1 in morphisms:
-        a1, b1 = legs[m1.name]
-        for m2 in by_src.get(m1.tgt, []):
-            a2, b2 = legs[m2.name]
-            comp[(m2.name, m1.name)] = tw_mor_id(
-                I.compose(a2, a1), I.compose(b1, b2), m1.src, m2.tgt
-            )
-    cat = fincat(objects, morphisms, identity, comp)
+                    if I.compose(b, fa) == f.name:
+                        homs.append((tw_mor_id(a, b, f.name, f2.name),
+                                     f.name, f2.name, (a, b)))
+    caps.check_morphisms("twisted arrow", len(homs))
+    cat = build_category(
+        objects, homs,
+        lambda l2, l1: (I.compose(l2[0], l1[0]), I.compose(l1[1], l2[1])),
+        lambda ab: I.is_identity(ab[0]) and I.is_identity(ab[1]))
+    legs = {name: ab for name, _, _, ab in homs}
     proj_src = Functor(
         cat, I,
         {f: I.src(f) for f in objects},
-        {m.name: legs[m.name][0] for m in morphisms},
+        {name: ab[0] for name, ab in legs.items()},
     )
     proj_tgt = Functor(
         cat, opposite_cat(I),
         {f: I.tgt(f) for f in objects},
-        {m.name: legs[m.name][1] for m in morphisms},
+        {name: ab[1] for name, ab in legs.items()},
     )
     proj_src.validate()
     proj_tgt.validate()
@@ -376,9 +341,7 @@ def _slice_like(Im: MarkedFinCat, i: str, kind: str) -> SliceCat:
         objects = [m.name for m in I.morphisms if m.tgt == i]
     else:
         objects = [m.name for m in I.morphisms if m.src == i]
-    morphisms: list[Mor] = []
-    identity: dict[str, str] = {}
-    witness: dict[str, str] = {}
+    homs = []
     for f in objects:
         for g in objects:
             if kind == "slice":
@@ -389,22 +352,9 @@ def _slice_like(Im: MarkedFinCat, i: str, kind: str) -> SliceCat:
                 # a: tgt f -> tgt g with a f = g
                 cands = [a for a in I.hom(I.tgt(f), I.tgt(g))
                          if I.compose(a, f) == g]
-            for a in cands:
-                mid = slice_mor_id(a, f, g)
-                morphisms.append(Mor(mid, f, g))
-                witness[mid] = a
-                if f == g and I.is_identity(a):
-                    identity[f] = mid
-    comp = {}
-    by_src: dict[str, list[Mor]] = {}
-    for m in morphisms:
-        by_src.setdefault(m.src, []).append(m)
-    for m1 in morphisms:
-        for m2 in by_src.get(m1.tgt, []):
-            comp[(m2.name, m1.name)] = slice_mor_id(
-                I.compose(witness[m2.name], witness[m1.name]), m1.src, m2.tgt
-            )
-    cat = fincat(objects, morphisms, identity, comp)
+            homs += [(slice_mor_id(a, f, g), f, g, a) for a in cands]
+    cat = build_category(objects, homs, I.compose, I.is_identity)
+    witness = {name: a for name, _, _, a in homs}
     mk = frozenset(m for m in witness if witness[m] in Im.marked)
     validate_marking(cat, mk)
     forget = Functor(

@@ -5,14 +5,20 @@ identity is by id string: two morphisms are equal iff their ids are equal,
 which makes every axiom check a table lookup.  Object and morphism ids are
 ordered lexicographically; that ordering is the global tie-breaker wherever
 a canonical choice is needed.
+
+Derived categories are assembled in one of two ways.  ``build_category``
+takes homs that carry a hashable payload (a pair of legs, a component tuple,
+a family) and a rule composing payloads; it looks every composite up among
+the enumerated homs, so ids are minted only where homs are enumerated.
+``subcategory`` restricts a category to some objects and morphisms, keeping
+the composites of kept pairs.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from .errors import InvalidMarking, MalformedTable, UnknownMorphism
 
@@ -234,6 +240,59 @@ def fincat(
     return C
 
 
+def build_category(
+    objects: Iterable[str],
+    homs: Iterable[tuple[str, str, str, Hashable]],
+    compose: Callable[[Hashable, Hashable], Hashable],
+    is_identity: Callable[[Hashable], bool],
+    check: bool = True,
+) -> FinCat:
+    """Assemble a FinCat from homs ``(name, src, tgt, payload)``.
+
+    ``compose(p2, p1)`` is the payload of the second hom after the first, and
+    the composite is the hom with that payload between the outer endpoints.
+    A hom from an object to itself whose payload satisfies ``is_identity`` is
+    that object's identity.  Raises MalformedTable when two homs share
+    ``(src, tgt, payload)`` or a composite is not among the homs.
+    """
+    homs = list(homs)
+    index: dict[tuple[str, str, Hashable], str] = {}
+    identity: dict[str, str] = {}
+    by_src: dict[str, list[tuple[str, str, str, Hashable]]] = {}
+    for hom in homs:
+        name, src, tgt, payload = hom
+        key = (src, tgt, payload)
+        if key in index:
+            raise MalformedTable(f"homs {index[key]} and {name} coincide")
+        index[key] = name
+        by_src.setdefault(src, []).append(hom)
+        if src == tgt and is_identity(payload):
+            identity[src] = name
+    comp: dict[tuple[str, str], str] = {}
+    for n1, s1, t1, p1 in homs:
+        for n2, _, t2, p2 in by_src.get(t1, ()):
+            try:
+                comp[(n2, n1)] = index[(s1, t2, compose(p2, p1))]
+            except KeyError:
+                raise MalformedTable(
+                    f"missing composite ({n2} after {n1})") from None
+    morphisms = [Mor(name, src, tgt) for name, src, tgt, _ in homs]
+    return fincat(objects, morphisms, identity, comp, check=check)
+
+
+def subcategory(C: FinCat, objects: Iterable[str], morphisms: Iterable[Mor],
+                check: bool = True) -> FinCat:
+    """C restricted to the given objects and morphisms, with the composites
+    of every pair of kept morphisms."""
+    objects = list(objects)
+    morphisms = list(morphisms)
+    keep = {m.name for m in morphisms}
+    comp = {(g, f): h for (g, f), h in C.comp.items()
+            if g in keep and f in keep}
+    return fincat(objects, morphisms, {o: C.identity[o] for o in objects},
+                  comp, check=check)
+
+
 def validate_category(data: Mapping) -> FinCat | ValidationReport:
     """Validate FinCat-shaped data.
 
@@ -325,13 +384,8 @@ def sharp_marking(C: FinCat) -> MarkedFinCat:
 def marked_subcategory(Cm: MarkedFinCat) -> FinCat:
     """The wide subcategory on all objects and exactly the marked morphisms."""
     C = Cm.cat
-    morphisms = [m for m in C.morphisms if m.name in Cm.marked]
-    comp = {
-        (g, f): h
-        for (g, f), h in C.comp.items()
-        if g in Cm.marked and f in Cm.marked
-    }
-    return fincat(C.objects, morphisms, C.identity, comp)
+    return subcategory(C, C.objects,
+                       [m for m in C.morphisms if m.name in Cm.marked])
 
 
 # -- opposites and products ---------------------------------------------------
@@ -374,6 +428,23 @@ def product(Cm: MarkedFinCat, Dm: MarkedFinCat) -> MarkedFinCat:
         pair_id(f, g) for f in Cm.marked for g in Dm.marked
     )
     return MarkedFinCat(cat, mk)
+
+
+def _product_functor(P: MarkedFinCat, P2: MarkedFinCat, g: Functor,
+                     h: Functor) -> Functor:
+    """(g x h): product P -> product P2, matching the product id scheme."""
+    A, B = g.dom, h.dom
+    omap = {}
+    for x in A.objects:
+        for y in B.objects:
+            omap[pair_id(x, y)] = pair_id(g.obj(x), h.obj(y))
+    mmap = {}
+    for m in A.morphisms:
+        for n in B.morphisms:
+            mmap[pair_id(m.name, n.name)] = pair_id(g.mor(m.name), h.mor(n.name))
+    F = Functor(P.cat, P2.cat, omap, mmap)
+    F.validate()
+    return F
 
 
 # -- functors and natural transformations -------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .core import FinCat, Functor, compose_functors, is_iso
+from .core import FinCat, Functor, compose_functors, is_iso, subcategory
 from .errors import InvariantViolation, MalformedTable, SearchBudgetExceeded
 
 DEFAULT_BUDGET = 10**6
@@ -70,13 +70,8 @@ def skeleton(C: FinCat) -> SkeletonResult:
     reps = iso_classes(C)
     keep = sorted(set(reps.values()))
     keep_set = set(keep)
-    from .core import Mor, fincat
-
     morphisms = [m for m in C.morphisms if m.src in keep_set and m.tgt in keep_set]
-    names = {m.name for m in morphisms}
-    comp = {(g, f): h for (g, f), h in C.comp.items() if g in names and f in names}
-    skel = fincat(keep, morphisms, {x: C.identity[x] for x in keep}, comp,
-                  check=False)
+    skel = subcategory(C, keep, morphisms, check=False)
     inclusion = Functor(skel, C, {x: x for x in keep},
                         {m.name: m.name for m in morphisms})
     # chosen iso rho_x: x -> rep(x); identity when x is its own representative

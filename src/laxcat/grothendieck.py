@@ -12,25 +12,22 @@ from .core import (
     FinCat,
     Functor,
     MarkedFinCat,
-    Mor,
-    fincat,
+    build_category,
     is_iso,
     opposite,
-    opposite_cat,
     opposite_functor,
     short_id,
+    subcategory,
     validate_marking,
 )
 from .constructions import (
     DEFAULT_CAPS,
     SizeCaps,
     enumerate_functors,
-    enumerate_nat_trans,
     _assemble_funcat,
     FunCat,
 )
 from .diagrams import CatDiagram, fiberwise_op
-from .errors import UnknownMorphism
 
 
 def total_obj_id(i: str, x: str) -> str:
@@ -72,10 +69,7 @@ def grothendieck_cocart(F: CatDiagram, caps: SizeCaps = DEFAULT_CAPS) -> Fibered
             obj_part[oid] = (i, x)
     caps.check_objects("grothendieck total", len(objects))
 
-    morphisms: list[Mor] = []
-    identity: dict[str, str] = {}
-    fiber_part: dict[str, tuple[str, str]] = {}
-    srcs: dict[str, str] = {}
+    homs = []
     for phi in I.morphisms:
         T = F.transition[phi.name]
         Fj = F.fiber[phi.tgt]
@@ -84,30 +78,22 @@ def grothendieck_cocart(F: CatDiagram, caps: SizeCaps = DEFAULT_CAPS) -> Fibered
             for f in Fj.morphisms:
                 if Fj.src(f.name) != fx:
                     continue
-                mid = total_mor_id(phi.name, f.name, x)
-                s = total_obj_id(phi.src, x)
-                t = total_obj_id(phi.tgt, f.tgt)
-                morphisms.append(Mor(mid, s, t))
-                fiber_part[mid] = (phi.name, f.name)
-                srcs[mid] = x
-                if I.is_identity(phi.name) and Fj.is_identity(f.name):
-                    identity[s] = mid
-    caps.check_morphisms("grothendieck total", len(morphisms))
+                homs.append((total_mor_id(phi.name, f.name, x),
+                             total_obj_id(phi.src, x),
+                             total_obj_id(phi.tgt, f.tgt),
+                             (phi.name, f.name)))
+    caps.check_morphisms("grothendieck total", len(homs))
 
-    comp = {}
-    by_src: dict[str, list[Mor]] = {}
-    for m in morphisms:
-        by_src.setdefault(m.src, []).append(m)
-    for m1 in morphisms:
-        phi, f = fiber_part[m1.name]
-        for m2 in by_src.get(m1.tgt, []):
-            psi, g = fiber_part[m2.name]
-            Tpsi = F.transition[psi]
-            Fk = F.fiber[I.tgt(psi)]
-            comp[(m2.name, m1.name)] = total_mor_id(
-                I.compose(psi, phi), Fk.compose(g, Tpsi.mor(f)), srcs[m1.name]
-            )
-    cat = fincat(objects, morphisms, identity, comp)
+    def compose(second, first):
+        (psi, g), (phi, f) = second, first
+        return (I.compose(psi, phi),
+                F.fiber[I.tgt(psi)].compose(g, F.transition[psi].mor(f)))
+
+    def is_identity(pf):
+        return I.is_identity(pf[0]) and F.fiber[I.tgt(pf[0])].is_identity(pf[1])
+
+    cat = build_category(objects, homs, compose, is_identity)
+    fiber_part = {name: pf for name, _, _, pf in homs}
 
     marked = frozenset(
         mid for mid, (phi, f) in fiber_part.items()
@@ -118,7 +104,7 @@ def grothendieck_cocart(F: CatDiagram, caps: SizeCaps = DEFAULT_CAPS) -> Fibered
     proj = Functor(
         cat, I,
         {o: obj_part[o][0] for o in objects},
-        {m.name: fiber_part[m.name][0] for m in morphisms},
+        {name: pf[0] for name, pf in fiber_part.items()},
     )
     proj.validate()
     return FiberedCat(total, proj, Im, "cocartesian", obj_part, fiber_part,
@@ -163,10 +149,7 @@ def strict_fiber(E: FiberedCat, i: str) -> FinCat:
     objs = [o for o, (j, _) in E.obj_part.items() if j == i]
     ms = [m for m in C.morphisms
           if E.fiber_part[m.name][0] == base.identity[i]]
-    names = {m.name for m in ms}
-    comp = {(g, f): h for (g, f), h in C.comp.items()
-            if g in names and f in names}
-    return fincat(objs, ms, {o: C.identity[o] for o in objs}, comp)
+    return subcategory(C, objs, ms)
 
 
 # -- sections --------------------------------------------------------------------
@@ -194,40 +177,11 @@ def marked_sections(E: FiberedCat, caps: SizeCaps = DEFAULT_CAPS,
             continue
         sections.append(s)
 
-    caps.check_objects("section category", len(sections))
-    by_id = {s.key(): s for s in sections}
-    ids = sorted(by_id)
-    from .core import vertical_compose
-
-    trans = {}
-    morphisms: list[Mor] = []
-    identity: dict[str, str] = {}
-    idents = {i: base.cat.identity[i] for i in base.cat.objects}
-    for sid in ids:
-        for tid in ids:
-            s, t = by_id[sid], by_id[tid]
-            for a in enumerate_nat_trans(
-                s, t,
-                component_filter=lambda x, c: E.proj.mor(c) == idents[x],
-            ):
-                nid = a.key()
-                trans[nid] = a
-                morphisms.append(Mor(nid, sid, tid))
-                if sid == tid and all(
-                    total.cat.is_identity(a.at(x)) for x in base.cat.objects
-                ):
-                    identity[sid] = nid
-                caps.check_morphisms("section category", len(morphisms))
-    comp = {}
-    by_src: dict[str, list[Mor]] = {}
-    for m in morphisms:
-        by_src.setdefault(m.src, []).append(m)
-    for m1 in morphisms:
-        for m2 in by_src.get(m1.tgt, []):
-            comp[(m2.name, m1.name)] = vertical_compose(
-                trans[m2.name], trans[m1.name]).key()
-    cat = fincat(ids, morphisms, identity, comp)
-    return FunCat(cat, by_id, trans)
+    # morphisms are the vertical transformations: components over identities
+    idents = base.cat.identity
+    return _assemble_funcat(
+        sections, total.cat, "section category", caps,
+        component_filter=lambda x, c: E.proj.mor(c) == idents[x], check=True)
 
 
 def all_sections(E: FiberedCat, caps: SizeCaps = DEFAULT_CAPS) -> FunCat:
@@ -270,33 +224,20 @@ def pullback_fibered(t: Functor, t_marked: MarkedFinCat, E: FiberedCat,
         return total_mor_id(phi, E.fiber_part[m][1],
                             E.obj_part[T.src(m)][1])
 
-    morphisms: list[Mor] = []
-    identity: dict[str, str] = {}
-    parts: dict[str, tuple[str, str]] = {}
+    homs = []
     for phi in I.morphisms:
         for m in T.morphisms:
-            if E.proj.mor(m.name) != t.mor(phi.name):
-                continue
-            mid = mor_id(phi.name, m.name)
-            s = pair_oid[(phi.src, m.src)]
-            tt = pair_oid[(phi.tgt, m.tgt)]
-            morphisms.append(Mor(mid, s, tt))
-            parts[mid] = (phi.name, m.name)
-            if I.is_identity(phi.name) and T.is_identity(m.name):
-                identity[s] = mid
-    caps.check_morphisms("pullback total", len(morphisms))
-
-    comp = {}
-    by_src: dict[str, list[Mor]] = {}
-    for m in morphisms:
-        by_src.setdefault(m.src, []).append(m)
-    for m1 in morphisms:
-        p1, e1 = parts[m1.name]
-        for m2 in by_src.get(m1.tgt, []):
-            p2, e2 = parts[m2.name]
-            comp[(m2.name, m1.name)] = mor_id(
-                I.compose(p2, p1), T.compose(e2, e1))
-    cat = fincat(objects, morphisms, identity, comp)
+            if E.proj.mor(m.name) == t.mor(phi.name):
+                homs.append((mor_id(phi.name, m.name),
+                             pair_oid[(phi.src, m.src)],
+                             pair_oid[(phi.tgt, m.tgt)],
+                             (phi.name, m.name)))
+    caps.check_morphisms("pullback total", len(homs))
+    cat = build_category(
+        objects, homs,
+        lambda q2, q1: (I.compose(q2[0], q1[0]), T.compose(q2[1], q1[1])),
+        lambda q: I.is_identity(q[0]) and T.is_identity(q[1]))
+    parts = {name: q for name, _, _, q in homs}
     marked = frozenset(
         mid for mid, (phi, m) in parts.items()
         if phi in Im.marked and m in E.total.marked
@@ -304,7 +245,7 @@ def pullback_fibered(t: Functor, t_marked: MarkedFinCat, E: FiberedCat,
     validate_marking(cat, marked)
     proj = Functor(cat, I,
                    {o: obj_part[o][0] for o in objects},
-                   {m.name: parts[m.name][0] for m in morphisms})
+                   {name: q[0] for name, q in parts.items()})
     proj.validate()
     # fiber components transport from E so cocartesian detection still works
     fiber_part = {mid: (phi, E.fiber_part[m][1]) for mid, (phi, m) in parts.items()}

@@ -16,13 +16,11 @@ from .core import (
     FinCat,
     Functor,
     MarkedFinCat,
-    Mor,
     NatTrans,
+    build_category,
     compose_functors,
-    fincat,
     flat_marking,
     is_iso,
-    opposite,
     opposite_cat,
     opposite_functor,
     short_id,
@@ -169,8 +167,8 @@ def cat_limit(F: CatDiagram, caps: SizeCaps = DEFAULT_CAPS) -> CatLimitResult:
     obj_family = {_family_obj_id(fam): fam for fam in obj_families}
     ids = sorted(obj_family)
 
-    morphisms: list[Mor] = []
-    identity: dict[str, str] = {}
+    # a hom's payload is its family as a tuple over B.objects
+    homs = []
     mor_family: dict[str, dict[str, str]] = {}
     for xid in ids:
         X = obj_family[xid]
@@ -182,31 +180,20 @@ def cat_limit(F: CatDiagram, caps: SizeCaps = DEFAULT_CAPS) -> CatLimitResult:
                 lambda phi, m: F.transition[phi].mor(m),
             ):
                 mid = _family_mor_id(fam)
-                morphisms.append(Mor(mid, xid, yid))
+                homs.append((mid, xid, yid, tuple(fam[b] for b in B.objects)))
                 mor_family[mid] = fam
-                if xid == yid and all(
-                    F.fiber[b].is_identity(fam[b]) for b in B.objects
-                ):
-                    identity[xid] = mid
-                caps.check_morphisms("cat limit", len(morphisms))
-    comp = {}
-    by_src: dict[str, list[Mor]] = {}
-    for m in morphisms:
-        by_src.setdefault(m.src, []).append(m)
-    for m1 in morphisms:
-        f1 = mor_family[m1.name]
-        for m2 in by_src.get(m1.tgt, []):
-            f2 = mor_family[m2.name]
-            comp[(m2.name, m1.name)] = _family_mor_id(
-                {b: F.fiber[b].compose(f2[b], f1[b]) for b in B.objects}
-            )
-    cat = fincat(ids, morphisms, identity, comp)
+                caps.check_morphisms("cat limit", len(homs))
+    fibers = [F.fiber[b] for b in B.objects]
+    cat = build_category(
+        ids, homs,
+        lambda t2, t1: tuple(C.compose(y, x) for C, y, x in zip(fibers, t2, t1)),
+        lambda t: all(C.is_identity(x) for C, x in zip(fibers, t)))
     projections = {}
     for b in B.objects:
         P = Functor(
             cat, F.fiber[b],
             {xid: obj_family[xid][b] for xid in ids},
-            {m.name: mor_family[m.name][b] for m in morphisms},
+            {mid: fam[b] for mid, fam in mor_family.items()},
         )
         P.validate()
         projections[b] = P
@@ -234,7 +221,11 @@ def marked_cat_limit(F: MarkedCatDiagram,
 def whisker_functor(src_fc: FunCat, dst_fc: FunCat,
                     pre: Functor, post: Functor) -> Functor:
     """Fun(A', B') -> Fun(A, B) by G |-> post . G . pre, for pre: A -> A' and
-    post: B' -> B."""
+    post: B' -> B.
+
+    The result is not validated here.  lax_limit and
+    probe_check_colimit_theorem hand it to cat_limit as a transition, where
+    CatDiagram.validate checks it once; any other caller must validate it."""
     omap = {}
     mmap = {}
     for gid, G in src_fc.functors.items():
@@ -246,9 +237,7 @@ def whisker_functor(src_fc: FunCat, dst_fc: FunCat,
         H = dst_fc.functors[omap[a.src.key()]]
         K = dst_fc.functors[omap[a.tgt.key()]]
         mmap[nid] = NatTrans(H, K, comps).key()
-    F = Functor(src_fc.cat, dst_fc.cat, omap, mmap)
-    F.validate()
-    return F
+    return Functor(src_fc.cat, dst_fc.cat, omap, mmap)
 
 
 def evaluation_functor(fc: FunCat, at_obj: str, codomain: FinCat) -> Functor:
@@ -343,34 +332,21 @@ def iso_comma(g: Functor, h: Functor, caps: SizeCaps = DEFAULT_CAPS) -> FinCat:
                 objects.append(oid)
                 data[oid] = (a, c, beta)
     caps.check_objects("iso comma", len(objects))
-    morphisms: list[Mor] = []
-    identity: dict[str, str] = {}
-    parts: dict[str, tuple[str, str]] = {}
+    homs = []
     for o1 in objects:
         a1, c1, b1 = data[o1]
         for o2 in objects:
             a2, c2, b2 = data[o2]
             for m in A.hom(a1, a2):
                 for n in C.hom(c1, c2):
-                    if B.compose(b2, g.mor(m)) != B.compose(h.mor(n), b1):
-                        continue
-                    mid = short_id(f"({m}|{n}):{o1}>{o2}")
-                    morphisms.append(Mor(mid, o1, o2))
-                    parts[mid] = (m, n)
-                    if o1 == o2 and A.is_identity(m) and C.is_identity(n):
-                        identity[o1] = mid
-    caps.check_morphisms("iso comma", len(morphisms))
-    comp = {}
-    by_src: dict[str, list[Mor]] = {}
-    for m in morphisms:
-        by_src.setdefault(m.src, []).append(m)
-    for m1 in morphisms:
-        p1, q1 = parts[m1.name]
-        for m2 in by_src.get(m1.tgt, []):
-            p2, q2 = parts[m2.name]
-            comp[(m2.name, m1.name)] = short_id(
-                f"({A.compose(p2, p1)}|{C.compose(q2, q1)}):{m1.src}>{m2.tgt}")
-    return fincat(objects, morphisms, identity, comp)
+                    if B.compose(b2, g.mor(m)) == B.compose(h.mor(n), b1):
+                        homs.append((short_id(f"({m}|{n}):{o1}>{o2}"),
+                                     o1, o2, (m, n)))
+    caps.check_morphisms("iso comma", len(homs))
+    return build_category(
+        objects, homs,
+        lambda mn2, mn1: (A.compose(mn2[0], mn1[0]), C.compose(mn2[1], mn1[1])),
+        lambda mn: A.is_identity(mn[0]) and C.is_identity(mn[1]))
 
 
 # -- induced maps on limits (fully-faithful lemma support) ----------------------------

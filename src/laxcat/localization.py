@@ -8,16 +8,14 @@ truncating.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     FinCat,
     Functor,
     MarkedFinCat,
     Mor,
-    NatTrans,
-    compose_functors,
+    _product_functor,
     fincat,
     flat_marking,
     identity_functor,
@@ -32,7 +30,8 @@ from .constructions import (
     marked_functor_category,
 )
 from .equiv import is_essentially_surjective, is_fully_faithful
-from .errors import SizeBoundExceeded
+from .errors import InvariantViolation, MalformedTable, SizeBoundExceeded
+from .limits import whisker_functor
 
 
 @dataclass(frozen=True)
@@ -231,7 +230,8 @@ def localize(Cm: MarkedFinCat, bounds: Bounds = Bounds(),
     )
     quotient.validate()
     for m in Cm.marked:
-        assert is_iso(cat, quotient.mor(m)), f"marked {m} not inverted"
+        if not is_iso(cat, quotient.mor(m)):
+            raise InvariantViolation(f"localization: marked {m} not inverted")
     return LocalizationResult("ok", cat=cat, quotient=quotient)
 
 
@@ -313,7 +313,7 @@ def _localize_presented(pres: PresentedCat, bounds: Bounds):
             comp[(mname(r2), mname(r1))] = mname(r3)
         try:
             cat = fincat(objects, morphisms, identity, comp)
-        except Exception:
+        except MalformedTable:
             # bounded closure not yet consistent; widen the window
             last_frontier = ((objects[0], objects[0]), len(cls))
             continue
@@ -337,37 +337,23 @@ class ProbeVerdict:
     failures: list[tuple[str, str]]  # (probe name, reason)
 
 
-def precomposition_functor(q: Functor, fc_top: FunCat, fc_bot: FunCat) -> Functor:
-    """Fun(L, D) -> Fun(C, D) along q: C -> L."""
-    omap = {}
-    mmap = {}
-    for gid, G in fc_top.functors.items():
-        omap[gid] = compose_functors(G, q).key()
-    for nid, a in fc_top.transformations.items():
-        comps = {x: a.at(q.obj(x)) for x in q.dom.objects}
-        H = fc_bot.functors[omap[a.src.key()]]
-        K = fc_bot.functors[omap[a.tgt.key()]]
-        mmap[nid] = NatTrans(H, K, comps).key()
-    F = Functor(fc_top.cat, fc_bot.cat, omap, mmap)
-    F.validate()
-    return F
-
-
 def check_localization_up(Cm: MarkedFinCat, L: LocalizationResult,
                           probes: dict[str, FinCat],
                           caps: SizeCaps = DEFAULT_CAPS) -> ProbeVerdict:
     """For every probe D: precomposition with the quotient functor must be an
     equivalence Fun(|C|, D) -> Fun†(C†, D♭)."""
-    assert L.ok and L.cat is not None and L.quotient is not None
+    if not (L.ok and L.cat is not None and L.quotient is not None):
+        raise ValueError("check_localization_up needs a successful localization")
     failures = []
     for name, D in probes.items():
         top = functor_category(L.cat, D, caps)
         bot = marked_functor_category(Cm, flat_marking(D), caps)
         try:
-            P = precomposition_functor(L.quotient, top, bot)
+            P = whisker_functor(top, bot, L.quotient, identity_functor(D))
         except KeyError:
             failures.append((name, "precomposition leaves marked functors"))
             continue
+        P.validate()  # P is not a cat_limit transition, so nothing else checks it
         if not is_fully_faithful(P):
             failures.append((name, "precomposition not fully faithful"))
         elif not is_essentially_surjective(P):
@@ -407,11 +393,11 @@ def probe_check_colimit_theorem(F, probes: dict[str, FinCat],
     computed.
     """
     from .constructions import coslice_cat, slice_transition, twisted_arrow
-    from .core import product, opposite_cat
+    from .core import opposite_cat, product
     from .diagrams import CatDiagram, fiberwise_op
     from .equiv import is_equivalent
     from .grothendieck import grothendieck_cocart
-    from .limits import cat_limit, whisker_functor
+    from .limits import cat_limit
 
     if cartesian:
         # oplax side reduces to the lax side of the fiberwise-opposite diagram
@@ -462,20 +448,3 @@ def probe_check_colimit_theorem(F, probes: dict[str, FinCat],
             failures.append((name, verdict.certificate or "inequivalent"))
     return ProbeVerdict(not failures, failures)
 
-
-def _product_functor(P, P2, g: Functor, h: Functor) -> Functor:
-    """(g x h): product P -> product P2, matching the product id scheme."""
-    from .core import pair_id
-
-    A, B = g.dom, h.dom
-    omap = {}
-    for x in A.objects:
-        for y in B.objects:
-            omap[pair_id(x, y)] = pair_id(g.obj(x), h.obj(y))
-    mmap = {}
-    for m in A.morphisms:
-        for n in B.morphisms:
-            mmap[pair_id(m.name, n.name)] = pair_id(g.mor(m.name), h.mor(n.name))
-    F = Functor(P.cat, P2.cat, omap, mmap)
-    F.validate()
-    return F

@@ -8,6 +8,7 @@ from laxcat.core import (
     MarkedFinCat,
     Mor,
     ValidationReport,
+    build_category,
     chain_cat,
     discrete_cat,
     fincat,
@@ -21,12 +22,14 @@ from laxcat.core import (
     product,
     saturate_marking,
     sharp_marking,
+    subcategory,
     terminal_cat,
     validate_category,
     validate_marking,
     walking_arrow,
     walking_iso,
 )
+from laxcat.equiv import is_isomorphic
 from laxcat.errors import InvalidMarking, MalformedTable, UnknownMorphism
 from laxcat.generator import GenParams, gen_category, gen_marking
 
@@ -146,7 +149,6 @@ def test_product_markings():
 
 
 def test_product_with_terminal_is_unit():
-    from laxcat.equiv import is_isomorphic
     D = flat_marking(parallel_pair())
     P = product(flat_marking(terminal_cat()), D)
     assert is_isomorphic(P.cat, D.cat)
@@ -190,3 +192,48 @@ def test_discrete_and_opposite_cat():
     A = walking_arrow()
     Aop = opposite_cat(A)
     assert Aop.src("a01") == "1" and Aop.tgt("a01") == "0"
+
+
+def _chain_homs():
+    """The chain 0 -> 1 -> 2 as homs whose payload is the pair (src, tgt)."""
+    return [(f"h{i}{j}", str(i), str(j), (i, j))
+            for i in range(3) for j in range(i, 3)]
+
+
+def test_build_category_rebuilds_chain():
+    C = build_category(["0", "1", "2"], _chain_homs(),
+                       lambda q, p: (p[0], q[1]), lambda p: p[0] == p[1])
+    assert C.identity == {"0": "h00", "1": "h11", "2": "h22"}
+    assert C.compose("h12", "h01") == "h02"
+    assert is_isomorphic(C, chain_cat(2))
+
+
+def test_build_category_rejects_missing_composite():
+    homs = [h for h in _chain_homs() if h[0] != "h02"]
+    with pytest.raises(MalformedTable, match="missing composite"):
+        build_category(["0", "1", "2"], homs,
+                       lambda q, p: (p[0], q[1]), lambda p: p[0] == p[1])
+
+
+def test_build_category_rejects_duplicate_payload():
+    homs = _chain_homs() + [("h01bis", "0", "1", (0, 1))]
+    with pytest.raises(MalformedTable, match="coincide"):
+        build_category(["0", "1", "2"], homs,
+                       lambda q, p: (p[0], q[1]), lambda p: p[0] == p[1])
+
+
+def test_subcategory_keeps_composites_of_kept_pairs():
+    C2 = chain_cat(2)
+    full = subcategory(C2, ["0", "2"],
+                       [m for m in C2.morphisms if m.src != "1" and m.tgt != "1"])
+    assert is_isomorphic(full, walking_arrow())
+    # dropping a01 keeps every composite of kept pairs: still a category
+    assert subcategory(C2, C2.objects,
+                       [m for m in C2.morphisms if m.name != "a01"]).n_morphisms == 5
+    # dropping a02, the composite of a12 after a01, leaves it dangling
+    with pytest.raises(MalformedTable):
+        subcategory(C2, C2.objects, [m for m in C2.morphisms if m.name != "a02"])
+    unchecked = subcategory(C2, C2.objects,
+                            [m for m in C2.morphisms if m.name != "a02"],
+                            check=False)
+    assert ("a12", "a01") in unchecked.comp

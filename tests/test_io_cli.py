@@ -193,3 +193,16 @@ def test_cli_grothendieck_and_sections_roundtrip(tmp_path, capsys):
     assert main(["sections", f, "--marked"]) == 0
     assert main(["laxlim", f]) == 0
     assert main(["laxcolim", f]) in (0, 2)
+
+
+def test_cli_reports_an_invariant_violation_as_an_internal_error(
+        tmp_path, monkeypatch, capsys):
+    from laxcat import equiv
+
+    iso = _write(tmp_path, "iso.json", category_to_data(walking_iso()))
+    term = _write(tmp_path, "term.json", category_to_data(terminal_cat()))
+    monkeypatch.setattr(equiv, "is_fully_faithful", lambda F: False)
+    assert main(["equiv", iso, term]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "invalid input" not in err

@@ -1,5 +1,7 @@
 """Set/category limits, lax and oplax limits, and the pseudo-limit oracle."""
 
+import pytest
+
 from laxcat.constructions import SizeCaps
 from laxcat.core import (
     Functor,
@@ -187,3 +189,40 @@ def test_cat_limit_map_of_inclusions_is_fully_faithful():
     from laxcat.checks import _ff_lemma_ok, Ctx
     for s in range(10):
         assert _ff_lemma_ok(GenParams(seed=s), Ctx())
+
+
+def _corrupt_first_identity(whisker, corrupted):
+    """Wrap whisker_functor: in the first result with room for it, send an
+    identity to a parallel non-identity endomorphism.  Endpoints stay right,
+    so only the identity check of a full validation can notice."""
+
+    def wrapped(*args):
+        T = whisker(*args)
+        if corrupted:
+            return T
+        for x in T.dom.objects:
+            img = T.mor(T.dom.identity[x])
+            others = [n for n in T.cod.hom(T.obj(x), T.obj(x)) if n != img]
+            if others:
+                corrupted.append(x)
+                mmap = dict(T.morphism_map)
+                mmap[T.dom.identity[x]] = others[0]
+                return Functor(T.dom, T.cod, T.object_map, mmap)
+        return T
+
+    return wrapped
+
+
+def test_lax_limit_still_validates_each_whiskered_transition(monkeypatch):
+    from laxcat import limits
+    from laxcat.checks import probe_suite
+    from laxcat.errors import MalformedTable
+
+    F = constant_diagram(flat_marking(walking_arrow()), probe_suite()["nonposet5"])
+    lax_limit(F, BIG)  # the uncorrupted diagram is fine
+    corrupted = []
+    monkeypatch.setattr(limits, "whisker_functor",
+                        _corrupt_first_identity(limits.whisker_functor, corrupted))
+    with pytest.raises(MalformedTable):
+        lax_limit(F, BIG)
+    assert corrupted

@@ -1,5 +1,7 @@
 """Presentations, bounded localization, lax colimits, and probe checks."""
 
+import pytest
+
 from laxcat.core import (
     Functor,
     chain_cat,
@@ -260,3 +262,58 @@ def test_triangle_consistency_probe_vs_completed_localization():
         result, E = lax_colimit(F, Bounds(word_length=4), CAPS)
         if result.ok:
             assert check_localization_up(E.total, result, PROBES, CAPS).ok
+
+
+def test_check_localization_up_validates_the_precomposition(monkeypatch):
+    from laxcat import localization
+    from laxcat.checks import probe_suite
+    from laxcat.errors import MalformedTable
+    from test_limits import _corrupt_first_identity
+
+    Cm = sharp_marking(walking_arrow())
+    r = localize(Cm)
+    probes = {"nonposet5": probe_suite()["nonposet5"]}
+    assert check_localization_up(Cm, r, probes, CAPS).ok
+    corrupted = []
+    monkeypatch.setattr(localization, "whisker_functor", _corrupt_first_identity(
+        localization.whisker_functor, corrupted))
+    with pytest.raises(MalformedTable):
+        check_localization_up(Cm, r, probes, CAPS)
+    assert corrupted
+
+
+def test_check_localization_up_rejects_a_failed_localization():
+    from laxcat.localization import LocalizationResult
+
+    Cm = sharp_marking(walking_arrow())
+    failed = LocalizationResult("word-bound")
+    with pytest.raises(ValueError):
+        check_localization_up(Cm, failed, PROBES, CAPS)
+
+
+def test_localize_reports_an_uninverted_marked_morphism_as_a_bug(monkeypatch):
+    from laxcat import localization
+    from laxcat.errors import InvariantViolation
+
+    monkeypatch.setattr(localization, "is_iso", lambda C, f: False)
+    with pytest.raises(InvariantViolation, match="not inverted"):
+        localize(sharp_marking(walking_arrow()))
+
+
+def test_localize_widens_only_on_malformed_tables(monkeypatch):
+    from laxcat import localization
+    from laxcat.errors import MalformedTable, UnknownMorphism
+
+    def malformed(*args, **kw):
+        raise MalformedTable("inconsistent closure")
+
+    monkeypatch.setattr(localization, "fincat", malformed)
+    r = localize(sharp_marking(walking_arrow()), Bounds(word_length=2))
+    assert r.status == "word-bound"
+
+    def bug(*args, **kw):
+        raise UnknownMorphism("a bug, not a window too narrow")
+
+    monkeypatch.setattr(localization, "fincat", bug)
+    with pytest.raises(UnknownMorphism):
+        localize(sharp_marking(walking_arrow()), Bounds(word_length=2))
