@@ -8,6 +8,7 @@ only from resource bounds, never from falsified comparisons.
 from __future__ import annotations
 
 import os
+import random
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -22,6 +23,7 @@ from .core import (
     discrete_cat,
     fincat,
     flat_marking,
+    pair_id,
     parallel_pair,
     product,
     saturate_marking,
@@ -32,7 +34,7 @@ from .core import (
 )
 from .constructions import SizeCaps, enumerate_functors, twisted_arrow
 from .diagrams import CatDiagram, MarkedCatDiagram, restrict_set_diagram
-from .equiv import is_equivalent, is_fully_faithful
+from .equiv import is_equivalent, is_fully_faithful, iso_classes
 from .errors import (
     GenerationExhausted,
     LaxcatError,
@@ -47,8 +49,10 @@ from .grothendieck import (
     marked_sections,
     pullback_fibered,
 )
-from .io_formats import canonical_json, category_to_data, diagram_to_data
+from .io_formats import canonical_json, category_to_data, diagram_from_data, diagram_to_data
 from .limits import (
+    _family_mor_id,
+    _family_obj_id,
     cat_limit,
     cat_limit_map,
     iso_comma,
@@ -284,8 +288,6 @@ def _check_cofinality(p: GenParams, ctx: Ctx, side: str):
 
 
 def _gen_marked_diagram(M: MarkedFinCat, p: GenParams) -> MarkedCatDiagram:
-    import random
-
     F = gen_diagram(M, p)
     rng = random.Random(("fibmark", p.seed).__repr__())
     I = F.base.cat
@@ -314,9 +316,6 @@ def _gen_marked_diagram(M: MarkedFinCat, p: GenParams) -> MarkedCatDiagram:
 
 
 def _marked_limit_ok(p: GenParams, ctx: Ctx) -> bool:
-    from .core import pair_id
-    from .limits import _family_mor_id, _family_obj_id
-
     C = gen_category(p)
     M = gen_marking(C, p)
     Fm = _gen_marked_diagram(M, p)
@@ -373,8 +372,6 @@ def _restricted_diagram(F: CatDiagram, t: Functor, Im: MarkedFinCat) -> CatDiagr
 
 
 def _pullback_ok(p: GenParams, ctx: Ctx) -> bool:
-    import random
-
     F = _gen_instance(p)
     Jm = F.base
     rng = random.Random(("pullback", p.seed).__repr__())
@@ -407,10 +404,6 @@ def _check_pullback_remark(p: GenParams, ctx: Ctx):
 
 
 def _ff_lemma_ok(p: GenParams, ctx: Ctx) -> bool:
-    import random
-
-    from .equiv import iso_classes
-
     F = _gen_instance(p)
     I = F.base.cat
     rng = random.Random(("ff", p.seed).__repr__())
@@ -477,8 +470,6 @@ def _check_ff_lemma(p: GenParams, ctx: Ctx):
 
 
 def _monotonicity_ok(p: GenParams, ctx: Ctx) -> bool:
-    import random
-
     C = gen_category(p)
     M1 = gen_marking(C, p)
     rng = random.Random(("mono", p.seed).__repr__())
@@ -712,8 +703,6 @@ def run_check(theorem: str, seed: int = 0, count: int = 50,
         if out_dir is not None:
             data = failure.data
             if minimize and failure.kind == "diagram" and failure.reeval is not None:
-                from .io_formats import diagram_from_data
-
                 def refails(F2, reeval=failure.reeval):
                     try:
                         return bool(reeval(F2))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -234,7 +235,6 @@ def _cmd_check(args) -> int:
                        jobs=args.jobs)
     text = report.canonical()
     if args.out is not None:
-        import os
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, f"{args.theorem}-report.json"), "w") as fh:
             fh.write(text)

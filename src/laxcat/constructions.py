@@ -209,7 +209,8 @@ def _assemble_funcat(functors: list[Functor], D: FinCat, what: str,
                      check: bool = False) -> FunCat:
     """Functors as objects, natural transformations (with components passing
     component_filter) as morphisms; a hom's payload is its component tuple
-    over the objects of the common domain."""
+    over the objects of the common domain.  Object ids are ``key()``s; this
+    is the one place transformation ids, ``N{src=>tgt;cs}``, are formatted."""
     caps.check_objects(what, len(functors))
     by_id = {F.key(): F for F in functors}
     ids = sorted(by_id)
@@ -220,10 +221,11 @@ def _assemble_funcat(functors: list[Functor], D: FinCat, what: str,
         for gid in ids:
             for a in enumerate_nat_trans(by_id[fid], by_id[gid],
                                          component_filter):
-                nid = a.key()
+                comps = tuple(a.components[x] for x in obj_order)
+                cs = ",".join(f"{x}:{c}" for x, c in zip(obj_order, comps))
+                nid = short_id(f"N{{{fid}=>{gid};{cs}}}")
                 trans[nid] = a
-                homs.append((nid, fid, gid,
-                             tuple(a.components[x] for x in obj_order)))
+                homs.append((nid, fid, gid, comps))
                 caps.check_morphisms(what, len(homs))
     dcomp = D.comp
     cat = build_category(

@@ -11,7 +11,8 @@ takes homs that carry a hashable payload (a pair of legs, a component tuple,
 a family) and a rule composing payloads; it looks every composite up among
 the enumerated homs, so ids are minted only where homs are enumerated.
 ``subcategory`` restricts a category to some objects and morphisms, keeping
-the composites of kept pairs.
+the composites of kept pairs.  ``Functor.key`` mints a functor-category
+object id and nothing else: functors are compared by their maps.
 """
 
 from __future__ import annotations
@@ -488,7 +489,13 @@ class Functor:
     def is_marked(self, dom_marked: frozenset[str], cod_marked: frozenset[str]) -> bool:
         return all(self.mor(m) in cod_marked for m in dom_marked)
 
+    def same_maps(self, other: Functor) -> bool:
+        return (self.object_map == other.object_map
+                and self.morphism_map == other.morphism_map)
+
     def key(self) -> str:
+        """This functor's id as an object of a functor category; not an
+        equality test (use same_maps), since a long key is hashed."""
         os = ",".join(f"{x}>{self.obj(x)}" for x in self.dom.objects)
         ms = ",".join(
             f"{m}>{self.mor(m)}" for m in sorted(self.morphism_map)
@@ -549,10 +556,6 @@ class NatTrans:
             rhs = D.compose(self.tgt.mor(m.name), self.at(m.src))
             if lhs != rhs:
                 raise MalformedTable(f"nat trans: naturality fails at {m.name}")
-
-    def key(self) -> str:
-        cs = ",".join(f"{x}:{self.at(x)}" for x in self.src.dom.objects)
-        return short_id(f"N{{{self.src.key()}=>{self.tgt.key()};{cs}}}")
 
 
 def vertical_compose(beta: NatTrans, alpha: NatTrans) -> NatTrans:

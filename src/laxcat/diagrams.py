@@ -39,14 +39,13 @@ class CatDiagram:
                 raise InvalidDiagram(f"transition at {m.name} has wrong endpoints")
             T.validate()
         for x in I.objects:
-            T = self.transition[I.identity[x]]
-            if T.object_map != identity_functor(self.fiber[x]).object_map or \
-               T.morphism_map != identity_functor(self.fiber[x]).morphism_map:
+            if not self.transition[I.identity[x]].same_maps(
+                    identity_functor(self.fiber[x])):
                 raise InvalidDiagram(f"transition at identity of {x} is not id")
         for g, f in I.composable_pairs():
             lhs = self.transition[I.compose(g, f)]
             rhs = compose_functors(self.transition[g], self.transition[f])
-            if lhs.object_map != rhs.object_map or lhs.morphism_map != rhs.morphism_map:
+            if not lhs.same_maps(rhs):
                 raise InvalidDiagram(f"functoriality fails at ({g}, {f})")
 
 

@@ -17,7 +17,9 @@ from .core import (
     Functor,
     MarkedFinCat,
     Mor,
+    compose_functors,
     fincat,
+    identity_functor,
     parallel_pair,
     saturate_marking,
     short_id,
@@ -195,8 +197,6 @@ def _backtrack_transitions(I: FinCat, fibers: dict[str, FinCat],
         rng.shuffle(cs)
         candidates[g] = cs
 
-    from .core import compose_functors, identity_functor
-
     def derive(assign: dict[str, Functor]) -> dict[str, Functor] | None:
         tr = {I.identity[x]: identity_functor(fibers[x]) for x in I.objects}
         for m in I.morphisms:
@@ -205,11 +205,9 @@ def _backtrack_transitions(I: FinCat, fibers: dict[str, FinCat],
             T = identity_functor(fibers[m.src])
             for g in words[m.name]:
                 T = compose_functors(assign[g], T)
-            if m.name in tr and tr[m.name].key() != T.key():
-                return None
             tr[m.name] = T
         for (g, f), h in I.comp.items():
-            if compose_functors(tr[g], tr[f]).key() != tr[h].key():
+            if not compose_functors(tr[g], tr[f]).same_maps(tr[h]):
                 return None
         return tr
 

@@ -14,6 +14,7 @@ from .core import (
     MarkedFinCat,
     Mor,
     fincat,
+    identity_functor,
     validate_marking,
 )
 from .diagrams import CatDiagram
@@ -126,8 +127,6 @@ def diagram_from_data(data: dict) -> CatDiagram:
     _require_keys(data, {"base", "fibers", "transitions"}, "diagram")
     base = marked_category_from_data(data["base"])
     fibers = {x: category_from_data(c)[0] for x, c in data["fibers"].items()}
-    from .core import identity_functor
-
     transitions = {}
     for x in base.cat.objects:
         transitions[base.cat.identity[x]] = identity_functor(fibers[x])

@@ -16,7 +16,6 @@ from .core import (
     FinCat,
     Functor,
     MarkedFinCat,
-    NatTrans,
     build_category,
     compose_functors,
     flat_marking,
@@ -36,6 +35,7 @@ from .constructions import (
     twisted_arrow,
 )
 from .diagrams import CatDiagram, MarkedCatDiagram, SetDiagram, fiberwise_op
+from .errors import InvariantViolation
 
 
 # -- set-valued (co)limits -------------------------------------------------------
@@ -223,20 +223,28 @@ def whisker_functor(src_fc: FunCat, dst_fc: FunCat,
     """Fun(A', B') -> Fun(A, B) by G |-> post . G . pre, for pre: A -> A' and
     post: B' -> B.
 
+    A transformation's image is looked up in dst_fc, not minted: the one
+    between the endpoint images with the whiskered components.  An object
+    image outside dst_fc raises KeyError; a missing transformation, which a
+    full functor category cannot lack, raises InvariantViolation.
+
     The result is not validated here.  lax_limit and
     probe_check_colimit_theorem hand it to cat_limit as a transition, where
     CatDiagram.validate checks it once; any other caller must validate it."""
     omap = {}
     mmap = {}
     for gid, G in src_fc.functors.items():
-        omap[gid] = compose_functors(post, compose_functors(G, pre)).key()
+        hid = compose_functors(post, compose_functors(G, pre)).key()
+        if hid not in dst_fc.functors:
+            raise KeyError(hid)
+        omap[gid] = hid
     for nid, a in src_fc.transformations.items():
-        comps = {
-            x: post.mor(a.at(pre.obj(x))) for x in pre.dom.objects
-        }
-        H = dst_fc.functors[omap[a.src.key()]]
-        K = dst_fc.functors[omap[a.tgt.key()]]
-        mmap[nid] = NatTrans(H, K, comps).key()
+        comps = {x: post.mor(a.at(pre.obj(x))) for x in pre.dom.objects}
+        h, k = omap[src_fc.cat.src(nid)], omap[src_fc.cat.tgt(nid)]
+        mmap[nid] = next((n for n in dst_fc.cat.hom(h, k)
+                          if dst_fc.transformations[n].components == comps), None)
+        if mmap[nid] is None:
+            raise InvariantViolation(f"whisker_functor: {nid} has no image")
     return Functor(src_fc.cat, dst_fc.cat, omap, mmap)
 
 

@@ -20,18 +20,25 @@ from .core import (
     flat_marking,
     identity_functor,
     is_iso,
+    opposite_cat,
+    product,
     short_id,
 )
 from .constructions import (
     DEFAULT_CAPS,
     FunCat,
     SizeCaps,
+    coslice_cat,
     functor_category,
     marked_functor_category,
+    slice_transition,
+    twisted_arrow,
 )
-from .equiv import is_essentially_surjective, is_fully_faithful
+from .diagrams import CatDiagram, fiberwise_op
+from .equiv import is_equivalent, is_essentially_surjective, is_fully_faithful
 from .errors import InvariantViolation, MalformedTable, SizeBoundExceeded
-from .limits import whisker_functor
+from .grothendieck import grothendieck_cart, grothendieck_cocart
+from .limits import cat_limit, whisker_functor
 
 
 @dataclass(frozen=True)
@@ -367,8 +374,6 @@ def check_localization_up(Cm: MarkedFinCat, L: LocalizationResult,
 def lax_colimit(F, bounds: Bounds = Bounds(),
                 caps: SizeCaps = DEFAULT_CAPS) -> tuple[LocalizationResult, "FiberedCat"]:
     """Localization of the marked cocartesian Grothendieck construction."""
-    from .grothendieck import grothendieck_cocart
-
     E = grothendieck_cocart(F, caps)
     return localize(E.total, bounds), E
 
@@ -376,8 +381,6 @@ def lax_colimit(F, bounds: Bounds = Bounds(),
 def oplax_colimit(F, bounds: Bounds = Bounds(),
                   caps: SizeCaps = DEFAULT_CAPS) -> tuple[LocalizationResult, "FiberedCat"]:
     """Localization of the marked cartesian Grothendieck construction."""
-    from .grothendieck import grothendieck_cart
-
     E = grothendieck_cart(F, caps)
     return localize(E.total, bounds), E
 
@@ -392,13 +395,6 @@ def probe_check_colimit_theorem(F, probes: dict[str, FinCat],
     functors out of (coslice at t) x (flat fiber at s).  No localization is
     computed.
     """
-    from .constructions import coslice_cat, slice_transition, twisted_arrow
-    from .core import opposite_cat, product
-    from .diagrams import CatDiagram, fiberwise_op
-    from .equiv import is_equivalent
-    from .grothendieck import grothendieck_cocart
-    from .limits import cat_limit
-
     if cartesian:
         # oplax side reduces to the lax side of the fiberwise-opposite diagram
         # against opposite probes (op of both comparison categories)

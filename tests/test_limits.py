@@ -1,11 +1,14 @@
 """Set/category limits, lax and oplax limits, and the pseudo-limit oracle."""
 
+from dataclasses import replace
+
 import pytest
 
-from laxcat.constructions import SizeCaps
+from laxcat.constructions import FunCat, SizeCaps, marked_functor_category
 from laxcat.core import (
     Functor,
     chain_cat,
+    compose_functors,
     discrete_cat,
     flat_marking,
     identity_functor,
@@ -35,7 +38,9 @@ from laxcat.limits import (
     oplax_limit,
     set_colimit,
     set_limit,
+    whisker_functor,
 )
+from laxcat.errors import InvariantViolation
 
 BIG = SizeCaps(max_objects=1024, max_morphisms=8192, max_candidates=10**6)
 
@@ -226,3 +231,44 @@ def test_lax_limit_still_validates_each_whiskered_transition(monkeypatch):
     with pytest.raises(MalformedTable):
         lax_limit(F, BIG)
     assert corrupted
+
+
+def _whisker_pair():
+    """Fun([2], [1]) -> Fun([1], [1]) by precomposition with the inclusion
+    [1] -> [2] skipping the middle object."""
+    A, A2, B = walking_arrow(), chain_cat(2), walking_arrow()
+    pre = Functor(A, A2, {"0": "0", "1": "2"},
+                  {"id_0": "id_0", "id_1": "id_2", "a01": "a02"})
+    src = marked_functor_category(flat_marking(A2), flat_marking(B), BIG)
+    dst = marked_functor_category(flat_marking(A), flat_marking(B), BIG)
+    return src, dst, pre, identity_functor(B)
+
+
+def test_whisker_functor_maps_transformations_to_whiskered_ones():
+    src, dst, pre, post = _whisker_pair()
+    W = whisker_functor(src, dst, pre, post)
+    W.validate()
+    for gid, G in src.functors.items():
+        assert dst.functors[W.obj(gid)].object_map == \
+            compose_functors(G, pre).object_map
+    assert any(not src.cat.is_identity(nid) for nid in src.transformations)
+    for nid, a in src.transformations.items():
+        img = W.mor(nid)
+        assert dst.transformations[img].components == \
+            {x: a.at(pre.obj(x)) for x in pre.dom.objects}
+        assert dst.cat.src(img) == W.obj(src.cat.src(nid))
+        assert dst.cat.tgt(img) == W.obj(src.cat.tgt(nid))
+
+
+def test_whisker_functor_raises_on_a_missing_whiskered_transformation():
+    src, dst, pre, post = _whisker_pair()
+    W = whisker_functor(src, dst, pre, post)
+    nid = next(n for n in src.cat.nonidentity()
+               if not dst.cat.is_identity(W.mor(n)))
+    img = W.mor(nid)
+    b = dst.transformations[img]
+    altered = {**dst.transformations,
+               img: replace(b, components={**b.components, "0": "altered"})}
+    broken = FunCat(dst.cat, dst.functors, altered)
+    with pytest.raises(InvariantViolation):
+        whisker_functor(src, broken, pre, post)

@@ -149,6 +149,7 @@ def test_check_localization_up_rejects_wrong_candidate():
                                quotient=identity_functor(A))
     v = check_localization_up(Am, wrong, {"arrow": walking_arrow()}, CAPS)
     assert not v.ok
+    assert v.failures == [("arrow", "precomposition leaves marked functors")]
     # a candidate equivalent to the true localization is accepted; collapsing
     # [1] onto the terminal category is fine because lim [1] marked is a point
     t = terminal_cat()

@@ -1,8 +1,15 @@
-"""Source rules for the engine: no assert statements, no unused imports.
+"""Source rules for the engine.
 
-An ``assert`` vanishes under ``python -O``, so invariants are raised errors.
-``__init__.py`` is exempt from the import rule: its imports are the package's
-public names.
+- No ``assert`` statements: an ``assert`` vanishes under ``python -O``, so
+  invariants are raised errors.
+- No unused imports.  ``__init__.py`` is exempt: its imports are the
+  package's public names.
+- No imports inside function bodies, so a module's dependencies are read at
+  its top.  The one exception is ``ProcessPoolExecutor`` in ``run_check``:
+  ``concurrent.futures`` costs several milliseconds to import, and only
+  ``--jobs`` above 1 needs it.
+- No ``.key()`` call as an operand of a comparison.  ``key()`` mints the id of
+  a functor category's object; functors are compared by their maps.
 """
 
 import ast
@@ -45,3 +52,40 @@ def test_no_unused_imports(path):
     unused = {name: line for name, line in _imported_names(tree).items()
               if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+LAZY_IMPORTS = {("checks.py", "run_check", "concurrent.futures")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = ["." * node.level + (node.module or "")]
+            else:
+                continue
+            found += [(fn.name, m, node.lineno) for m in modules
+                      if (path.name, fn.name, m) not in LAZY_IMPORTS]
+    assert not found, f"{path.name}: imports inside functions {found}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_key_comparisons(path):
+    tree = ast.parse(path.read_text(), str(path))
+
+    def is_key_call(node):
+        return (isinstance(node, ast.Call) and not node.args
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "key")
+
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Compare)
+             and any(is_key_call(x) for x in [node.left, *node.comparators])]
+    assert not lines, f"{path.name}: key() compared at lines {lines}"
