@@ -310,9 +310,7 @@ def _gen_marked_diagram(M: MarkedFinCat, p: GenParams) -> MarkedCatDiagram:
                 changed = True
     fibers = {x: MarkedFinCat(F.fiber[x], frozenset(picks[x]))
               for x in I.objects}
-    d = MarkedCatDiagram(F.base, fibers, F.transition)
-    d.validate()
-    return d
+    return MarkedCatDiagram(F.base, fibers, F.transition)
 
 
 def _marked_limit_ok(p: GenParams, ctx: Ctx) -> bool:
@@ -321,7 +319,8 @@ def _marked_limit_ok(p: GenParams, ctx: Ctx) -> bool:
     Fm = _gen_marked_diagram(M, p)
     Gm = _gen_marked_diagram(M, replace(p, seed=p.seed + 1))
     I = M.cat
-    # componentwise marking is a valid marking (validate_marking raises otherwise)
+    # componentwise marking is a valid marking (the MarkedFinCat that
+    # marked_cat_limit returns raises InvalidMarking otherwise)
     limF, resF = marked_cat_limit(Fm, ctx.caps)
     limG, resG = marked_cat_limit(Gm, ctx.caps)
     # binary products: limit of the pointwise product vs product of limits
@@ -440,7 +439,6 @@ def _ff_lemma_ok(p: GenParams, ctx: Ctx) -> bool:
             {o: T.obj(o) for o in subfibers[m.src].objects},
             {mm.name: T.mor(mm.name) for mm in subfibers[m.src].morphisms})
     G = CatDiagram(F.base, subfibers, subtrans)
-    G.validate()
     limF = cat_limit(F, ctx.caps)
     limG = cat_limit(G, ctx.caps)
     eta = {x: Functor(subfibers[x], F.fiber[x],
@@ -589,7 +587,8 @@ def _delete_base_morphism(F: CatDiagram, m: str) -> CatDiagram:
 
 def minimize_diagram(F: CatDiagram, still_fails: Callable) -> CatDiagram:
     """Greedy deletion of base objects and removable base morphisms while the
-    failure persists; each candidate is revalidated before the retest."""
+    failure persists; each candidate validates itself when it is built,
+    before the retest."""
     changed = True
     while changed:
         changed = False
@@ -598,7 +597,6 @@ def minimize_diagram(F: CatDiagram, still_fails: Callable) -> CatDiagram:
                 break
             try:
                 F2 = _delete_base_object(F, x)
-                F2.validate()
                 if still_fails(F2):
                     F = F2
                     changed = True
@@ -607,7 +605,6 @@ def minimize_diagram(F: CatDiagram, still_fails: Callable) -> CatDiagram:
         for m in _removable_morphisms(F.base.cat):
             try:
                 F2 = _delete_base_morphism(F, m)
-                F2.validate()
                 if still_fails(F2):
                     F = F2
                     changed = True

@@ -18,7 +18,6 @@ from .core import (
     build_category,
     opposite_cat,
     short_id,
-    validate_marking,
 )
 from .errors import SizeBoundExceeded, UnknownObject
 
@@ -358,14 +357,14 @@ def _slice_like(Im: MarkedFinCat, i: str, kind: str) -> SliceCat:
     cat = build_category(objects, homs, I.compose, I.is_identity)
     witness = {name: a for name, _, _, a in homs}
     mk = frozenset(m for m in witness if witness[m] in Im.marked)
-    validate_marking(cat, mk)
+    marked = MarkedFinCat(cat, mk)
     forget = Functor(
         cat, I,
         {f: (I.src(f) if kind == "slice" else I.tgt(f)) for f in objects},
         dict(witness),
     )
     forget.validate()
-    return SliceCat(MarkedFinCat(cat, mk), forget, i, kind, witness)
+    return SliceCat(marked, forget, i, kind, witness)
 
 
 def slice_cat(Im: MarkedFinCat, i: str) -> SliceCat:

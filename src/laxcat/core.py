@@ -133,7 +133,7 @@ class FinCat:
         return len(self.morphisms)
 
     def same_table(self, other: "FinCat") -> bool:
-        return (
+        return other is self or (
             self.objects == other.objects
             and self.morphisms == other.morphisms
             and self.identity == other.identity
@@ -325,11 +325,16 @@ class MarkedFinCat:
     """A finite category with a marking.
 
     The marked set contains every identity and every isomorphism and is
-    closed under composition; ``validate_marking`` enforces this.
+    closed under composition.  The constructor checks this with
+    ``validate_marking`` and raises InvalidMarking otherwise, so a marked
+    category that exists has been checked once, and nothing checks it again.
     """
 
     cat: FinCat
     marked: frozenset[str]
+
+    def __post_init__(self) -> None:
+        validate_marking(self.cat, self.marked)
 
     def is_marked(self, m: str) -> bool:
         self.cat.mor(m)
@@ -352,7 +357,7 @@ def validate_marking(C: FinCat, marked: Iterable[str]) -> frozenset[str]:
 
 
 def marked(C: FinCat, marked_set: Iterable[str]) -> MarkedFinCat:
-    return MarkedFinCat(C, validate_marking(C, marked_set))
+    return MarkedFinCat(C, frozenset(marked_set))
 
 
 def saturate_marking(C: FinCat, S: Iterable[str]) -> frozenset[str]:
@@ -514,7 +519,7 @@ def identity_functor(C: FinCat) -> Functor:
 
 def compose_functors(G: Functor, F: Functor) -> Functor:
     """G after F."""
-    if G.dom is not F.cod and not G.dom.same_table(F.cod):
+    if not G.dom.same_table(F.cod):
         raise MalformedTable("compose_functors: middle categories differ")
     return Functor(
         F.dom, G.cod,
@@ -542,29 +547,6 @@ class NatTrans:
 
     def at(self, x: str) -> str:
         return self.components[x]
-
-    def validate(self) -> None:
-        D = self.src.cod
-        for x in self.src.dom.objects:
-            c = self.components.get(x)
-            if c is None or not D.has_mor(c):
-                raise MalformedTable(f"nat trans: component at {x} missing")
-            if D.src(c) != self.src.obj(x) or D.tgt(c) != self.tgt.obj(x):
-                raise MalformedTable(f"nat trans: component at {x} has wrong type")
-        for m in self.src.dom.morphisms:
-            lhs = D.compose(self.at(m.tgt), self.src.mor(m.name))
-            rhs = D.compose(self.tgt.mor(m.name), self.at(m.src))
-            if lhs != rhs:
-                raise MalformedTable(f"nat trans: naturality fails at {m.name}")
-
-
-def vertical_compose(beta: NatTrans, alpha: NatTrans) -> NatTrans:
-    """beta after alpha (componentwise)."""
-    D = alpha.src.cod
-    return NatTrans(
-        alpha.src, beta.tgt,
-        {x: D.compose(beta.at(x), alpha.at(x)) for x in alpha.src.dom.objects},
-    )
 
 
 # -- small standard categories (used by tests and the probe suite) ------------

@@ -1,8 +1,16 @@
-"""Strict diagrams of categories and sets over a finite base."""
+"""Strict diagrams of categories and sets over a finite base.
+
+A diagram is validated when it is made: the constructors of CatDiagram,
+MarkedCatDiagram and SetDiagram call their own ``validate``, which raises
+InvalidDiagram (or MalformedTable from a transition's ``Functor.validate``).
+The diagrams are frozen, so every diagram that exists has been checked
+exactly once, and no function re-checks a diagram it is handed.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     FinCat,
@@ -17,13 +25,19 @@ from .constructions import SliceCat, coslice_cat, slice_cat, slice_transition
 from .errors import InvalidDiagram
 
 
-@dataclass
+@dataclass(frozen=True)
 class CatDiagram:
-    """A strict functor I -> Cat: a fiber per object, a transition per morphism."""
+    """A strict functor I -> Cat: a fiber per object, a transition per morphism.
+
+    The constructor checks every fiber and transition, each transition's
+    endpoints and functor axioms, identities and strict functoriality."""
 
     base: MarkedFinCat
     fiber: dict[str, FinCat]
     transition: dict[str, Functor]
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         I = self.base.cat
@@ -67,25 +81,32 @@ def constant_diagram(Im: MarkedFinCat, fiber: FinCat) -> CatDiagram:
                       {m.name: idf for m in I.morphisms})
 
 
-@dataclass
+@dataclass(frozen=True)
 class MarkedCatDiagram:
-    """A strict diagram of marked categories; transitions are marked functors."""
+    """A strict diagram of marked categories; transitions are marked functors.
+
+    The constructor builds the underlying CatDiagram once, which checks
+    itself, and then checks that every transition is marked."""
 
     base: MarkedFinCat
     fiber: dict[str, MarkedFinCat]
     transition: dict[str, Functor]
 
+    def __post_init__(self) -> None:
+        self.validate()
+
+    @cached_property
     def underlying(self) -> CatDiagram:
         return CatDiagram(self.base, {x: F.cat for x, F in self.fiber.items()},
                           dict(self.transition))
 
     def validate(self) -> None:
-        self.underlying().validate()
+        F = self.underlying  # built, and so checked, once
         I = self.base.cat
         for m in I.morphisms:
-            T = self.transition[m.name]
-            if not T.is_marked(self.fiber[I.src(m.name)].marked,
-                               self.fiber[I.tgt(m.name)].marked):
+            if not F.transition[m.name].is_marked(
+                    self.fiber[I.src(m.name)].marked,
+                    self.fiber[I.tgt(m.name)].marked):
                 raise InvalidDiagram(f"transition at {m.name} is not marked")
 
 
@@ -109,7 +130,6 @@ def coslice_diagram(Im: MarkedFinCat) -> SliceDiagram:
         # precomposition I_{tgt/} -> I_{src/} along m, covariant over I^op
         trans[m.name] = slice_transition(Im, slices[m.tgt], slices[m.src], m.name)
     diag = CatDiagram(opposite(Im), {i: slices[i].cat for i in I.objects}, trans)
-    diag.validate()
     return SliceDiagram(diag, slices)
 
 
@@ -121,20 +141,25 @@ def slice_diagram(Im: MarkedFinCat) -> SliceDiagram:
     for m in I.morphisms:
         trans[m.name] = slice_transition(Im, slices[m.src], slices[m.tgt], m.name)
     diag = CatDiagram(Im, {i: slices[i].cat for i in I.objects}, trans)
-    diag.validate()
     return SliceDiagram(diag, slices)
 
 
 # -- set-valued diagrams ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SetDiagram:
-    """A strict functor base -> Set."""
+    """A strict functor base -> Set.
+
+    The constructor checks every value set and action, identities and strict
+    functoriality."""
 
     base: FinCat
     values: dict[str, tuple]
     action: dict[str, dict]
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         B = self.base

@@ -243,9 +243,7 @@ def gen_diagram(Im: MarkedFinCat, p: GenParams) -> CatDiagram:
                   for x in I.objects}
         tr = _backtrack_transitions(I, fibers, rng)
         if tr is not None:
-            d = CatDiagram(Im, fibers, tr)
-            d.validate()
-            return d
+            return CatDiagram(Im, fibers, tr)
     raise GenerationExhausted(
         f"no strict diagram over base with {I.n_objects} objects "
         f"after {p.retries} retries")
@@ -262,26 +260,16 @@ def gen_set_diagram(C: FinCat, p: GenParams) -> SetDiagram:
         assign = {g: {e: rng.choice(values[C.tgt(g)]) for e in values[C.src(g)]}
                   for g in gens}
         action = {C.identity[x]: {e: e for e in values[x]} for x in C.objects}
-        ok = True
         for m in C.morphisms:
             if C.is_identity(m.name):
                 continue
             f = {e: e for e in values[m.src]}
             for g in words[m.name]:
                 f = {e: assign[g][v] for e, v in f.items()}
-            if m.name in action and action[m.name] != f:
-                ok = False
-                break
             action[m.name] = f
-        if ok:
-            for (g, f2), h in C.comp.items():
-                if {e: action[g][v] for e, v in action[f2].items()} != action[h]:
-                    ok = False
-                    break
-        if ok:
-            d = SetDiagram(C, values, action)
-            d.validate()
-            return d
+        if all({e: action[g][v] for e, v in action[f2].items()} == action[h]
+               for (g, f2), h in C.comp.items()):
+            return SetDiagram(C, values, action)
     # random assignments on generators can be incompatible with the
     # relations of C; a representable functor is always strict
     c = rng.choice(C.objects)
@@ -290,6 +278,4 @@ def gen_set_diagram(C: FinCat, p: GenParams) -> SetDiagram:
               for x in C.objects}
     action = {m.name: {e: C.compose(m.name, e) for e in values[m.src]}
               for m in C.morphisms}
-    d = SetDiagram(C, values, action)
-    d.validate()
-    return d
+    return SetDiagram(C, values, action)

@@ -18,7 +18,6 @@ from .core import (
     opposite_functor,
     short_id,
     subcategory,
-    validate_marking,
 )
 from .constructions import (
     DEFAULT_CAPS,
@@ -57,7 +56,6 @@ class FiberedCat:
 
 def grothendieck_cocart(F: CatDiagram, caps: SizeCaps = DEFAULT_CAPS) -> FiberedCat:
     """Total category of pairs (i, x); morphisms (phi: i -> j, f: F(phi)x -> y)."""
-    F.validate()
     Im = F.base
     I = Im.cat
     objects: list[str] = []
@@ -99,7 +97,6 @@ def grothendieck_cocart(F: CatDiagram, caps: SizeCaps = DEFAULT_CAPS) -> Fibered
         mid for mid, (phi, f) in fiber_part.items()
         if phi in Im.marked and is_iso(F.fiber[I.tgt(phi)], f)
     )
-    validate_marking(cat, marked)
     total = MarkedFinCat(cat, marked)
     proj = Functor(
         cat, I,
@@ -242,7 +239,7 @@ def pullback_fibered(t: Functor, t_marked: MarkedFinCat, E: FiberedCat,
         mid for mid, (phi, m) in parts.items()
         if phi in Im.marked and m in E.total.marked
     )
-    validate_marking(cat, marked)
+    total = MarkedFinCat(cat, marked)
     proj = Functor(cat, I,
                    {o: obj_part[o][0] for o in objects},
                    {name: q[0] for name, q in parts.items()})
@@ -250,5 +247,5 @@ def pullback_fibered(t: Functor, t_marked: MarkedFinCat, E: FiberedCat,
     # fiber components transport from E so cocartesian detection still works
     fiber_part = {mid: (phi, E.fiber_part[m][1]) for mid, (phi, m) in parts.items()}
     fiber_of = {i: E.fiber_of[t.obj(i)] for i in I.objects}
-    return FiberedCat(MarkedFinCat(cat, marked), proj, Im, "cocartesian",
-                      obj_part, fiber_part, fiber_of)
+    return FiberedCat(total, proj, Im, "cocartesian", obj_part, fiber_part,
+                      fiber_of)

@@ -15,7 +15,6 @@ from .core import (
     Mor,
     fincat,
     identity_functor,
-    validate_marking,
 )
 from .diagrams import CatDiagram
 from .errors import MalformedTable
@@ -50,6 +49,17 @@ def category_to_data(C: FinCat, marked: frozenset[str] | None = None) -> dict:
 def category_from_data(data: dict) -> tuple[FinCat, frozenset[str] | None]:
     """Returns the category and the marked set if one was given (identities
     and isomorphisms are added to it before validation)."""
+    C, mk = _category_parts(data)
+    return C, None if mk is None else MarkedFinCat(C, mk).marked
+
+
+def marked_category_from_data(data: dict) -> MarkedFinCat:
+    C, mk = _category_parts(data)
+    return MarkedFinCat(C, C.iso_set() if mk is None else mk)
+
+
+def _category_parts(data: dict) -> tuple[FinCat, frozenset[str] | None]:
+    """The checked category and the unchecked marked set of a file."""
     if not isinstance(data, dict):
         raise MalformedTable("category: expected a JSON object")
     _require_keys(data, {"objects", "morphisms", "composition", "identities",
@@ -84,16 +94,7 @@ def category_from_data(data: dict) -> tuple[FinCat, frozenset[str] | None]:
     marked = data.get("marked")
     if marked is None:
         return C, None
-    mk = frozenset(marked) | frozenset(identity.values()) | C.iso_set()
-    validate_marking(C, mk)
-    return C, mk
-
-
-def marked_category_from_data(data: dict) -> MarkedFinCat:
-    C, mk = category_from_data(data)
-    if mk is None:
-        mk = C.iso_set()
-    return MarkedFinCat(C, mk)
+    return C, frozenset(marked) | frozenset(identity.values()) | C.iso_set()
 
 
 def functor_to_data(F: Functor) -> dict:
@@ -133,9 +134,7 @@ def diagram_from_data(data: dict) -> CatDiagram:
     for m, fd in data.get("transitions", {}).items():
         transitions[m] = functor_from_data(
             fd, fibers[base.cat.src(m)], fibers[base.cat.tgt(m)])
-    d = CatDiagram(base, fibers, transitions)
-    d.validate()
-    return d
+    return CatDiagram(base, fibers, transitions)
 
 
 def presentation_to_data(p: PresentedCat) -> dict:

@@ -23,7 +23,6 @@ from .core import (
     opposite_cat,
     opposite_functor,
     short_id,
-    validate_marking,
 )
 from .constructions import (
     DEFAULT_CAPS,
@@ -155,7 +154,6 @@ class CatLimitResult:
 
 def cat_limit(F: CatDiagram, caps: SizeCaps = DEFAULT_CAPS) -> CatLimitResult:
     """Strictly compatible families of objects and morphisms, componentwise."""
-    F.validate()
     B = F.base.cat
 
     obj_families = list(_enumerate_families(
@@ -204,14 +202,12 @@ def marked_cat_limit(F: MarkedCatDiagram,
                      caps: SizeCaps = DEFAULT_CAPS) -> tuple[MarkedFinCat, CatLimitResult]:
     """cat_limit of the underlying diagram; a morphism is marked iff every
     projection marks it."""
-    F.validate()
-    res = cat_limit(F.underlying(), caps)
+    res = cat_limit(F.underlying, caps)
     B = F.base.cat
     marked = frozenset(
         mid for mid, fam in res.mor_family.items()
         if all(fam[b] in F.fiber[b].marked for b in B.objects)
     )
-    validate_marking(res.cat, marked)
     return MarkedFinCat(res.cat, marked), res
 
 
@@ -229,8 +225,9 @@ def whisker_functor(src_fc: FunCat, dst_fc: FunCat,
     full functor category cannot lack, raises InvariantViolation.
 
     The result is not validated here.  lax_limit and
-    probe_check_colimit_theorem hand it to cat_limit as a transition, where
-    CatDiagram.validate checks it once; any other caller must validate it."""
+    probe_check_colimit_theorem make it a transition of their end diagram,
+    whose CatDiagram constructor checks it once; any other caller must
+    validate it."""
     omap = {}
     mmap = {}
     for gid, G in src_fc.functors.items():
@@ -268,7 +265,6 @@ class LaxLimitResult:
 
 def lax_limit(F: CatDiagram, caps: SizeCaps = DEFAULT_CAPS) -> LaxLimitResult:
     """Partially lax limit via the end formula over the twisted arrow category."""
-    F.validate()
     Im = F.base
     I = Im.cat
     tw = twisted_arrow(I, caps)

@@ -360,7 +360,7 @@ def check_localization_up(Cm: MarkedFinCat, L: LocalizationResult,
         except KeyError:
             failures.append((name, "precomposition leaves marked functors"))
             continue
-        P.validate()  # P is not a cat_limit transition, so nothing else checks it
+        P.validate()  # P is no diagram transition, so no constructor checks it
         if not is_fully_faithful(P):
             failures.append((name, "precomposition not fully faithful"))
         elif not is_essentially_surjective(P):

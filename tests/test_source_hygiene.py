@@ -10,6 +10,8 @@
   ``--jobs`` above 1 needs it.
 - No ``.key()`` call as an operand of a comparison.  ``key()`` mints the id of
   a functor category's object; functors are compared by their maps.
+- ``validate_marking`` is called only in ``core.py``: the ``MarkedFinCat``
+  constructor checks every marking once, so no other module checks one.
 """
 
 import ast
@@ -89,3 +91,17 @@ def test_no_key_comparisons(path):
              if isinstance(node, ast.Compare)
              and any(is_key_call(x) for x in [node.left, *node.comparators])]
     assert not lines, f"{path.name}: key() compared at lines {lines}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"],
+                         ids=lambda p: p.name)
+def test_validate_marking_called_only_in_core(path):
+    tree = ast.parse(path.read_text(), str(path))
+
+    def callee(node):
+        f = node.func
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and callee(node) == "validate_marking"]
+    assert not lines, f"{path.name}: validate_marking called at lines {lines}"
