@@ -77,6 +77,35 @@ def generating_morphisms(C: FinCat) -> tuple[list[str], dict[str, tuple[str, ...
 # -- functor enumeration --------------------------------------------------------
 
 
+def _forward_schedule(
+    C: FinCat, gens: list[str], words: dict[str, tuple[str, ...]],
+) -> tuple[list[list[tuple[str, str, tuple[str, ...]]]],
+           list[list[tuple[str, str, str]]]]:
+    """When each image becomes known and each relation is decided, for an
+    assignment of gens in the given order (forward checking on a constraint
+    network, as in Mackworth, Consistency in networks of relations, 1977).
+
+    A morphism's level is the index of the last generator of its word.  Per
+    level, derived holds (name, source, word) for the morphisms other than
+    identities and generators whose words are complete there, and entries
+    every composition entry (g, f, h) of C whose highest level among g, f and
+    h it is.  An entry with an identity factor holds in every category, for
+    any assignment that respects sources and targets, so it is left out.
+    """
+    index = {g: i for i, g in enumerate(gens)}
+    level = {m: max(map(index.__getitem__, w), default=-1)
+             for m, w in words.items()}
+    derived: list[list[tuple[str, str, tuple[str, ...]]]] = [[] for _ in gens]
+    for m in C.morphisms:
+        if m.name not in index and not C.is_identity(m.name):
+            derived[level[m.name]].append((m.name, m.src, words[m.name]))
+    entries: list[list[tuple[str, str, str]]] = [[] for _ in gens]
+    for (g, f), h in C.comp.items():
+        if not (C.is_identity(g) or C.is_identity(f)):
+            entries[max(level[g], level[f], level[h])].append((g, f, h))
+    return derived, entries
+
+
 def enumerate_functors(
     C: FinCat,
     D: FinCat,
@@ -86,6 +115,12 @@ def enumerate_functors(
 ) -> Iterator[Functor]:
     """All functors C -> D, by backtracking over objects then generators.
 
+    The relations of C prune as generators are assigned: each image is
+    evaluated, and each composition entry checked, as soon as the generators
+    it depends on are assigned (see _forward_schedule).  A failed entry cuts
+    the subtree, so the functors come out in the order of the unpruned
+    search and only the explored count falls.
+
     obj_filter / gen_filter prune assignments early; both default to no
     constraint.  Raises SizeBoundExceeded if the explored candidate count
     passes max_candidates.
@@ -93,6 +128,7 @@ def enumerate_functors(
     gens, words = generating_morphisms(C)
     objs = list(C.objects)
     explored = 0
+    derived, entries = _forward_schedule(C, gens, words)
 
     def assign_objects(i: int, omap: dict[str, str]) -> Iterator[dict[str, str]]:
         nonlocal explored
@@ -111,45 +147,39 @@ def enumerate_functors(
             yield from assign_objects(i + 1, omap)
             del omap[x]
 
-    def eval_word(word: tuple[str, ...], gmap: dict[str, str], x: str,
-                  omap: dict[str, str]) -> str:
-        cur = D.identity[omap[x]]
-        for w in word:
-            cur = D.compose(gmap[w], cur)
-        return cur
+    def decide(i: int, omap: dict[str, str], mmap: dict[str, str]) -> bool:
+        """Evaluate the images known once gens[i] is assigned, then check the
+        entries decided there."""
+        for m, x, word in derived[i]:
+            cur = D.identity[omap[x]]
+            for w in word:
+                cur = D.compose(mmap[w], cur)
+            mmap[m] = cur
+        return all(mmap[h] == D.compose(mmap[g], mmap[f])
+                   for g, f, h in entries[i])
+
+    def assign_gens(i: int, omap: dict[str, str],
+                    mmap: dict[str, str]) -> Iterator[dict[str, str]]:
+        nonlocal explored
+        if i == len(gens):
+            yield {m.name: mmap[m.name] for m in C.morphisms}
+            return
+        g = gens[i]
+        for d in D.hom(omap[C.src(g)], omap[C.tgt(g)]):
+            if gen_filter is not None and not gen_filter(g, d):
+                continue
+            explored += 1
+            if explored > max_candidates:
+                raise SizeBoundExceeded("functor enumeration", "candidate",
+                                        explored, max_candidates)
+            mmap[g] = d
+            if decide(i, omap, mmap):
+                yield from assign_gens(i + 1, omap, mmap)
 
     for omap in assign_objects(0, {}):
-
-        def assign_gens(i: int, gmap: dict[str, str]) -> Iterator[dict[str, str]]:
-            nonlocal explored
-            if i == len(gens):
-                yield dict(gmap)
-                return
-            g = gens[i]
-            gs, gt = C.src(g), C.tgt(g)
-            for d in D.hom(omap[gs], omap[gt]):
-                if gen_filter is not None and not gen_filter(g, d):
-                    continue
-                explored += 1
-                if explored > max_candidates:
-                    raise SizeBoundExceeded("functor enumeration", "candidate",
-                                            explored, max_candidates)
-                gmap[g] = d
-                yield from assign_gens(i + 1, gmap)
-                del gmap[g]
-
-        for gmap in assign_gens(0, {}):
-            mmap = {
-                m.name: eval_word(words[m.name], gmap, m.src, omap)
-                for m in C.morphisms
-            }
-            ok = True
-            for (g, f), h in C.comp.items():
-                if mmap[h] != D.compose(mmap[g], mmap[f]):
-                    ok = False
-                    break
-            if ok:
-                yield Functor(C, D, omap, mmap)
+        ids = {C.identity[x]: D.identity[y] for x, y in omap.items()}
+        for mmap in assign_gens(0, omap, ids):
+            yield Functor(C, D, omap, mmap)
 
 
 def enumerate_nat_trans(

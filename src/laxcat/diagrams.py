@@ -18,10 +18,8 @@ from .core import (
     MarkedFinCat,
     compose_functors,
     identity_functor,
-    opposite,
     opposite_cat,
 )
-from .constructions import SliceCat, coslice_cat, slice_cat, slice_transition
 from .errors import InvalidDiagram
 
 
@@ -108,40 +106,6 @@ class MarkedCatDiagram:
                     self.fiber[I.src(m.name)].marked,
                     self.fiber[I.tgt(m.name)].marked):
                 raise InvalidDiagram(f"transition at {m.name} is not marked")
-
-
-# -- slice and coslice diagrams -------------------------------------------------
-
-
-@dataclass
-class SliceDiagram:
-    """Functorial (co)slices: a CatDiagram whose fibers decode to SliceCats."""
-
-    diagram: CatDiagram
-    slices: dict[str, SliceCat]
-
-
-def coslice_diagram(Im: MarkedFinCat) -> SliceDiagram:
-    """i |-> I_{i/}, contravariant: a CatDiagram over opposite(I)."""
-    I = Im.cat
-    slices = {i: coslice_cat(Im, i) for i in I.objects}
-    trans = {}
-    for m in I.morphisms:
-        # precomposition I_{tgt/} -> I_{src/} along m, covariant over I^op
-        trans[m.name] = slice_transition(Im, slices[m.tgt], slices[m.src], m.name)
-    diag = CatDiagram(opposite(Im), {i: slices[i].cat for i in I.objects}, trans)
-    return SliceDiagram(diag, slices)
-
-
-def slice_diagram(Im: MarkedFinCat) -> SliceDiagram:
-    """i |-> I_{/i}, covariant: a CatDiagram over I."""
-    I = Im.cat
-    slices = {i: slice_cat(Im, i) for i in I.objects}
-    trans = {}
-    for m in I.morphisms:
-        trans[m.name] = slice_transition(Im, slices[m.src], slices[m.tgt], m.name)
-    diag = CatDiagram(Im, {i: slices[i].cat for i in I.objects}, trans)
-    return SliceDiagram(diag, slices)
 
 
 # -- set-valued diagrams ---------------------------------------------------------

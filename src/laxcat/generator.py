@@ -25,7 +25,11 @@ from .core import (
     short_id,
     walking_iso,
 )
-from .constructions import enumerate_functors, generating_morphisms
+from .constructions import (
+    _forward_schedule,
+    enumerate_functors,
+    generating_morphisms,
+)
 from .diagrams import CatDiagram, SetDiagram
 from .errors import GenerationExhausted
 
@@ -183,10 +187,27 @@ def gen_marking(C: FinCat, p: GenParams) -> MarkedFinCat:
     return MarkedFinCat(C, saturate_marking(C, frozenset(picked)))
 
 
+# assignment attempts per fiber draw of gen_diagram
+_TRANSITION_NODES = 4000
+
+
 def _backtrack_transitions(I: FinCat, fibers: dict[str, FinCat],
                            rng: random.Random) -> dict[str, Functor] | None:
     """Assign functors to a generating set of I, derive the rest from the
-    decomposition words, and keep only strictly functorial assignments."""
+    decomposition words, and keep only strictly functorial assignments.
+
+    The search is forward-checked, like enumerate_functors
+    (_forward_schedule): a morphism's level is the index of the last
+    generator of its word, its transition is composed along the word once
+    that generator is assigned, and each relation (g, f) -> h of I is
+    checked at the highest level among g, f and h.  A failed relation cuts
+    the subtree.
+
+    The node budget decides which fiber draw succeeds, and so the rest of
+    the shared rng's stream.  A cut subtree holds no success, and it is
+    charged the nodes the unpruned search would have spent in it, so every
+    success and every exhausted budget falls where the unpruned search
+    puts it."""
     gens, words = generating_morphisms(I)
     gens = sorted(gens)
     candidates: dict[str, list[Functor]] = {}
@@ -197,37 +218,42 @@ def _backtrack_transitions(I: FinCat, fibers: dict[str, FinCat],
         rng.shuffle(cs)
         candidates[g] = cs
 
-    def derive(assign: dict[str, Functor]) -> dict[str, Functor] | None:
-        tr = {I.identity[x]: identity_functor(fibers[x]) for x in I.objects}
-        for m in I.morphisms:
-            if I.is_identity(m.name):
-                continue
-            T = identity_functor(fibers[m.src])
-            for g in words[m.name]:
-                T = compose_functors(assign[g], T)
-            tr[m.name] = T
-        for (g, f), h in I.comp.items():
-            if not compose_functors(tr[g], tr[f]).same_maps(tr[h]):
-                return None
-        return tr
+    n = len(gens)
+    derived, entries = _forward_schedule(I, gens, words)
+    # below[i]: nodes of the unpruned tree under one node of level i - 1
+    below = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        below[i] = len(candidates[gens[i]]) * (1 + below[i + 1])
 
-    limit = 4000  # assignment attempts per fiber draw
+    tr = {I.identity[x]: identity_functor(fibers[x]) for x in I.objects}
 
-    def rec(i: int, assign: dict[str, Functor], budget: list[int]):
-        if i == len(gens):
-            return derive(assign)
+    def decide(i: int) -> bool:
+        for m, x, word in derived[i]:
+            T = tr[I.identity[x]]
+            for g in word:
+                T = compose_functors(tr[g], T)
+            tr[m] = T
+        return all(compose_functors(tr[g], tr[f]).same_maps(tr[h])
+                   for g, f, h in entries[i])
+
+    def rec(i: int, budget: list[int]) -> bool:
+        if i == n:
+            return True
         for c in candidates[gens[i]]:
             if budget[0] <= 0:
-                return None
+                return False
             budget[0] -= 1
-            assign[gens[i]] = c
-            got = rec(i + 1, assign, budget)
-            if got is not None:
-                return got
-        assign.pop(gens[i], None)
-        return None
+            tr[gens[i]] = c
+            if not decide(i):
+                budget[0] -= below[i + 1]
+            elif rec(i + 1, budget):
+                return True
+        return False
 
-    return rec(0, {}, [limit])
+    if not rec(0, [_TRANSITION_NODES]):
+        return None
+    order = [I.identity[x] for x in I.objects] + I.nonidentity()
+    return {m: tr[m] for m in order}
 
 
 def gen_diagram(Im: MarkedFinCat, p: GenParams) -> CatDiagram:

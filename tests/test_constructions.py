@@ -1,13 +1,19 @@
 """Twisted arrows, slices, coslices, and (marked) functor categories."""
 
+import itertools
+
 import pytest
 
+from laxcat.checks import probe_suite
 from laxcat.constructions import (
     SizeCaps,
     coslice_cat,
+    enumerate_functors,
     functor_category,
+    generating_morphisms,
     marked_functor_category,
     slice_cat,
+    slice_transition,
     twisted_arrow,
 )
 from laxcat.core import (
@@ -22,7 +28,6 @@ from laxcat.core import (
     walking_arrow,
     walking_iso,
 )
-from laxcat.diagrams import coslice_diagram, slice_diagram
 from laxcat.equiv import is_equivalent, is_isomorphic
 from laxcat.errors import SizeBoundExceeded, UnknownObject
 from laxcat.generator import GenParams, gen_category
@@ -84,15 +89,19 @@ def test_coslice_examples():
         coslice_cat(flat1, "nope")
 
 
-def test_coslice_diagram_transitions():
+def test_slice_transition_images():
     flat1 = flat_marking(walking_arrow())
-    D = coslice_diagram(flat1)
-    # transition for u: I_{1/} -> I_{0/} sends id_1 to u
-    tr = D.diagram.transition["a01"]
-    [obj] = D.diagram.fiber["1"].objects
+    cos = {i: coslice_cat(flat1, i) for i in "01"}
+    sl = {i: slice_cat(flat1, i) for i in "01"}
+    for m in flat1.cat.morphisms:
+        slice_transition(flat1, cos[m.tgt], cos[m.src], m.name).validate()
+        slice_transition(flat1, sl[m.src], sl[m.tgt], m.name).validate()
+    # precomposition along u: I_{1/} -> I_{0/} sends id_1 to u
+    tr = slice_transition(flat1, cos["1"], cos["0"], "a01")
+    [obj] = cos["1"].cat.objects
     assert tr.object_map[obj] == "a01"
-    S = slice_diagram(flat1)
-    tr2 = S.diagram.transition["a01"]
+    # postcomposition along u: I_{/0} -> I_{/1} sends id_0 to u
+    tr2 = slice_transition(flat1, sl["0"], sl["1"], "a01")
     assert tr2.object_map["id_0"] == "a01"
 
 
@@ -108,7 +117,6 @@ def test_functor_category_examples():
 
 
 def test_functor_count_against_brute_force():
-    import itertools
     for s in range(8):
         C = gen_category(GenParams(seed=s, max_objects=2, max_morphisms=5))
         D = gen_category(GenParams(seed=s + 100, max_objects=2,
@@ -130,6 +138,69 @@ def test_functor_count_against_brute_force():
                        for (g, f), h in C.comp.items()):
                     count += 1
         assert fc.cat.n_objects == count, s
+
+
+def _brute_functors(C, D):
+    """Every object map times every generator image, in the search's order,
+    kept when every composite of C is preserved."""
+    gens, words = generating_morphisms(C)
+    out = []
+    for objs in itertools.product(D.objects, repeat=C.n_objects):
+        omap = dict(zip(C.objects, objs))
+        homs = [D.hom(omap[C.src(g)], omap[C.tgt(g)]) for g in gens]
+        for pick in itertools.product(*homs):
+            gmap = dict(zip(gens, pick))
+            mmap = {}
+            for m in C.morphisms:
+                cur = D.identity[omap[m.src]]
+                for w in words[m.name]:
+                    cur = D.compose(gmap[w], cur)
+                mmap[m.name] = cur
+            if all(mmap[h] == D.compose(mmap[g], mmap[f])
+                   for (g, f), h in C.comp.items()):
+                out.append((omap, mmap))
+    return out
+
+
+def _unpruned_candidates(C, D):
+    """Candidates the search explores when no relation prunes: every node of
+    the object tree, then every node of each generator tree."""
+    gens, _ = generating_morphisms(C)
+    n = sum(D.n_objects ** k for k in range(1, C.n_objects + 1))
+    for objs in itertools.product(D.objects, repeat=C.n_objects):
+        omap = dict(zip(C.objects, objs))
+        below = 0
+        for g in reversed(gens):
+            below = len(D.hom(omap[C.src(g)], omap[C.tgt(g)])) * (1 + below)
+        n += below
+    return n
+
+
+def test_enumerate_functors_matches_brute_force_sequence():
+    # probe categories are not thin, so relations of C fail and prune
+    targets = list(probe_suite().values())
+    targets += [gen_category(GenParams(seed=s, max_objects=3, max_morphisms=8,
+                                       relation_density=0.0))
+                for s in range(2)]
+    for s in range(45):
+        C = gen_category(GenParams(seed=s))
+        for D in targets:
+            if _unpruned_candidates(C, D) > 5000:
+                continue
+            got = [(list(F.object_map.items()), list(F.morphism_map.items()))
+                   for F in enumerate_functors(C, D)]
+            want = [(list(o.items()), list(m.items()))
+                    for o, m in _brute_functors(C, D)]
+            assert got == want, s
+
+
+def test_relation_pruning_keeps_enumeration_under_the_cap():
+    # the unpruned search would explore 1898 candidates here
+    C = gen_category(GenParams(seed=33))
+    D = probe_suite()["nonposet5"]
+    assert _unpruned_candidates(C, D) > 1000
+    got = list(enumerate_functors(C, D, max_candidates=1000))
+    assert len(got) == len(_brute_functors(C, D)) == 43
 
 
 def test_marked_functor_category_examples():

@@ -12,6 +12,13 @@
   a functor category's object; functors are compared by their maps.
 - ``validate_marking`` is called only in ``core.py``: the ``MarkedFinCat``
   constructor checks every marking once, so no other module checks one.
+
+One rule covers the tests themselves:
+
+- No ``assert`` under ``tests/`` whose test is a bare container display or
+  comprehension (a dict, list, set or tuple display, a comprehension or a
+  generator expression).  Such a value is true whenever it is non-empty, or
+  always, so nothing inside it is checked; ``all(...)`` was meant.
 """
 
 import ast
@@ -19,7 +26,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "laxcat"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "laxcat"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -105,3 +113,15 @@ def test_validate_marking_called_only_in_core(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Call) and callee(node) == "validate_marking"]
     assert not lines, f"{path.name}: validate_marking called at lines {lines}"
+
+
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.Tuple, ast.DictComp, ast.ListComp,
+              ast.SetComp, ast.GeneratorExp)
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_of_a_container(path):
+    tree = ast.parse(path.read_text(), str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Assert) and isinstance(node.test, CONTAINERS)]
+    assert not lines, f"{path.name}: assert of a container at lines {lines}"
