@@ -114,7 +114,7 @@ CHECK_CAPS = SizeCaps(max_objects=2048, max_morphisms=32768,
                       max_candidates=1_000_000)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Ctx:
     caps: SizeCaps = CHECK_CAPS
     bounds: Bounds = field(default_factory=Bounds)
@@ -535,6 +535,10 @@ _PROBE_CTX = Ctx(
     bounds=Bounds(word_length=4, max_morphisms=2048, max_words=30_000),
 )
 
+# every other theorem shares one context, so the probe suite is built (and
+# its categories axiom-checked) once, not on every run
+_CHECK_CTX = Ctx()
+
 DEFAULT_CTX: dict[str, Ctx] = {
     "thm-lax-colim-probe": _PROBE_CTX,
     "thm-oplax-colim-probe": _PROBE_CTX,
@@ -544,7 +548,7 @@ DEFAULT_CTX: dict[str, Ctx] = {
 def theorem_defaults(theorem: str) -> tuple[GenParams, Ctx]:
     """The generator parameters and context a theorem runs with by default."""
     return (DEFAULT_PARAMS.get(theorem, GenParams()),
-            DEFAULT_CTX.get(theorem) or Ctx())
+            DEFAULT_CTX.get(theorem, _CHECK_CTX))
 
 
 # -- counterexample minimization ---------------------------------------------------

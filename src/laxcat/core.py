@@ -81,6 +81,7 @@ class FinCat:
         for m in self.morphisms:
             self._hom.setdefault((m.src, m.tgt), []).append(m.name)
         self._iso_cache: frozenset[str] | None = None
+        self._gen_cache: tuple[str, ...] | None = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -123,6 +124,61 @@ class FinCat:
         for f in self.morphisms:
             for g in by_src.get(f.tgt, []):
                 yield (g, f.name)
+
+    def generators(self) -> tuple[str, ...]:
+        """A generating set, computed once: the indecomposable non-identities
+        (not a composite of two non-identities), closed under left
+        composition by generators with a worklist; when the closure stalls,
+        the first unreached non-identity in name order is added and closed
+        from alone.
+
+        So every non-identity h is a generator, or g after h' for a generator
+        g and a non-identity h' reached before h.  That is why a map is a
+        functor once it preserves identities and every composite g after m
+        with g a generator (see Functor.validate).  The table is read through
+        ``compose``, so a missing composite raises UnknownMorphism.
+        """
+        if self._gen_cache is None:
+            nonid = self.nonidentity()
+            out_of: dict[str, list[str]] = {}
+            for f in nonid:
+                out_of.setdefault(self._mor[f].src, []).append(f)
+            try:
+                composite = {self.comp[g, f] for f in nonid
+                             for g in out_of.get(self._mor[f].tgt, ())}
+            except KeyError as hole:
+                self.compose(*hole.args[0])  # raises UnknownMorphism
+                raise
+            gens = [f for f in nonid if f not in composite]
+            gens_out_of: dict[str, list[str]] = {}
+            for g in gens:
+                gens_out_of.setdefault(self._mor[g].src, []).append(g)
+            reached = set(gens)
+            work = list(gens)
+            for f in nonid:
+                if f not in reached:  # the closure stalled
+                    gens.append(f)
+                    gens_out_of.setdefault(self._mor[f].src, []).append(f)
+                    reached.add(f)
+                    work.append(f)
+                while work:
+                    r = work.pop()
+                    for g in gens_out_of.get(self._mor[r].tgt, ()):
+                        h = self.compose(g, r)
+                        if h not in reached and not self.is_identity(h):
+                            reached.add(h)
+                            work.append(h)
+            self._gen_cache = tuple(gens)
+        return self._gen_cache
+
+    def generator_pairs(self) -> Iterator[tuple[str, str]]:
+        """All (g, m) with g a generator and tgt(m) == src(g)."""
+        into: dict[str, list[str]] = {}
+        for m in self.morphisms:
+            into.setdefault(m.tgt, []).append(m.name)
+        for g in self.generators():
+            for m in into.get(self._mor[g].src, ()):
+                yield (g, m)
 
     @property
     def n_objects(self) -> int:
@@ -179,8 +235,9 @@ def check_axioms(C: FinCat) -> ValidationReport:
             bad.append(Violation("dangling", f"object {o} has no identity"))
         elif not C.has_mor(C.identity[o]):
             bad.append(Violation("dangling", f"identity of {o} is unknown"))
+    objects = set(C.objects)
     for m in C.morphisms:
-        if m.src not in set(C.objects) or m.tgt not in set(C.objects):
+        if m.src not in objects or m.tgt not in objects:
             bad.append(Violation("dangling", f"morphism {m.name} has bad endpoints"))
     for (g, f), h in C.comp.items():
         if not (C.has_mor(g) and C.has_mor(f) and C.has_mor(h)):
@@ -470,25 +527,33 @@ class Functor:
         return self.morphism_map[f]
 
     def validate(self) -> None:
-        for x in self.dom.objects:
-            if self.object_map.get(x) not in self.cod.objects:
+        """Raise MalformedTable unless this is a functor.
+
+        Objects, endpoints and identities are checked everywhere; composites
+        only for g after m with g a generator of the domain.  That suffices:
+        every non-identity h is g after h' for a generator g and an h' reached
+        before it (FinCat.generators), so by induction on when h was reached,
+        F(h m) = F(g) F(h' m) = F(g) F(h') F(m) = F(h) F(m).
+        """
+        dom, cod = self.dom, self.cod
+        omap, mmap = self.object_map, self.morphism_map
+        cod_objects = set(cod.objects)
+        for x in dom.objects:
+            if omap.get(x) not in cod_objects:
                 raise MalformedTable(f"functor: object {x} unmapped or bad image")
-        for m in self.dom.morphisms:
-            img = self.morphism_map.get(m.name)
-            if img is None or not self.cod.has_mor(img):
+        for m in dom.morphisms:
+            img = mmap.get(m.name)
+            if img is None or not cod.has_mor(img):
                 raise MalformedTable(f"functor: morphism {m.name} unmapped")
-            if (
-                self.cod.src(img) != self.obj(m.src)
-                or self.cod.tgt(img) != self.obj(m.tgt)
-            ):
+            c = cod.mor(img)
+            if c.src != omap[m.src] or c.tgt != omap[m.tgt]:
                 raise MalformedTable(f"functor: {m.name} image has wrong endpoints")
-        for x in self.dom.objects:
-            if self.mor(self.dom.identity[x]) != self.cod.identity[self.obj(x)]:
+        for x in dom.objects:
+            if mmap[dom.identity[x]] != cod.identity[omap[x]]:
                 raise MalformedTable(f"functor: identity of {x} not preserved")
-        for g, f in self.dom.composable_pairs():
-            if self.mor(self.dom.compose(g, f)) != self.cod.compose(
-                self.mor(g), self.mor(f)
-            ):
+        dom_compose, cod_compose = dom.compose, cod.compose
+        for g, f in dom.generator_pairs():
+            if mmap[dom_compose(g, f)] != cod_compose(mmap[g], mmap[f]):
                 raise MalformedTable(f"functor: composite ({g},{f}) not preserved")
 
     def is_marked(self, dom_marked: frozenset[str], cod_marked: frozenset[str]) -> bool:

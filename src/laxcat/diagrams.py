@@ -5,6 +5,10 @@ MarkedCatDiagram and SetDiagram call their own ``validate``, which raises
 InvalidDiagram (or MalformedTable from a transition's ``Functor.validate``).
 The diagrams are frozen, so every diagram that exists has been checked
 exactly once, and no function re-checks a diagram it is handed.
+
+Strict functoriality is checked on the pairs (g, m) whose left factor g is a
+generator of the base (``FinCat.generator_pairs``), as for a functor: every
+other composite follows by induction (see ``Functor.validate``).
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ class CatDiagram:
             if not self.transition[I.identity[x]].same_maps(
                     identity_functor(self.fiber[x])):
                 raise InvalidDiagram(f"transition at identity of {x} is not id")
-        for g, f in I.composable_pairs():
+        for g, f in I.generator_pairs():
             lhs = self.transition[I.compose(g, f)]
             rhs = compose_functors(self.transition[g], self.transition[f])
             if not lhs.same_maps(rhs):
@@ -142,7 +146,7 @@ class SetDiagram:
             fn = self.action[B.identity[x]]
             if any(fn[e] != e for e in self.values[x]):
                 raise InvalidDiagram(f"identity action at {x} is not id")
-        for g, f in B.composable_pairs():
+        for g, f in B.generator_pairs():
             gf = self.action[B.compose(g, f)]
             for e in self.values[B.src(f)]:
                 if gf[e] != self.action[g][self.action[f][e]]:

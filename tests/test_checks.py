@@ -1,6 +1,9 @@
 """The randomized theorem-check harness itself."""
 
 import json
+from dataclasses import FrozenInstanceError, replace
+
+import pytest
 
 from laxcat.checks import (
     CHECKS,
@@ -10,6 +13,7 @@ from laxcat.checks import (
     minimize_diagram,
     probe_suite,
     run_check,
+    theorem_defaults,
 )
 from laxcat.generator import GenParams, gen_category, gen_diagram, gen_marking
 from laxcat.io_formats import canonical_json
@@ -89,3 +93,12 @@ def test_failure_dump_replays(tmp_path):
             assert dump["seed"] == entry["seed"]
     finally:
         del checks.CHECKS["always-fails"]
+
+
+def test_check_context_is_frozen_and_shared():
+    _, ctx = theorem_defaults("thm-lax-lim")
+    with pytest.raises(FrozenInstanceError):
+        ctx.caps = None
+    assert theorem_defaults("thm-lax-lim")[1] is theorem_defaults("ff-lemma")[1]
+    roomier = replace(ctx, bounds=replace(ctx.bounds, word_length=9))
+    assert roomier.bounds.word_length == 9 and roomier.probes is ctx.probes

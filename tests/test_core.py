@@ -29,6 +29,8 @@ from laxcat.core import (
     walking_arrow,
     walking_iso,
 )
+from laxcat.checks import probe_suite
+from laxcat.constructions import enumerate_functors
 from laxcat.equiv import is_isomorphic
 from laxcat.errors import InvalidMarking, MalformedTable, UnknownMorphism
 from laxcat.generator import GenParams, gen_category, gen_marking
@@ -237,3 +239,133 @@ def test_subcategory_keeps_composites_of_kept_pairs():
                             [m for m in C2.morphisms if m.name != "a02"],
                             check=False)
     assert ("a12", "a01") in unchecked.comp
+
+
+# -- generating sets and the generator-only functor check ------------------------
+
+
+def _generated_by(C, gens) -> bool:
+    """Every non-identity is a generator, or compose(g, r) for a generator g
+    and an r reached before it."""
+    reached = set(gens)
+    frontier = list(gens)
+    while frontier:
+        r = frontier.pop()
+        for g in gens:
+            if C.src(g) == C.tgt(r):
+                h = C.compose(g, r)
+                if h not in reached and not C.is_identity(h):
+                    reached.add(h)
+                    frontier.append(h)
+    return reached == set(C.nonidentity())
+
+
+def _generation_cases():
+    yield from (gen_category(GenParams(seed=s)) for s in range(200))
+    yield from probe_suite().values()
+
+
+def test_generators_generate_every_morphism():
+    for C in _generation_cases():
+        gens = C.generators()
+        assert C.generators() is gens  # computed once
+        assert set(gens) <= set(C.nonidentity())
+        assert _generated_by(C, gens)
+
+
+def test_chain_generators_are_the_covering_arrows():
+    for n in range(1, 6):
+        assert set(chain_cat(n).generators()) == {
+            f"a{i}{i + 1}" for i in range(n)}
+
+
+def _monoid(elements: list[str], mult) -> FinCat:
+    """The one-object category of a finite monoid with unit "id"."""
+    return fincat(["*"], [Mor(m, "*", "*") for m in elements], {"*": "id"},
+                  {(g, f): mult(g, f) for g in elements for f in elements})
+
+
+def test_a_stalled_closure_adds_one_generator():
+    # in {1, e} with e e = e and in the cyclic monoid of order 3, every
+    # non-identity is a composite of non-identities: none is indecomposable
+    idem = _monoid(["id", "e"], lambda g, f: "e" if "e" in (g, f) else "id")
+    power = {"id": 0, "a": 1, "a2": 2}
+    name = {k: m for m, k in power.items()}
+    cyclic = _monoid(list(power), lambda g, f: name[(power[g] + power[f]) % 3])
+    assert idem.generators() == ("e",)
+    assert cyclic.generators() == ("a",)
+
+
+def _is_functor_all_pairs(F) -> bool:
+    """The reference check: every composable pair of the domain."""
+    C, D = F.dom, F.cod
+    for m in C.morphisms:
+        img = F.morphism_map.get(m.name)
+        if (img is None or not D.has_mor(img) or D.src(img) != F.obj(m.src)
+                or D.tgt(img) != F.obj(m.tgt)):
+            return False
+    if any(F.mor(C.identity[x]) != D.identity[F.obj(x)] for x in C.objects):
+        return False
+    return all(F.mor(h) == D.compose(F.mor(g), F.mor(f))
+               for (g, f), h in C.comp.items())
+
+
+def _accepts(F) -> bool:
+    try:
+        F.validate()
+    except MalformedTable:
+        return False
+    return True
+
+
+def test_validate_agrees_with_the_all_pairs_check():
+    targets = list(probe_suite().values())
+    targets += [gen_category(GenParams(seed=s, max_objects=3, max_morphisms=6))
+                for s in range(6)]
+    verdicts = {True: 0, False: 0}
+    for s in range(40):
+        C = gen_category(GenParams(seed=s))
+        for D in targets:
+            for F in enumerate_functors(C, D):
+                assert _accepts(F) and _is_functor_all_pairs(F)
+                # each one-morphism change to a parallel morphism
+                for m in C.morphisms:
+                    for other in D.hom(F.obj(m.src), F.obj(m.tgt)):
+                        if other == F.mor(m.name):
+                            continue
+                        G = Functor(C, D, F.object_map,
+                                    {**F.morphism_map, m.name: other})
+                        want = _is_functor_all_pairs(G)
+                        assert _accepts(G) == want, (s, m.name, other)
+                        verdicts[want] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def _chain3_with_a_second_long_arrow() -> FinCat:
+    """chain_cat(3) with one more morphism b03 from 0 to 3."""
+    C = chain_cat(3)
+    comp = {**C.comp, ("b03", "id_0"): "b03", ("id_3", "b03"): "b03"}
+    return fincat(C.objects, [*C.morphisms, Mor("b03", "0", "3")],
+                  C.identity, comp)
+
+
+def test_validate_rejects_a_map_wrong_only_at_a_non_generator():
+    C, D = chain_cat(3), _chain3_with_a_second_long_arrow()
+    mmap = {m.name: m.name for m in C.morphisms}
+    Functor(C, D, {x: x for x in C.objects}, mmap).validate()
+    assert "a03" not in C.generators()
+    F = Functor(C, D, {x: x for x in C.objects}, {**mmap, "a03": "b03"})
+    with pytest.raises(MalformedTable, match="not preserved"):
+        F.validate()
+
+
+def test_validate_reads_the_domain_table_through_compose():
+    # an unchecked domain missing a12 after a01 raises as an unknown composite
+    C2 = chain_cat(2)
+    holed = fincat(C2.objects, C2.morphisms, C2.identity,
+                   {k: h for k, h in C2.comp.items() if k != ("a12", "a01")},
+                   check=False)
+    F = Functor(holed, C2, {x: x for x in C2.objects},
+                {m.name: m.name for m in C2.morphisms})
+    with pytest.raises(UnknownMorphism, match="a12 after a01"):
+        F.validate()

@@ -50,6 +50,11 @@ BAD_CAT_DIAGRAMS = {
     "functoriality": lambda: CatDiagram(
         flat_marking(chain_cat(2)), {x: A for x in "012"},
         _chain_transitions(CONST_0)),
+    # a03 is no generator of chain_cat(3), and the only transition that fails
+    "functoriality at a03 only": lambda: CatDiagram(
+        flat_marking(chain_cat(3)), {x: A for x in "0123"},
+        {m.name: CONST_0 if m.name == "a03" else ID_A
+         for m in chain_cat(3).morphisms}),
     "unmarked transition": lambda: MarkedCatDiagram(
         flat_marking(A), {"0": sharp_marking(A), "1": flat_marking(A)},
         ARROW_TRANSITIONS),
@@ -90,6 +95,10 @@ BAD_SET_DIAGRAMS = {
         A, SET_VALUES, {**SET_ACTION, "id_0": SWAP}),
     "functoriality": lambda: SetDiagram(
         chain_cat(2), {x: ("x", "y") for x in "012"}, SET_CHAIN_ACTION),
+    "functoriality at a03 only": lambda: SetDiagram(
+        chain_cat(3), {x: ("x", "y") for x in "0123"},
+        {m.name: SWAP if m.name == "a03" else {"x": "x", "y": "y"}
+         for m in chain_cat(3).morphisms}),
 }
 
 
@@ -105,6 +114,11 @@ def test_the_good_diagrams_behind_the_bad_ones_are_valid():
     CatDiagram(flat_marking(chain_cat(2)), {x: A for x in "012"},
                _chain_transitions(ID_A))
     SetDiagram(A, SET_VALUES, SET_ACTION)
+    C3 = chain_cat(3)
+    CatDiagram(flat_marking(C3), {x: A for x in "0123"},
+               {m.name: ID_A for m in C3.morphisms})
+    SetDiagram(C3, {x: ("x", "y") for x in "0123"},
+               {m.name: {"x": "x", "y": "y"} for m in C3.morphisms})
 
 
 @pytest.mark.parametrize("cat, marking", [

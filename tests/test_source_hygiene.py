@@ -12,6 +12,10 @@
   a functor category's object; functors are compared by their maps.
 - ``validate_marking`` is called only in ``core.py``: the ``MarkedFinCat``
   constructor checks every marking once, so no other module checks one.
+- ``composable_pairs()`` is called only inside ``check_axioms``,
+  ``validate_marking`` and ``saturate_marking``.  A functor or a diagram is
+  checked on the pairs whose left factor is a generator
+  (``FinCat.generator_pairs``), not on every composable pair.
 
 One rule covers the tests themselves:
 
@@ -125,3 +129,24 @@ def test_no_assert_of_a_container(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert) and isinstance(node.test, CONTAINERS)]
     assert not lines, f"{path.name}: assert of a container at lines {lines}"
+
+
+COMPOSABLE_PAIRS_CALLERS = {"check_axioms", "validate_marking", "saturate_marking"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_composable_pairs_called_only_by_the_axiom_and_marking_checks(path):
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+
+    def visit(node, scope):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "composable_pairs"
+                and scope not in COMPOSABLE_PAIRS_CALLERS):
+            found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(tree, "module level")
+    assert not found, f"{path.name}: composable_pairs() called in {found}"
