@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 from .core import (
@@ -37,7 +37,9 @@ from .diagrams import CatDiagram, MarkedCatDiagram, restrict_set_diagram
 from .equiv import is_equivalent, is_fully_faithful, iso_classes
 from .errors import (
     GenerationExhausted,
+    InvariantViolation,
     LaxcatError,
+    MalformedTable,
     SearchBudgetExceeded,
     SizeBoundExceeded,
 )
@@ -350,7 +352,7 @@ def _marked_limit_ok(p: GenParams, ctx: Ctx) -> bool:
     try:
         iso = Functor(P.cat, limH.cat, omap, mmap)
         iso.validate()
-    except LaxcatError:
+    except MalformedTable:  # not a functor; any other error is not a verdict
         return False
     if len(set(mmap.values())) != len(mmap):
         return False
@@ -594,26 +596,26 @@ def minimize_diagram(F: CatDiagram, still_fails: Callable) -> CatDiagram:
     failure persists; each candidate validates itself when it is built,
     before the retest."""
     changed = True
+
+    def attempt(delete: Callable, part: str) -> None:
+        nonlocal F, changed
+        try:
+            F2 = delete(F, part)
+            if still_fails(F2):
+                F, changed = F2, True
+        except InvariantViolation:  # a program bug, not a failed deletion
+            raise
+        except LaxcatError:
+            pass
+
     while changed:
         changed = False
         for x in list(F.base.cat.objects):
             if F.base.cat.n_objects <= 1:
                 break
-            try:
-                F2 = _delete_base_object(F, x)
-                if still_fails(F2):
-                    F = F2
-                    changed = True
-            except LaxcatError:
-                continue
+            attempt(_delete_base_object, x)
         for m in _removable_morphisms(F.base.cat):
-            try:
-                F2 = _delete_base_morphism(F, m)
-                if still_fails(F2):
-                    F = F2
-                    changed = True
-            except LaxcatError:
-                continue
+            attempt(_delete_base_morphism, m)
     return F
 
 
@@ -633,15 +635,7 @@ class CheckReport:
 
     def to_data(self) -> dict:
         # canonical bytes exclude wall time: equal runs serialize identically
-        return {
-            "theorem": self.theorem,
-            "seed": self.seed,
-            "instances": self.instances,
-            "passes": self.passes,
-            "failures": self.failures,
-            "bound_exceeded": self.bound_exceeded,
-            "params": self.params,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "wall_time"}
 
     def canonical(self) -> str:
         return canonical_json(self.to_data())
@@ -707,6 +701,8 @@ def run_check(theorem: str, seed: int = 0, count: int = 50,
                 def refails(F2, reeval=failure.reeval):
                     try:
                         return bool(reeval(F2))
+                    except InvariantViolation:  # a program bug, not a verdict
+                        raise
                     except LaxcatError:
                         return False
 

@@ -16,7 +16,6 @@ from dataclasses import replace
 from .checks import CHECKS, run_check, theorem_defaults
 from .constructions import (
     DEFAULT_CAPS,
-    SizeCaps,
     coslice_cat,
     slice_cat,
     twisted_arrow,
@@ -63,27 +62,36 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _caps(args) -> SizeCaps:
-    return SizeCaps(
-        max_objects=args.max_objects or DEFAULT_CAPS.max_objects,
-        max_morphisms=args.max_morphisms or DEFAULT_CAPS.max_morphisms,
-    )
+def _override(value, **fields):
+    """value with the fields of the flags given replaced.  A flag is given
+    when it is not None, so 0 is a value like any other."""
+    given = {k: v for k, v in fields.items() if v is not None}
+    return replace(value, **given) if given else value
 
 
-def _bounds(args) -> Bounds:
-    b = Bounds()
-    return Bounds(
-        word_length=args.word_bound or b.word_length,
-        max_morphisms=args.size_bound or b.max_morphisms,
-    )
+def _caps(args, caps):
+    """SizeCaps or GenParams with --max-objects and --max-morphisms."""
+    return _override(caps, max_objects=args.max_objects,
+                     max_morphisms=args.max_morphisms)
+
+
+def _bounds(args, bounds: Bounds) -> Bounds:
+    return _override(bounds, word_length=args.word_bound,
+                     max_morphisms=args.size_bound)
+
+
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {text!r}")
+    return int(text)
 
 
 def _add_common(sp) -> None:
     sp.add_argument("--out", help="write the result here instead of stdout")
-    sp.add_argument("--max-objects", type=int, default=None)
-    sp.add_argument("--max-morphisms", type=int, default=None)
-    sp.add_argument("--word-bound", type=int, default=None)
-    sp.add_argument("--size-bound", type=int, default=None)
+    sp.add_argument("--max-objects", type=_count, default=None)
+    sp.add_argument("--max-morphisms", type=_count, default=None)
+    sp.add_argument("--word-bound", type=_count, default=None)
+    sp.add_argument("--size-bound", type=_count, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,17 +137,17 @@ def build_parser() -> argparse.ArgumentParser:
                     help="JSON manifest {name: category} replacing the probe suite")
     ck.add_argument("--out", default=None,
                     help="directory for the report and counterexample files")
-    ck.add_argument("--max-objects", type=int, default=None,
+    ck.add_argument("--max-objects", type=_count, default=None,
                     help="generator cap on base objects")
-    ck.add_argument("--max-morphisms", type=int, default=None,
+    ck.add_argument("--max-morphisms", type=_count, default=None,
                     help="generator cap on base morphisms")
-    ck.add_argument("--word-bound", type=int, default=None)
-    ck.add_argument("--size-bound", type=int, default=None)
+    ck.add_argument("--word-bound", type=_count, default=None)
+    ck.add_argument("--size-bound", type=_count, default=None)
     return ap
 
 
 def _cmd_compute(args) -> int:
-    caps = _caps(args)
+    caps, bounds = _caps(args, DEFAULT_CAPS), _bounds(args, Bounds())
     name = args.command
     if name == "validate":
         cat, mk = category_from_data(_load(args.file))
@@ -187,16 +195,15 @@ def _cmd_compute(args) -> int:
     if name in ("laxcolim", "oplaxcolim"):
         F = diagram_from_data(_load(args.file))
         fn = lax_colimit if name == "laxcolim" else oplax_colimit
-        result, _ = fn(F, _bounds(args), caps)
+        result, _ = fn(F, bounds, caps)
         _emit(canonical_json(localization_to_data(result)), args.out)
         return 0 if result.ok else 2
     if name == "localize":
         data = _load(args.file)
         if "arrows" in data:
-            result = localize_presentation(presentation_from_data(data),
-                                           _bounds(args))
+            result = localize_presentation(presentation_from_data(data), bounds)
         else:
-            result = localize(marked_category_from_data(data), _bounds(args))
+            result = localize(marked_category_from_data(data), bounds)
         _emit(canonical_json(localization_to_data(result)), args.out)
         return 0 if result.ok else 2
     if name == "equiv":
@@ -217,16 +224,8 @@ def _cmd_check(args) -> int:
     # overrides replace single fields of the theorem's own defaults, so a
     # flag never resets a setting it does not name
     params, ctx = theorem_defaults(args.theorem)
-    if args.max_objects:
-        params = replace(params, max_objects=args.max_objects)
-    if args.max_morphisms:
-        params = replace(params, max_morphisms=args.max_morphisms)
-    if args.word_bound:
-        ctx = replace(ctx, bounds=replace(ctx.bounds,
-                                          word_length=args.word_bound))
-    if args.size_bound:
-        ctx = replace(ctx, bounds=replace(ctx.bounds,
-                                          max_morphisms=args.size_bound))
+    params = _caps(args, params)
+    ctx = replace(ctx, bounds=_bounds(args, ctx.bounds))
     if args.probes:
         ctx = replace(ctx, probes={nm: category_from_data(d)[0]
                                    for nm, d in _load(args.probes).items()})

@@ -182,44 +182,6 @@ def enumerate_functors(
             yield Functor(C, D, omap, mmap)
 
 
-def enumerate_nat_trans(
-    F: Functor,
-    G: Functor,
-    component_filter: Callable[[str, str], bool] | None = None,
-) -> Iterator[NatTrans]:
-    """All natural transformations F => G, with early naturality pruning."""
-    C, D = F.dom, F.cod
-    objs = list(C.objects)
-    index = {x: i for i, x in enumerate(objs)}
-    # morphisms whose naturality square can be checked once both endpoints
-    # are assigned; keyed by the later endpoint
-    squares: dict[int, list[str]] = {i: [] for i in range(len(objs))}
-    for m in C.morphisms:
-        squares[max(index[m.src], index[m.tgt])].append(m.name)
-
-    def rec(i: int, comps: dict[str, str]) -> Iterator[NatTrans]:
-        if i == len(objs):
-            yield NatTrans(F, G, dict(comps))
-            return
-        x = objs[i]
-        for c in D.hom(F.obj(x), G.obj(x)):
-            if component_filter is not None and not component_filter(x, c):
-                continue
-            comps[x] = c
-            good = True
-            for m in squares[i]:
-                if D.compose(comps[C.tgt(m)], F.mor(m)) != D.compose(
-                    G.mor(m), comps[C.src(m)]
-                ):
-                    good = False
-                    break
-            if good:
-                yield from rec(i + 1, comps)
-            del comps[x]
-
-    yield from rec(0, {})
-
-
 # -- functor categories ----------------------------------------------------------
 
 
@@ -232,34 +194,75 @@ class FunCat:
     transformations: dict[str, NatTrans]
 
 
-def _assemble_funcat(functors: list[Functor], D: FinCat, what: str,
-                     caps: SizeCaps,
+def _assemble_funcat(C: FinCat, functors: list[Functor], D: FinCat,
+                     what: str, caps: SizeCaps,
                      component_filter: Callable[[str, str], bool] | None = None,
                      check: bool = False) -> FunCat:
-    """Functors as objects, natural transformations (with components passing
-    component_filter) as morphisms; a hom's payload is its component tuple
-    over the objects of the common domain.  Object ids are ``key()``s; this
-    is the one place transformation ids, ``N{src=>tgt;cs}``, are formatted."""
+    """Functors C -> D as objects, natural transformations (with components
+    passing component_filter) as morphisms; a hom's payload is its component
+    tuple over the objects of C.  Object ids are ``key()``s; this is the one
+    place transformation ids, ``N{src=>tgt;cs}``, are formatted.
+
+    Components a_x are chosen object by object of C, each in hom(Fx, Gx) in
+    hom order.  One schedule serves every pair F, G: the square
+    a_y F(g) = G(g) a_x of each non-identity generator g: x -> y of C is
+    checked once the later of x and y has its component.  Identity squares
+    always hold.  If the squares of g and h commute, so does that of g h, as
+    a_z F(g h) = G(g) a_y F(h) = G(g) G(h) a_x; and every non-identity is a
+    composite of generators (FinCat.generators).  So generator squares decide
+    naturality, and the families come out in candidate order.
+    """
     caps.check_objects(what, len(functors))
     by_id = {F.key(): F for F in functors}
     ids = sorted(by_id)
-    obj_order = functors[0].dom.objects if functors else ()
+    objs, n = C.objects, C.n_objects
+    at = {x: i for i, x in enumerate(objs)}
+    schedule: list[list[tuple[int, int, str]]] = [[] for _ in objs]
+    for g in C.generators():
+        s, t = at[C.src(g)], at[C.tgt(g)]
+        schedule[max(s, t)].append((s, t, g))
+    images = {fid: ([F.obj(x) for x in objs],
+                    [[F.mor(g) for _, _, g in level] for level in schedule])
+              for fid, F in by_id.items()}
+    dcomp = D.comp
+
+    def families(i, comps, cands, fgen, ggen) -> Iterator[tuple[str, ...]]:
+        if i == n:
+            yield tuple(comps)
+            return
+        try:
+            for comps[i] in cands[i]:
+                for (s, t, _), fg, gg in zip(schedule[i], fgen[i], ggen[i]):
+                    if dcomp[comps[t], fg] != dcomp[gg, comps[s]]:
+                        break
+                else:
+                    yield from families(i + 1, comps, cands, fgen, ggen)
+        except KeyError as hole:  # missing at this level; deeper ones convert
+            D.compose(*hole.args[0])  # raises UnknownMorphism
+            raise
+
     trans: dict[str, NatTrans] = {}
     homs = []
     for fid in ids:
+        fobj, fgen = images[fid]
         for gid in ids:
-            for a in enumerate_nat_trans(by_id[fid], by_id[gid],
-                                         component_filter):
-                comps = tuple(a.components[x] for x in obj_order)
-                cs = ",".join(f"{x}:{c}" for x, c in zip(obj_order, comps))
+            gobj, ggen = images[gid]
+            cands = [D.hom(a, b) for a, b in zip(fobj, gobj)]
+            if component_filter is not None:
+                cands = [[c for c in cs if component_filter(x, c)]
+                         for x, cs in zip(objs, cands)]
+            if not all(cands):
+                continue
+            for comps in families(0, [""] * n, cands, fgen, ggen):
+                cs = ",".join(map("{}:{}".format, objs, comps))
                 nid = short_id(f"N{{{fid}=>{gid};{cs}}}")
-                trans[nid] = a
+                trans[nid] = NatTrans(by_id[fid], by_id[gid],
+                                      dict(zip(objs, comps)))
                 homs.append((nid, fid, gid, comps))
                 caps.check_morphisms(what, len(homs))
-    dcomp = D.comp
     cat = build_category(
         ids, homs,
-        lambda t2, t1: tuple(dcomp[(b, a)] for a, b in zip(t1, t2)),
+        lambda t2, t1: tuple(map(dcomp.__getitem__, zip(t2, t1))),
         lambda t: all(D.is_identity(c) for c in t),
         check=check)
     return FunCat(cat, by_id, trans)
@@ -268,7 +271,8 @@ def _assemble_funcat(functors: list[Functor], D: FinCat, what: str,
 def functor_category(C: FinCat, D: FinCat, caps: SizeCaps = DEFAULT_CAPS) -> FunCat:
     """Objects: all functors C -> D; morphisms: all natural transformations."""
     functors = list(enumerate_functors(C, D, max_candidates=caps.max_candidates))
-    return _assemble_funcat(functors, D, f"Fun({C.n_objects}o,{D.n_objects}o)", caps)
+    return _assemble_funcat(C, functors, D,
+                            f"Fun({C.n_objects}o,{D.n_objects}o)", caps)
 
 
 def marked_functor_category(
@@ -288,7 +292,7 @@ def marked_functor_category(
                                     max_candidates=caps.max_candidates)
         if F.is_marked(Cm.marked, Dm.marked)
     ]
-    return _assemble_funcat(functors, D, "Fun†", caps)
+    return _assemble_funcat(C, functors, D, "Fun†", caps)
 
 
 # -- twisted arrow category -------------------------------------------------------

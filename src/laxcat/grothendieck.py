@@ -177,7 +177,7 @@ def marked_sections(E: FiberedCat, caps: SizeCaps = DEFAULT_CAPS,
     # morphisms are the vertical transformations: components over identities
     idents = base.cat.identity
     return _assemble_funcat(
-        sections, total.cat, "section category", caps,
+        base.cat, sections, total.cat, "section category", caps,
         component_filter=lambda x, c: E.proj.mor(c) == idents[x], check=True)
 
 

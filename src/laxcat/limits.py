@@ -182,9 +182,10 @@ def cat_limit(F: CatDiagram, caps: SizeCaps = DEFAULT_CAPS) -> CatLimitResult:
                 mor_family[mid] = fam
                 caps.check_morphisms("cat limit", len(homs))
     fibers = [F.fiber[b] for b in B.objects]
+    tables = [C.comp for C in fibers]
     cat = build_category(
         ids, homs,
-        lambda t2, t1: tuple(C.compose(y, x) for C, y, x in zip(fibers, t2, t1)),
+        lambda t2, t1: tuple(map(dict.__getitem__, tables, zip(t2, t1))),
         lambda t: all(C.is_identity(x) for C, x in zip(fibers, t)))
     projections = {}
     for b in B.objects:

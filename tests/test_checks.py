@@ -5,18 +5,22 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
+import laxcat.checks as checks
 from laxcat.checks import (
     CHECKS,
     CheckReport,
     Ctx,
+    Failure,
     instance_seed,
     minimize_diagram,
     probe_suite,
     run_check,
     theorem_defaults,
 )
+from laxcat.core import Functor
+from laxcat.errors import InvalidDiagram, InvariantViolation, MalformedTable
 from laxcat.generator import GenParams, gen_category, gen_diagram, gen_marking
-from laxcat.io_formats import canonical_json
+from laxcat.io_formats import canonical_json, diagram_to_data
 
 
 def test_probe_suite_is_versioned():
@@ -102,3 +106,68 @@ def test_check_context_is_frozen_and_shared():
     assert theorem_defaults("thm-lax-lim")[1] is theorem_defaults("ff-lemma")[1]
     roomier = replace(ctx, bounds=replace(ctx.bounds, word_length=9))
     assert roomier.bounds.word_length == 9 and roomier.probes is ctx.probes
+
+
+# -- a program bug is an error, never a verdict or a minimisation step ----------
+
+
+def _planted(error):
+    def raise_it(*args):
+        raise error("planted")
+    return raise_it
+
+
+def _two_object_diagram():
+    # base: two objects and the removable parallel pair u, v between them
+    p = GenParams(seed=7)
+    F = gen_diagram(gen_marking(gen_category(p), p), p)
+    assert F.base.cat.n_objects == 2
+    return F
+
+
+def test_marked_limit_check_raises_a_bug_instead_of_failing(monkeypatch):
+    params, ctx = theorem_defaults("marked-limit")
+    p = replace(params, seed=instance_seed(0, 0))
+    assert checks._marked_limit_ok(p, ctx)
+    for error, verdict in ((MalformedTable, False), (InvariantViolation, None)):
+        class Planted(Functor):
+            validate = _planted(error)
+
+        monkeypatch.setattr(checks, "Functor", Planted)
+        if verdict is None:
+            with pytest.raises(InvariantViolation):
+                checks._marked_limit_ok(p, ctx)
+        else:  # the comparison map is not a functor: a counterexample
+            assert checks._marked_limit_ok(p, ctx) is verdict
+
+
+def test_minimize_diagram_raises_a_bug_in_an_object_deletion(monkeypatch):
+    monkeypatch.setattr(checks, "_delete_base_object",
+                        _planted(InvariantViolation))
+    with pytest.raises(InvariantViolation):
+        minimize_diagram(_two_object_diagram(), lambda d: True)
+
+
+def test_minimize_diagram_raises_a_bug_in_a_morphism_deletion(monkeypatch):
+    F = _two_object_diagram()
+    # an invalid candidate is skipped, as before
+    monkeypatch.setattr(checks, "_delete_base_morphism", _planted(InvalidDiagram))
+    assert minimize_diagram(F, lambda d: False) is F
+    monkeypatch.setattr(checks, "_delete_base_morphism",
+                        _planted(InvariantViolation))
+    with pytest.raises(InvariantViolation):
+        minimize_diagram(F, lambda d: False)
+
+
+def test_run_check_raises_a_bug_in_a_failure_replay(monkeypatch, tmp_path):
+    F = _two_object_diagram()
+    for error in (InvalidDiagram, InvariantViolation):
+        monkeypatch.setitem(CHECKS, "planted", lambda p, ctx: (
+            "fail", Failure("diagram", diagram_to_data(F), "forced",
+                            _planted(error))))
+        if error is InvariantViolation:
+            with pytest.raises(InvariantViolation):
+                run_check("planted", seed=0, count=1, out_dir=str(tmp_path))
+        else:  # a replay that raises an input error does not fail again
+            r = run_check("planted", seed=0, count=1, out_dir=str(tmp_path))
+            assert len(r.failures) == 1

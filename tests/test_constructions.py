@@ -7,6 +7,7 @@ import pytest
 from laxcat.checks import probe_suite
 from laxcat.constructions import (
     SizeCaps,
+    _assemble_funcat,
     coslice_cat,
     enumerate_functors,
     functor_category,
@@ -17,6 +18,8 @@ from laxcat.constructions import (
     twisted_arrow,
 )
 from laxcat.core import (
+    FinCat,
+    Functor,
     chain_cat,
     discrete_cat,
     flat_marking,
@@ -24,13 +27,15 @@ from laxcat.core import (
     marked,
     saturate_marking,
     sharp_marking,
+    short_id,
     terminal_cat,
     walking_arrow,
     walking_iso,
 )
 from laxcat.equiv import is_equivalent, is_isomorphic
-from laxcat.errors import SizeBoundExceeded, UnknownObject
-from laxcat.generator import GenParams, gen_category
+from laxcat.errors import SizeBoundExceeded, UnknownMorphism, UnknownObject
+from laxcat.generator import GenParams, gen_category, gen_diagram, gen_marking
+from laxcat.grothendieck import grothendieck_cocart, marked_sections
 
 
 def test_twisted_arrow_terminal():
@@ -236,3 +241,109 @@ def test_sharp_source_iso_components_are_isos():
             eta = fc.transformations[m.name]
             componentwise = all(is_iso(D, c) for c in eta.components.values())
             assert is_iso(fc.cat, m.name) == componentwise
+
+
+def _brute_transformations(fc, D: FinCat, keep=lambda x, c: True):
+    """Every choice of components from every hom set, for every ordered pair
+    of the functor category's objects in id order, kept when the naturality
+    square of every morphism of the domain holds.  Ids are formatted here as
+    the functor category formats them."""
+    out = []
+    ids = sorted(fc.functors)
+    for fid in ids:
+        F = fc.functors[fid]
+        C = F.dom
+        for gid in ids:
+            G = fc.functors[gid]
+            homs = [[c for c in D.hom(F.obj(x), G.obj(x)) if keep(x, c)]
+                    for x in C.objects]
+            for pick in itertools.product(*homs):
+                a = dict(zip(C.objects, pick))
+                if all(D.compose(a[m.tgt], F.mor(m.name))
+                       == D.compose(G.mor(m.name), a[m.src])
+                       for m in C.morphisms):
+                    cs = ",".join(f"{x}:{c}" for x, c in a.items())
+                    out.append((short_id(f"N{{{fid}=>{gid};{cs}}}"), fid, gid,
+                                list(a.items())))
+    return out
+
+
+def _transformations(fc):
+    return [(nid, fc.cat.src(nid), fc.cat.tgt(nid), list(a.components.items()))
+            for nid, a in fc.transformations.items()]
+
+
+def _assert_transformations_match(fc, want):
+    assert _transformations(fc) == want
+    for nid, fid, gid, _ in want:
+        a = fc.transformations[nid]
+        assert a.src.same_maps(fc.functors[fid])
+        assert a.tgt.same_maps(fc.functors[gid])
+
+
+ROOMY = SizeCaps(max_objects=512, max_morphisms=1 << 16, max_candidates=10**6)
+
+
+def test_transformations_match_the_all_squares_enumeration():
+    targets = list(probe_suite().values())
+    targets += [gen_category(GenParams(seed=s, max_objects=2, max_morphisms=4,
+                                       relation_density=0.0))
+                for s in range(2)]
+    checked = 0
+    for s in range(20):
+        C = gen_category(GenParams(seed=s))
+        for D in targets:
+            fc = functor_category(C, D, ROOMY)
+            _assert_transformations_match(fc, _brute_transformations(fc, D))
+            checked += fc.cat.n_morphisms
+    assert checked > 5000
+
+
+def test_section_transformations_match_the_all_squares_enumeration():
+    # the component_filter path: vertical transformations of sections
+    checked = 0
+    for s in range(40):
+        p = GenParams(seed=s)
+        E = grothendieck_cocart(gen_diagram(gen_marking(gen_category(p), p), p),
+                                ROOMY)
+        fc = marked_sections(E, ROOMY)
+        idents = E.base_marked.cat.identity
+        want = _brute_transformations(
+            fc, E.total.cat, lambda x, c: E.proj.mor(c) == idents[x])
+        _assert_transformations_match(fc, want)
+        checked += fc.cat.n_morphisms
+    assert checked > 100
+
+
+def test_functor_category_cap_fires_at_the_first_hom_past_it():
+    C = gen_category(GenParams(seed=3))
+    D = probe_suite()["nonposet5"]
+    Cm, Dm = flat_marking(C), flat_marking(D)
+    p = GenParams(seed=36)
+    E = grothendieck_cocart(gen_diagram(gen_marking(gen_category(p), p), p),
+                            ROOMY)
+    builds = [(lambda caps: functor_category(C, D, caps),
+               f"Fun({C.n_objects}o,{D.n_objects}o)"),
+              (lambda caps: marked_functor_category(Cm, Dm, caps), "Fun†"),
+              (lambda caps: marked_sections(E, caps), "section category")]
+    for build, what in builds:
+        total = build(ROOMY).cat.n_morphisms
+        assert total > 20
+        for k in (0, 1, total // 2, total - 1):
+            with pytest.raises(SizeBoundExceeded) as hit:
+                build(SizeCaps(max_objects=512, max_morphisms=k,
+                               max_candidates=10**6))
+            assert (hit.value.what, hit.value.kind) == (what, "morphism")
+            assert (hit.value.count, hit.value.cap) == (k + 1, k)
+        assert build(SizeCaps(max_objects=512, max_morphisms=total,
+                              max_candidates=10**6)).cat.n_morphisms == total
+
+
+def test_a_missing_composite_in_a_naturality_square_is_unknown():
+    A = walking_arrow()
+    comp = {k: h for k, h in A.comp.items() if k != ("a01", "id_0")}
+    D = FinCat(A.objects, A.morphisms, A.identity, comp)  # unchecked
+    F = Functor(A, D, {x: x for x in A.objects},
+                {m.name: m.name for m in A.morphisms})
+    with pytest.raises(UnknownMorphism, match=r"a01 after id_0"):
+        _assemble_funcat(A, [F], D, "broken", ROOMY)

@@ -142,6 +142,59 @@ def test_cli_bound_exceeded_exits_2(tmp_path):
     assert main(["tw", f, "--max-objects", "2", "--max-morphisms", "2"]) == 2
 
 
+def test_cli_caps_and_bounds_of_zero_are_honoured(tmp_path, capsys):
+    # 0 is a cap like any other, not "use the default"
+    arrow = _write(tmp_path, "arrow.json", category_to_data(walking_arrow()))
+    assert main(["tw", arrow, "--max-objects", "0"]) == 2
+    assert main(["tw", arrow, "--max-morphisms", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "object count 3 exceeds cap 0" in err
+    assert "morphism count 5 exceeds cap 0" in err
+    A = walking_arrow()
+    f = _write(tmp_path, "marked.json",
+               category_to_data(A, saturate_marking(A, ["a01"])))
+    assert main(["localize", f, "--word-bound", "1"]) == 0
+    capsys.readouterr()
+    for flag, which in (("--word-bound", "word_length"),
+                        ("--size-bound", "max_morphisms")):
+        assert main(["localize", f, flag, "0"]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["bound"]["which"] == which
+        assert out["bound"]["cap"] == 0
+
+
+def test_cli_check_overrides_of_zero_are_honoured(monkeypatch):
+    import laxcat.cli as cli
+
+    seen = {}
+    run_check = cli.run_check
+
+    def spy(theorem, **kw):
+        seen.update(kw)
+        return run_check(theorem, **kw)
+
+    monkeypatch.setattr(cli, "run_check", spy)
+    assert main(["check", "thm-lax-lim", "--count", "0", "--max-objects", "0",
+                 "--max-morphisms", "0", "--word-bound", "0",
+                 "--size-bound", "0"]) == 0
+    assert (seen["params"].max_objects, seen["params"].max_morphisms) == (0, 0)
+    assert seen["ctx"].bounds.word_length == 0
+    assert seen["ctx"].bounds.max_morphisms == 0
+
+
+@pytest.mark.parametrize("flag", ["--max-objects", "--max-morphisms",
+                                  "--word-bound", "--size-bound"])
+def test_cli_rejects_a_negative_cap_or_bound(tmp_path, capsys, flag):
+    arrow = _write(tmp_path, "arrow.json", category_to_data(walking_arrow()))
+    for argv in (["tw", arrow, flag, "-1"],
+                 ["check", "thm-lax-lim", "--count", "0", flag, "-1"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert f"argument {flag}: expected a count >= 0, got '-1'" in \
+            capsys.readouterr().err
+
+
 def test_cli_check_and_report(tmp_path, capsys):
     rc = main(["check", "cofinality-left", "--seed", "1", "--count", "25",
                "--out", str(tmp_path)])

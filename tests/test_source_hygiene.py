@@ -16,6 +16,12 @@
   ``validate_marking`` and ``saturate_marking``.  A functor or a diagram is
   checked on the pairs whose left factor is a generator
   (``FinCat.generator_pairs``), not on every composable pair.
+- No handler catches ``LaxcatError`` (or ``Exception``, ``BaseException``, or
+  everything with a bare ``except``) unless an earlier handler of the same
+  ``try`` catches ``InvariantViolation``.  ``InvariantViolation`` is a
+  ``LaxcatError`` but marks a program bug, so it must surface as an error and
+  never be swallowed as a verdict, a skip or a failed step.  A module-level
+  tuple of exception classes counts as the classes it names.
 
 One rule covers the tests themselves:
 
@@ -150,3 +156,41 @@ def test_composable_pairs_called_only_by_the_axiom_and_marking_checks(path):
 
     visit(tree, "module level")
     assert not found, f"{path.name}: composable_pairs() called in {found}"
+
+
+CATCH_ALL = {"LaxcatError", "Exception", "BaseException"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_invariant_violation_is_never_caught_as_a_laxcat_error(path):
+    tree = ast.parse(path.read_text(), str(path))
+    tuples = {node.targets[0].id: node.value.elts for node in tree.body
+              if isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name)
+              and isinstance(node.value, ast.Tuple)}
+
+    def caught(expr) -> set[str]:
+        if expr is None:  # a bare except
+            return {"BaseException"}
+        if isinstance(expr, ast.Tuple):
+            return set().union(*map(caught, expr.elts))
+        if isinstance(expr, ast.Name) and expr.id in tuples:
+            return set().union(*map(caught, tuples[expr.id]))
+        if isinstance(expr, ast.Name):
+            return {expr.id}
+        if isinstance(expr, ast.Attribute):
+            return {expr.attr}
+        return set()
+
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Try):
+            continue
+        guarded = False
+        for handler in node.handlers:
+            names = caught(handler.type)
+            if names & CATCH_ALL and not guarded:
+                found.append(handler.lineno)
+            guarded = guarded or "InvariantViolation" in names
+    assert not found, (f"{path.name}: LaxcatError caught without an earlier "
+                       f"InvariantViolation handler at lines {found}")
