@@ -656,8 +656,7 @@ def _run_one(theorem: str, p: GenParams, ctx: Ctx) -> str:
 
 def run_check(theorem: str, seed: int = 0, count: int = 50,
               params: GenParams | None = None, ctx: Ctx | None = None,
-              out_dir: str | None = None, minimize: bool = True,
-              jobs: int = 1) -> CheckReport:
+              out_dir: str | None = None, jobs: int = 1) -> CheckReport:
     if theorem not in CHECKS:
         raise KeyError(f"unknown theorem {theorem!r}")
     default_params, default_ctx = theorem_defaults(theorem)
@@ -697,7 +696,7 @@ def run_check(theorem: str, seed: int = 0, count: int = 50,
         entry = {"instance": k, "seed": p.seed, "reason": failure.reason}
         if out_dir is not None:
             data = failure.data
-            if minimize and failure.kind == "diagram" and failure.reeval is not None:
+            if failure.kind == "diagram" and failure.reeval is not None:
                 def refails(F2, reeval=failure.reeval):
                     try:
                         return bool(reeval(F2))

@@ -129,9 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     ck = sub.add_parser("check", help="run a seeded theorem-check suite")
     ck.add_argument("theorem", choices=sorted(CHECKS))
     ck.add_argument("--seed", type=int, default=0)
-    ck.add_argument("--count", type=int, default=50)
-    ck.add_argument("--jobs", type=int, default=1)
-    ck.add_argument("--max-skip", type=int, default=None,
+    ck.add_argument("--count", type=_count, default=50)
+    ck.add_argument("--jobs", type=_count, default=1)
+    ck.add_argument("--max-skip", type=_count, default=None,
                     help="exit 2 if more than this many instances hit bounds")
     ck.add_argument("--probes", default=None,
                     help="JSON manifest {name: category} replacing the probe suite")
@@ -200,7 +200,7 @@ def _cmd_compute(args) -> int:
         return 0 if result.ok else 2
     if name == "localize":
         data = _load(args.file)
-        if "arrows" in data:
+        if "arrows" in data or "relations" in data:
             result = localize_presentation(presentation_from_data(data), bounds)
         else:
             result = localize(marked_category_from_data(data), bounds)

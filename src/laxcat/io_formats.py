@@ -151,23 +151,40 @@ def presentation_to_data(p: PresentedCat) -> dict:
     }
 
 
+def _strings(values) -> bool:
+    return isinstance(values, list) and all(isinstance(v, str) for v in values)
+
+
 def presentation_from_data(data: dict) -> PresentedCat:
-    _require_keys(data, {"objects", "arrows", "relations"}, "presentation")
-    arrows = tuple(Arrow(e["id"], e["src"], e["tgt"]) for e in data["arrows"])
-    src = {a.name: a.src for a in arrows}
-    tgt = {a.name: a.tgt for a in arrows}
-
-    def endpoints(path: list[str], entry: dict) -> tuple[str, str]:
-        if path:
-            return src[path[0]], tgt[path[-1]]
-        return entry["src"], entry["tgt"]
-
+    """The checked presentation of a file.  A relation may leave out ``src``
+    and ``tgt`` when one of its sides is a nonempty path, which gives them."""
+    if not (isinstance(data, dict)
+            and set(data) == {"objects", "arrows", "relations"}
+            and _strings(data["objects"]) and isinstance(data["arrows"], list)
+            and isinstance(data["relations"], list)):
+        raise MalformedTable("presentation: expected the lists objects, arrows "
+                             "and relations, and no other key")
+    arrows = []
+    for e in data["arrows"]:
+        if not (isinstance(e, dict) and set(e) == {"id", "src", "tgt"}
+                and _strings(list(e.values()))):
+            raise MalformedTable(f"presentation: bad arrow entry {e!r}")
+        arrows.append(Arrow(e["id"], e["src"], e["tgt"]))
+    ends = {a.name: (a.src, a.tgt) for a in arrows}
     relations = []
     for e in data["relations"]:
+        if not (isinstance(e, dict) and _strings(e.get("lhs"))
+                and _strings(e.get("rhs"))
+                and _strings([e.get("src", ""), e.get("tgt", "")])):
+            raise MalformedTable(f"presentation: bad relation entry {e!r}")
         _require_keys(e, {"lhs", "rhs", "src", "tgt"}, "relation")
-        s, t = endpoints(e["lhs"] or e["rhs"], e)
+        path = e["lhs"] or e["rhs"]
+        if "src" in e or "tgt" in e or not path:
+            s, t = e.get("src"), e.get("tgt")
+        else:  # an unknown arrow leaves its endpoint None, which is rejected
+            s, t = ends.get(path[0], (None,))[0], ends.get(path[-1], (None, None))[1]
         relations.append(Relation(s, t, tuple(e["lhs"]), tuple(e["rhs"])))
-    return PresentedCat(tuple(data["objects"]), arrows, tuple(relations))
+    return PresentedCat(tuple(data["objects"]), tuple(arrows), tuple(relations))
 
 
 def localization_to_data(result) -> dict:

@@ -1,7 +1,7 @@
 """Localization at a marked class via bounded congruence closure on words.
 
 The word problem is solved by breadth-first enumeration of generator words
-with rewriting closure inside an explicit length window, not by Knuth-Bendix
+with congruence closure inside an explicit length window, not by Knuth-Bendix
 completion: bound hits terminate with a witness frontier instead of silently
 truncating.
 """
@@ -63,12 +63,34 @@ class Bounds:
     max_words: int = 200_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class PresentedCat:
+    """A category presented by arrows and relations between paths.  It checks
+    itself when made, raising ``MalformedTable``: objects and arrow ids are
+    distinct, arrows end at objects, and each side of a relation is a path of
+    known arrows from ``src`` to ``tgt`` (an empty side needs src == tgt)."""
+
     objects: tuple[str, ...]
     arrows: tuple[Arrow, ...]
     relations: tuple[Relation, ...]
-    bounds: Bounds = Bounds()
+
+    def __post_init__(self) -> None:
+        objects = set(self.objects)
+        ends = {a.name: (a.src, a.tgt) for a in self.arrows}
+        if (len(objects) != len(self.objects) or len(ends) != len(self.arrows)
+                or not objects.issuperset(x for st in ends.values() for x in st)):
+            raise MalformedTable("presentation: duplicate objects or arrow ids, "
+                                 "or an arrow that does not end at objects")
+        for r in self.relations:
+            for side in (r.lhs, r.rhs):
+                at = r.src if r.src in objects else None
+                for letter in side:
+                    s, t = ends.get(letter, (None, None))
+                    at = t if at is not None and s == at else None
+                if at is None or at != r.tgt:
+                    raise MalformedTable(
+                        f"presentation: relation side {list(side)} is not a "
+                        f"path of known arrows from {r.src!r} to {r.tgt!r}")
 
 
 def inverse_name(m: str) -> str:
@@ -117,19 +139,31 @@ _Node = tuple[str, tuple[str, ...]]  # (source object, letters in diagram order)
 
 class _Words:
     """Generator words up to a length cap, keyed by source object, with a
-    union-find congruence closed under the presentation relations."""
+    union-find congruence closed under the presentation relations.
+
+    Call a word of length <= cap a node.  The partition is the least
+    equivalence on nodes that joins the two sides of each relation and is
+    closed under context (u ~ v gives a·u·b ~ a·v·b when both are nodes).
+    - Each relation whose sides are both nodes is seeded once, joining
+      (src, lhs) with (src, rhs).  An occurrence a·l·b ~ a·r·b inside a
+      longer word follows from its seed by context, so no pattern is matched.
+    - Closure under context replaces each subword u of each node by the
+      representative of u's class, joining the two, until nothing changes.
+      The result is a node: the representative is no longer than u, and
+      since every relation is well-typed (``PresentedCat`` checks it) every
+      class has one source and one target.
+    A representative is the shortlex-least member of its class, so it
+    depends on the partition alone, not on the order of the joins.
+    """
 
     def __init__(self, pres: PresentedCat, cap: int, max_words: int):
         self.pres = pres
-        self.cap = cap
         self.arrow_tgt = {a.name: a.tgt for a in pres.arrows}
         by_src: dict[str, list[Arrow]] = {}
         for a in pres.arrows:
             by_src.setdefault(a.src, []).append(a)
-        self.endpoints: dict[_Node, str] = {}
-        frontier: list[tuple[_Node, str]] = [((x, ()), x) for x in pres.objects]
-        for nd, t in frontier:
-            self.endpoints[nd] = t
+        self.endpoints: dict[_Node, str] = {(x, ()): x for x in pres.objects}
+        frontier = list(self.endpoints.items())
         for _ in range(cap):
             nxt = []
             for (s, w), t in frontier:
@@ -160,44 +194,21 @@ class _Words:
         self.parent[hi] = lo
         return True
 
-    def _object_at(self, nd: _Node, i: int) -> str:
-        s, w = nd
-        for letter in w[:i]:
-            s = self.arrow_tgt[letter]
-        return s
-
     def _close(self) -> None:
-        rules = []
         for r in self.pres.relations:
-            rules.append((r.lhs, r.rhs, r.src))
-            rules.append((r.rhs, r.lhs, r.src))
+            lhs, rhs = (r.src, r.lhs), (r.src, r.rhs)
+            if lhs in self.endpoints and rhs in self.endpoints:
+                self.union(lhs, rhs)
         changed = True
         while changed:
             changed = False
             for nd in list(self.endpoints):
                 s, w = nd
-                for lhs, rhs, at_obj in rules:
-                    ln = len(lhs)
-                    if ln > len(w):
-                        continue
-                    for i in range(len(w) - ln + 1):
-                        if w[i:i + ln] != lhs:
-                            continue
-                        # empty patterns match anywhere; anchor them to the
-                        # relation's object so the substitute stays composable
-                        if ln == 0 and self._object_at(nd, i) != at_obj:
-                            continue
-                        nd2 = (s, w[:i] + rhs + w[i + ln:])
-                        if nd2 in self.endpoints and self.union(nd, nd2):
-                            changed = True
-                # derived equalities propagate as subword substitutions toward
-                # class representatives, making the closure a true congruence
-                # on the truncated word set
                 obj = s
                 for i in range(len(w)):
                     o = obj
                     for j in range(i + 1, len(w) + 1):
-                        ro, rw = self.find((o, w[i:j]))
+                        rw = self.find((o, w[i:j]))[1]
                         if rw != w[i:j]:
                             nd2 = (s, w[:i] + rw + w[j:])
                             if nd2 in self.endpoints and self.union(nd, nd2):
@@ -213,17 +224,14 @@ class _Words:
         return out
 
 
-def localize(Cm: MarkedFinCat, bounds: Bounds = Bounds(),
-             pres: PresentedCat | None = None) -> LocalizationResult:
+def localize(Cm: MarkedFinCat, bounds: Bounds = Bounds()) -> LocalizationResult:
     """Bounded localization of C at its marked morphisms.
 
     Succeeds iff some word-length L (within bounds) yields closed hom-sets:
     every composite of class representatives reduces back to a word of
     length <= L inside the closure window of length 2L.
     """
-    if pres is None:
-        pres = present(Cm)
-    result, resolve = _localize_presented(pres, bounds)
+    result, image = _localize_presented(present(Cm), bounds)
     if not result.ok:
         return result
     cat = result.cat
@@ -232,7 +240,7 @@ def localize(Cm: MarkedFinCat, bounds: Bounds = Bounds(),
         C, cat,
         {x: x for x in C.objects},
         {m.name: ("id_" + C.src(m.name) if C.is_identity(m.name)
-                  else resolve(C.src(m.name), m.name))
+                  else image[m.name])
          for m in C.morphisms},
     )
     quotient.validate()
@@ -249,6 +257,25 @@ def localize_presentation(pres: PresentedCat,
     return _localize_presented(pres, bounds)[0]
 
 
+def _composites(words: _Words, cls: dict[_Node, list[_Node]], L: int):
+    """Each composite class keyed (second, first), and None; or None and the
+    hom and class count of the first pair whose composites are not one class."""
+    comp: dict[tuple[_Node, _Node], _Node] = {}
+    for r1, ws1 in cls.items():
+        for r2, ws2 in cls.items():
+            if r2[0] != words.endpoints[r1]:
+                continue
+            targets = {words.find((n1[0], n1[1] + n2[1]))
+                       for n1 in ws1 for n2 in ws2
+                       if len(n1[1]) + len(n2[1]) <= 2 * L}
+            # a single class outside cls is popped, so it counts as 0
+            tgt = targets.pop() if len(targets) == 1 else None
+            if tgt not in cls:
+                return None, ((r1[0], words.endpoints[r2]), len(targets))
+            comp[(r2, r1)] = tgt
+    return comp, None
+
+
 def _localize_presented(pres: PresentedCat, bounds: Bounds):
     last_frontier: tuple[tuple, int] | None = None
     for L in range(1, bounds.word_length + 1):
@@ -259,80 +286,36 @@ def _localize_presented(pres: PresentedCat, bounds: Bounds):
                 "which": "max_words", "cap": e.cap, "at": e.count,
                 "word_length": 2 * L}), None
         cls = words.classes(L)
-        n = len(cls)
-        if n > bounds.max_morphisms:
+        if len(cls) > bounds.max_morphisms:
             return LocalizationResult("size-bound", bound={
                 "which": "max_morphisms", "cap": bounds.max_morphisms,
-                "at": n, "word_length": L}), None
-        rep_of = {}
-        for rep, members in cls.items():
-            rep_of[rep] = min(members, key=lambda nd: (len(nd[1]), nd[1]))
-        # closure and well-definedness of composition at this level
-        closed = True
-        witness: tuple[tuple, int] | None = None
-        comp_class: dict[tuple, _Node] = {}
-        for r1, ws1 in cls.items():
-            if not closed:
-                break
-            s1 = rep_of[r1][0]
-            t1 = words.endpoints[rep_of[r1]]
-            for r2, ws2 in cls.items():
-                if t1 != rep_of[r2][0]:
-                    continue
-                t2 = words.endpoints[rep_of[r2]]
-                targets = set()
-                for n1 in ws1:
-                    for n2 in ws2:
-                        if len(n1[1]) + len(n2[1]) <= 2 * L:
-                            targets.add(words.find((n1[0], n1[1] + n2[1])))
-                if len(targets) != 1:
-                    closed = False
-                    witness = ((s1, t2), len(targets))
-                    break
-                tgt_class = targets.pop()
-                if tgt_class not in cls:
-                    closed = False
-                    witness = ((s1, t2), 0)
-                    break
-                comp_class[(r2, r1)] = tgt_class
-            else:
-                continue
-        if not closed:
-            last_frontier = witness
+                "at": len(cls), "word_length": L}), None
+        comp_class, last_frontier = _composites(words, cls, L)
+        if comp_class is None:
             continue
         # assemble the quotient category
-        def mname(rep) -> str:
-            s, w = rep_of[rep]
-            if not w:
-                return "id_" + s
-            return short_id("*".join(w))
-
+        name = {rep: short_id("*".join(rep[1])) if rep[1] else "id_" + rep[0]
+                for rep in cls}
         objects = list(pres.objects)
-        morphisms = []
-        identity = {}
-        for rep in cls:
-            s, w = rep_of[rep]
-            morphisms.append(Mor(mname(rep), s, words.endpoints[rep_of[rep]]))
-            if not w:
-                identity[s] = mname(rep)
-        comp = {}
-        for (r2, r1), r3 in comp_class.items():
-            comp[(mname(r2), mname(r1))] = mname(r3)
+        morphisms = [Mor(name[rep], rep[0], words.endpoints[rep]) for rep in cls]
+        identity = {rep[0]: name[rep] for rep in cls if not rep[1]}
+        comp = {(name[r2], name[r1]): name[r3]
+                for (r2, r1), r3 in comp_class.items()}
         try:
             cat = fincat(objects, morphisms, identity, comp)
         except MalformedTable:
             # bounded closure not yet consistent; widen the window
             last_frontier = ((objects[0], objects[0]), len(cls))
             continue
-
-        def resolve(src: str, generator: str, words=words, mname=mname) -> str:
-            return mname(words.find((src, (generator,))))
-
-        return LocalizationResult("ok", cat=cat), resolve
-    hom, frontier = last_frontier if last_frontier else (("?", "?"), -1)
-    return LocalizationResult("word-bound", bound={
-        "which": "word_length", "cap": bounds.word_length,
-        "hom": list(hom), "frontier": frontier}), None
+        # the morphism of cat each generator goes to
+        return LocalizationResult("ok", cat=cat), {
+            a.name: name[words.find((a.src, (a.name,)))] for a in pres.arrows}
+    # with no word length tried there is no frontier to report
+    bound = {"which": "word_length", "cap": bounds.word_length}
+    if last_frontier is not None:
+        hom, frontier = last_frontier
+        bound.update(hom=list(hom), frontier=frontier)
+    return LocalizationResult("word-bound", bound=bound), None
 
 
 # -- universal-property probes --------------------------------------------------------

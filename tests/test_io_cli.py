@@ -183,11 +183,14 @@ def test_cli_check_overrides_of_zero_are_honoured(monkeypatch):
 
 
 @pytest.mark.parametrize("flag", ["--max-objects", "--max-morphisms",
-                                  "--word-bound", "--size-bound"])
+                                  "--word-bound", "--size-bound", "--count",
+                                  "--jobs", "--max-skip"])
 def test_cli_rejects_a_negative_cap_or_bound(tmp_path, capsys, flag):
     arrow = _write(tmp_path, "arrow.json", category_to_data(walking_arrow()))
-    for argv in (["tw", arrow, flag, "-1"],
-                 ["check", "thm-lax-lim", "--count", "0", flag, "-1"]):
+    runs = [["check", "thm-lax-lim", "--count", "0", flag, "-1"]]
+    if flag not in ("--count", "--jobs", "--max-skip"):  # check-only flags
+        runs.append(["tw", arrow, flag, "-1"])
+    for argv in runs:
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         assert exit_.value.code == 2
@@ -259,3 +262,46 @@ def test_cli_reports_an_invariant_violation_as_an_internal_error(
     err = capsys.readouterr().err
     assert err.startswith("internal error:")
     assert "invalid input" not in err
+
+
+def test_cli_word_bound_of_zero_reports_no_placeholder_hom(tmp_path, capsys):
+    A = walking_arrow()
+    f = _write(tmp_path, "arrow.json",
+               category_to_data(A, saturate_marking(A, ["a01"])))
+    assert main(["localize", f, "--word-bound", "0"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["bound"] == {"which": "word_length", "cap": 0}
+
+
+_CYCLE = {"objects": ["x", "y"],
+          "arrows": [{"id": "a", "src": "x", "tgt": "y"},
+                     {"id": "b", "src": "x", "tgt": "x"}],
+          "relations": [{"lhs": ["b", "b"], "rhs": [], "src": "x", "tgt": "x"}]}
+
+BAD_PRESENTATION_FILES = {
+    "no objects": {k: v for k, v in _CYCLE.items() if k != "objects"},
+    "no arrows": {k: v for k, v in _CYCLE.items() if k != "arrows"},
+    "no relations": {k: v for k, v in _CYCLE.items() if k != "relations"},
+    "unknown arrow": {**_CYCLE, "relations": [{"lhs": ["a", "zz"], "rhs": []}]},
+    "two empty sides, no endpoints": {**_CYCLE,
+                                      "relations": [{"lhs": [], "rhs": []}]},
+    # a: x -> y and b: x -> x are not parallel
+    "ill-typed": {**_CYCLE, "relations": [{"lhs": ["a"], "rhs": ["b"]}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PRESENTATION_FILES))
+def test_cli_localize_rejects_a_malformed_presentation(tmp_path, capsys, case):
+    f = _write(tmp_path, "pres.json", BAD_PRESENTATION_FILES[case])
+    assert main(["localize", f]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: presentation:")
+    assert captured.out == ""
+
+
+def test_cli_localize_reads_a_presentation(tmp_path, capsys):
+    f = _write(tmp_path, "pres.json", _CYCLE)
+    assert main(["localize", f]) == 0
+    out = json.loads(capsys.readouterr().out)
+    # id_x, id_y, a, b, a after b
+    assert len(out["category"]["morphisms"]) == 3

@@ -1,5 +1,8 @@
 """Presentations, bounded localization, lax colimits, and probe checks."""
 
+import random
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from laxcat.core import (
@@ -19,6 +22,7 @@ from laxcat.core import (
 from laxcat.constructions import SizeCaps
 from laxcat.diagrams import CatDiagram, constant_diagram
 from laxcat.equiv import is_equivalent
+from laxcat.errors import MalformedTable, SizeBoundExceeded
 from laxcat.generator import GenParams, gen_category, gen_diagram, gen_marking
 from laxcat.grothendieck import grothendieck_cocart
 from laxcat.localization import (
@@ -26,6 +30,7 @@ from laxcat.localization import (
     Bounds,
     PresentedCat,
     Relation,
+    _Words,
     check_localization_up,
     inverse_name,
     lax_colimit,
@@ -318,3 +323,164 @@ def test_localize_widens_only_on_malformed_tables(monkeypatch):
     monkeypatch.setattr(localization, "fincat", bug)
     with pytest.raises(UnknownMorphism):
         localize(sharp_marking(walking_arrow()), Bounds(word_length=2))
+
+
+# -- the closure: seeded relations plus the subword pass -----------------------------
+
+
+class _RewritingWords(_Words):
+    """The closure as it was before relations were seeded: every relation is
+    matched in both directions at every position of every word (an empty
+    side anchored at the relation's object), beside the subword pass.  Kept
+    as an independent reference for the seeded closure."""
+
+    def _object_at(self, nd, i):
+        s, w = nd
+        for letter in w[:i]:
+            s = self.arrow_tgt[letter]
+        return s
+
+    def _close(self):
+        rules = []
+        for r in self.pres.relations:
+            rules.append((r.lhs, r.rhs, r.src))
+            rules.append((r.rhs, r.lhs, r.src))
+        changed = True
+        while changed:
+            changed = False
+            for nd in list(self.endpoints):
+                s, w = nd
+                for lhs, rhs, at_obj in rules:
+                    ln = len(lhs)
+                    if ln > len(w):
+                        continue
+                    for i in range(len(w) - ln + 1):
+                        if w[i:i + ln] != lhs:
+                            continue
+                        if ln == 0 and self._object_at(nd, i) != at_obj:
+                            continue
+                        nd2 = (s, w[:i] + rhs + w[i + ln:])
+                        if nd2 in self.endpoints and self.union(nd, nd2):
+                            changed = True
+                obj = s
+                for i in range(len(w)):
+                    o = obj
+                    for j in range(i + 1, len(w) + 1):
+                        rw = self.find((o, w[i:j]))[1]
+                        if rw != w[i:j]:
+                            nd2 = (s, w[:i] + rw + w[j:])
+                            if nd2 in self.endpoints and self.union(nd, nd2):
+                                changed = True
+                    obj = self.arrow_tgt[w[i]]
+
+
+def _random_presentation(seed: int) -> PresentedCat:
+    """A seeded well-typed presentation: both sides of a relation are random
+    walks between the same objects, and either side may be empty."""
+    rng = random.Random(seed)
+    objects = [f"x{i}" for i in range(rng.randint(1, 3))]
+    arrows = [Arrow(f"g{k}", rng.choice(objects), rng.choice(objects))
+              for k in range(rng.randint(1, 4))]
+    out = {x: [a for a in arrows if a.src == x] for x in objects}
+
+    def walk(start, steps):
+        path, at = [], start
+        for _ in range(steps):
+            if not out[at]:
+                break
+            a = rng.choice(out[at])
+            path.append(a.name)
+            at = a.tgt
+        return tuple(path), at
+
+    relations = []
+    for _ in range(rng.randint(1, 4)):
+        start = rng.choice(objects)
+        lhs, end = walk(start, rng.randint(0, 3))
+        # a right side: a walk to the same end, or the identity at a loop
+        for _ in range(20):
+            rhs, at = walk(start, rng.randint(0, 3))
+            if at == end and rhs != lhs:
+                relations.append(Relation(start, end, lhs, rhs))
+                break
+    return PresentedCat(tuple(objects), tuple(arrows), tuple(relations))
+
+
+def _differential_presentations():
+    for s in range(12):
+        p = GenParams(seed=s, max_objects=3, max_morphisms=8)
+        C = gen_category(p)
+        yield f"marked{s}", present(gen_marking(C, p))
+        yield f"sharp{s}", present(sharp_marking(C))
+    for s in range(60):
+        yield f"random{s}", _random_presentation(s)
+
+
+def test_seeded_closure_matches_the_rewriting_closure():
+    compared = 0
+    for label, pres in _differential_presentations():
+        for cap in range(2, 7):
+            try:
+                seeded = _Words(pres, cap, 4000)
+            except SizeBoundExceeded:
+                break
+            reference = _RewritingWords(pres, cap, 4000)
+            assert {nd: seeded.find(nd) for nd in seeded.endpoints} == \
+                {nd: reference.find(nd) for nd in reference.endpoints}, \
+                (label, cap)
+            compared += 1
+    assert compared >= 300
+
+
+def test_cyclic_group_of_order_three():
+    pres = PresentedCat(("x",), (Arrow("a", "x", "x"),),
+                        (Relation("x", "x", ("a", "a", "a"), ()),))
+    r = localize_presentation(pres)
+    assert r.ok
+    assert r.cat.n_morphisms == 3
+
+
+def test_klein_four_group():
+    a, b = Arrow("a", "x", "x"), Arrow("b", "x", "x")
+    pres = PresentedCat(("x",), (a, b), (
+        Relation("x", "x", ("a", "a"), ()),
+        Relation("x", "x", ("b", "b"), ()),
+        Relation("x", "x", ("a", "b"), ("b", "a"))))
+    r = localize_presentation(pres)
+    assert r.ok
+    assert r.cat.n_morphisms == 4
+    assert all(r.cat.compose(m, m) == "id_x" for m in r.cat.hom("x", "x"))
+
+
+BAD_PRESENTATIONS = {
+    "duplicate object": (("x", "x"), (), ()),
+    "duplicate arrow": (("x",), (Arrow("a", "x", "x"), Arrow("a", "x", "x")), ()),
+    "arrow off the objects": (("x",), (Arrow("a", "x", "y"),), ()),
+    "unknown arrow": (("x",), (Arrow("a", "x", "x"),),
+                      (Relation("x", "x", ("a", "zz"), ()),)),
+    "side not a path": (("x", "y"), (Arrow("a", "x", "y"),),
+                        (Relation("x", "y", ("a", "a"), ("a",)),)),
+    "side ends elsewhere": (("x", "y"), (Arrow("a", "x", "y"), Arrow("b", "x", "x")),
+                            (Relation("x", "y", ("a",), ("b",)),)),
+    "empty side between two objects": (("x", "y"), (Arrow("a", "x", "y"),),
+                                       (Relation("x", "y", ("a",), ()),)),
+    "relation off the objects": (("x",), (), (Relation("z", "z", (), ()),)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PRESENTATIONS))
+def test_presentation_checks_itself_when_made(case):
+    with pytest.raises(MalformedTable):
+        PresentedCat(*BAD_PRESENTATIONS[case])
+
+
+def test_presented_category_is_frozen():
+    pres = present(sharp_marking(walking_arrow()))
+    with pytest.raises(FrozenInstanceError):
+        pres.relations = ()
+
+
+def test_word_bound_of_zero_reports_no_hom():
+    r = localize(sharp_marking(walking_arrow()), Bounds(word_length=0))
+    assert r.status == "word-bound"
+    assert r.bound == {"which": "word_length", "cap": 0}
