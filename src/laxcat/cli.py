@@ -25,6 +25,7 @@ from .errors import (
     GenerationExhausted,
     InvariantViolation,
     LaxcatError,
+    MalformedTable,
     SearchBudgetExceeded,
     SizeBoundExceeded,
 )
@@ -200,7 +201,7 @@ def _cmd_compute(args) -> int:
         return 0 if result.ok else 2
     if name == "localize":
         data = _load(args.file)
-        if "arrows" in data or "relations" in data:
+        if isinstance(data, dict) and ("arrows" in data or "relations" in data):
             result = localize_presentation(presentation_from_data(data), bounds)
         else:
             result = localize(marked_category_from_data(data), bounds)
@@ -227,8 +228,12 @@ def _cmd_check(args) -> int:
     params = _caps(args, params)
     ctx = replace(ctx, bounds=_bounds(args, ctx.bounds))
     if args.probes:
+        manifest = _load(args.probes)
+        if not isinstance(manifest, dict):
+            raise MalformedTable("probes: expected a JSON object "
+                                 "{name: category}")
         ctx = replace(ctx, probes={nm: category_from_data(d)[0]
-                                   for nm, d in _load(args.probes).items()})
+                                   for nm, d in manifest.items()})
     report = run_check(args.theorem, seed=args.seed, count=args.count,
                        params=params, ctx=ctx, out_dir=args.out,
                        jobs=args.jobs)

@@ -8,6 +8,7 @@ by morphism id.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 from .core import (
@@ -192,6 +193,14 @@ class FunCat:
     cat: FinCat
     functors: dict[str, Functor]
     transformations: dict[str, NatTrans]
+
+    @cached_property
+    def transformation_ids(self) -> dict[tuple, str]:
+        """(source id, target id, sorted component items) -> the id of the
+        transformation between those functors with those components."""
+        return {(self.cat.src(nid), self.cat.tgt(nid),
+                 tuple(sorted(a.components.items()))): nid
+                for nid, a in self.transformations.items()}
 
 
 def _assemble_funcat(C: FinCat, functors: list[Functor], D: FinCat,

@@ -8,11 +8,13 @@ a canonical choice is needed.
 
 Derived categories are assembled in one of two ways.  ``build_category``
 takes homs that carry a hashable payload (a pair of legs, a component tuple,
-a family) and a rule composing payloads; it looks every composite up among
-the enumerated homs, so ids are minted only where homs are enumerated.
-``subcategory`` restricts a category to some objects and morphisms, keeping
-the composites of kept pairs.  ``Functor.key`` mints a functor-category
-object id and nothing else: functors are compared by their maps.
+a family, a class's shortest word) and a rule composing payloads; it looks
+every composite up among the enumerated homs, so ids are minted only where
+homs are enumerated.  ``subcategory`` restricts a category to some objects
+and morphisms, keeping the composites of kept pairs.  Beside them only
+``opposite_cat`` and literal tables call ``fincat``.  ``Functor.key`` mints
+a functor-category object id and nothing else: functors are compared by
+their maps.
 """
 
 from __future__ import annotations
@@ -471,26 +473,15 @@ def pair_id(a: str, b: str) -> str:
 def product(Cm: MarkedFinCat, Dm: MarkedFinCat) -> MarkedFinCat:
     """Cartesian product; a morphism is marked iff both components are."""
     C, D = Cm.cat, Dm.cat
-    objects = [pair_id(x, y) for x in C.objects for y in D.objects]
-    morphisms = [
-        Mor(pair_id(f.name, g.name), pair_id(f.src, g.src), pair_id(f.tgt, g.tgt))
-        for f in C.morphisms
-        for g in D.morphisms
-    ]
-    identity = {
-        pair_id(x, y): pair_id(C.identity[x], D.identity[y])
-        for x in C.objects
-        for y in D.objects
-    }
-    comp = {}
-    for (g1, f1), h1 in C.comp.items():
-        for (g2, f2), h2 in D.comp.items():
-            comp[(pair_id(g1, g2), pair_id(f1, f2))] = pair_id(h1, h2)
-    cat = fincat(objects, morphisms, identity, comp, check=False)
-    mk = frozenset(
-        pair_id(f, g) for f in Cm.marked for g in Dm.marked
-    )
-    return MarkedFinCat(cat, mk)
+    cat = build_category(
+        [pair_id(x, y) for x in C.objects for y in D.objects],
+        [(pair_id(f.name, g.name), pair_id(f.src, g.src), pair_id(f.tgt, g.tgt),
+          (f.name, g.name)) for f in C.morphisms for g in D.morphisms],
+        lambda p2, p1: (C.comp[p2[0], p1[0]], D.comp[p2[1], p1[1]]),
+        lambda p: C.is_identity(p[0]) and D.is_identity(p[1]),
+        check=False)
+    return MarkedFinCat(cat, frozenset(pair_id(f, g) for f in Cm.marked
+                                       for g in Dm.marked))
 
 
 def _product_functor(P: MarkedFinCat, P2: MarkedFinCat, g: Functor,
@@ -618,36 +609,21 @@ class NatTrans:
 
 
 def terminal_cat() -> FinCat:
-    return fincat(["*"], [Mor("id_*", "*", "*")], {"*": "id_*"},
-                  {("id_*", "id_*"): "id_*"})
+    return discrete_cat(["*"])
 
 
 def discrete_cat(objects: list[str]) -> FinCat:
-    return fincat(
-        objects,
-        [Mor(f"id_{x}", x, x) for x in objects],
-        {x: f"id_{x}" for x in objects},
-        {(f"id_{x}", f"id_{x}"): f"id_{x}" for x in objects},
-    )
+    return build_category(objects, [(f"id_{x}", x, x, ()) for x in objects],
+                          lambda p2, p1: (), lambda p: True)
 
 
 def chain_cat(n: int) -> FinCat:
     """The linear order 0 -> 1 -> ... -> n as a category."""
-    objects = [str(i) for i in range(n + 1)]
-    morphisms = [Mor(f"id_{x}", x, x) for x in objects]
-    identity = {x: f"id_{x}" for x in objects}
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            morphisms.append(Mor(f"a{i}{j}", str(i), str(j)))
-    name = {}
-    for m in morphisms:
-        name[(m.src, m.tgt)] = m.name
-    comp = {}
-    for f in morphisms:
-        for g in morphisms:
-            if f.tgt == g.src:
-                comp[(g.name, f.name)] = name[(f.src, g.tgt)]
-    return fincat(objects, morphisms, identity, comp)
+    # a poset has at most one morphism per hom, so every payload is ()
+    homs = [(f"id_{i}" if i == j else f"a{i}{j}", str(i), str(j), ())
+            for i in range(n + 1) for j in range(i, n + 1)]
+    return build_category([str(i) for i in range(n + 1)], homs,
+                          lambda p2, p1: (), lambda p: True)
 
 
 def walking_arrow() -> FinCat:

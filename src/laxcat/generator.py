@@ -1,10 +1,11 @@
 """Seeded random generation of categories, markings, and diagrams.
 
-The backbone is a free category on a random acyclic quiver quotiented by a
-random set of parallel-path identifications; acyclicity keeps the free
-category finite and the quotient valid by construction.  Curated non-poset
-seeds are mixed in at low probability since DAG quotients are always posets
-up to identification.
+A random category is the quotient of its DAG presentation by the word
+closure of localization: the free category on a random acyclic quiver
+modulo random identifications of parallel paths.  A DAG on n objects has no
+path of n edges, so a window of n letters holds every path and the closure
+is exact.  Curated non-poset seeds are mixed in at low probability since
+DAG quotients are always posets up to identification.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .core import (
     identity_functor,
     parallel_pair,
     saturate_marking,
-    short_id,
     walking_iso,
 )
 from .constructions import (
@@ -31,7 +31,8 @@ from .constructions import (
     generating_morphisms,
 )
 from .diagrams import CatDiagram, SetDiagram
-from .errors import GenerationExhausted
+from .errors import GenerationExhausted, SizeBoundExceeded
+from .localization import Arrow, PresentedCat, Relation, _paths, _quotient, _Words
 
 
 @dataclass(frozen=True)
@@ -64,28 +65,6 @@ def _curated(rng: random.Random) -> FinCat:
     return [walking_iso, _monoid3, parallel_pair][rng.randrange(3)]()
 
 
-_Path = tuple[str, tuple[str, ...]]  # (source object, edge names in order)
-
-
-def _dag_paths(objects, edges):
-    """All composable edge sequences, including the empty path per object."""
-    tgt = {e: j for e, (_, j) in edges.items()}
-    by_src: dict[str, list[str]] = {}
-    for e, (i, _) in edges.items():
-        by_src.setdefault(i, []).append(e)
-    paths: list[_Path] = [(x, ()) for x in objects]
-    frontier = [((x, ()), x) for x in objects]
-    while frontier:
-        nxt = []
-        for (s, p), end in frontier:
-            for e in by_src.get(end, []):
-                q = (s, p + (e,))
-                paths.append(q)
-                nxt.append((q, tgt[e]))
-        frontier = nxt
-    return paths, tgt
-
-
 def gen_category(p: GenParams) -> FinCat:
     """Random finite category; identical params give identical output."""
     rng = random.Random(("cat", p.seed, p.max_objects, p.max_morphisms,
@@ -101,82 +80,30 @@ def gen_category(p: GenParams) -> FinCat:
             k = rng.choices([0, 1, 2], weights=[45, 40, 15])[0]
             for c in range(k):
                 edges[f"e{i}{j}{'ab'[c]}"] = (objects[i], objects[j])
-    # trim edges until the free category fits the morphism budget
+    # trim edges until the free category fits the budget (below 0 counts as 0)
     while True:
-        paths, tgt_of = _dag_paths(objects, edges)
-        if len(paths) - n <= p.max_morphisms or not edges:
+        arrows = tuple(Arrow(e, s, t) for e, (s, t) in edges.items())
+        try:
+            paths = _paths(objects, arrows, n, n + max(p.max_morphisms, 0))
             break
-        del edges[rng.choice(sorted(edges))]
+        except SizeBoundExceeded:
+            del edges[rng.choice(sorted(edges))]
 
-    def path_tgt(path: _Path) -> str:
-        s, es = path
-        return tgt_of[es[-1]] if es else s
-
-    # random parallel-path identifications, then congruence closure
-    parent: dict[_Path, _Path] = {q: q for q in paths}
-
-    def find(q):
-        while parent[q] != q:
-            parent[q] = parent[parent[q]]
-            q = parent[q]
-        return q
-
-    def union(a, b) -> bool:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        lo, hi = sorted((ra, rb), key=lambda q: (len(q[1]), q[1], q[0]))
-        parent[hi] = lo
-        return True
-
-    groups: dict[tuple[str, str], list[_Path]] = {}
-    for q in paths:
-        groups.setdefault((q[0], path_tgt(q)), []).append(q)
-    for key in sorted(groups):
-        grp = groups[key]
+    # random identifications of parallel nonempty paths
+    groups: dict[tuple[str, str], list[tuple[str, ...]]] = {}
+    for (s, w), t in paths.items():
+        groups.setdefault((s, t), []).append(w)
+    relations = []
+    for s, t in sorted(groups):
+        grp = groups[s, t]
         for a in range(len(grp)):
             for b in range(a + 1, len(grp)):
-                if len(grp[a][1]) >= 1 and len(grp[b][1]) >= 1 \
-                        and rng.random() < p.relation_density:
-                    union(grp[a], grp[b])
-    by_src: dict[str, list[str]] = {}
-    for e, (i, _) in edges.items():
-        by_src.setdefault(i, []).append(e)
-    by_tgt: dict[str, list[str]] = {}
-    for e, (_, j) in edges.items():
-        by_tgt.setdefault(j, []).append(e)
-    changed = True
-    while changed:
-        changed = False
-        classes: dict[_Path, list[_Path]] = {}
-        for q in paths:
-            classes.setdefault(find(q), []).append(q)
-        for members in classes.values():
-            base = members[0]
-            for q in members[1:]:
-                for e in by_src.get(path_tgt(base), []):
-                    if union((base[0], base[1] + (e,)), (q[0], q[1] + (e,))):
-                        changed = True
-                for e in by_tgt.get(base[0], []):
-                    s = edges[e][0]
-                    if union((s, (e,) + base[1]), (s, (e,) + q[1])):
-                        changed = True
-
-    reps = sorted({find(q) for q in paths}, key=lambda q: (q[0], len(q[1]), q[1]))
-
-    def mname(rep: _Path) -> str:
-        s, es = rep
-        return f"id_{s}" if not es else short_id("*".join(es))
-
-    morphisms = [Mor(mname(r), r[0], path_tgt(r)) for r in reps]
-    identity = {x: f"id_{x}" for x in objects}
-    comp = {}
-    for r1 in reps:
-        for r2 in reps:
-            if path_tgt(r1) != r2[0]:
-                continue
-            comp[(mname(r2), mname(r1))] = mname(find((r1[0], r1[1] + r2[1])))
-    return fincat(objects, morphisms, identity, comp)
+                if grp[a] and grp[b] and rng.random() < p.relation_density:
+                    relations.append(Relation(s, t, grp[a], grp[b]))
+    words = _Words(PresentedCat(tuple(objects), arrows, tuple(relations)),
+                   n, len(paths))
+    return _quotient(words, words.classes(n),
+                     lambda r2, r1: words.find((r1[0], r1[1] + r2[1])))
 
 
 def gen_marking(C: FinCat, p: GenParams) -> MarkedFinCat:

@@ -7,6 +7,7 @@ values serialize to identical bytes.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 
 from .core import (
     FinCat,
@@ -29,6 +30,27 @@ def _require_keys(data: dict, allowed: set[str], what: str) -> None:
     unknown = set(data) - allowed
     if unknown:
         raise MalformedTable(f"{what}: unknown keys {sorted(unknown)}")
+
+
+def _strings(values) -> bool:
+    return isinstance(values, list) and all(isinstance(v, str) for v in values)
+
+
+def _string_map(value) -> bool:
+    return isinstance(value, dict) and _strings(list(value.values()))
+
+
+def _entries(entries, fields: tuple[str, ...], what: str) -> list[tuple]:
+    """The values of ``fields`` in each entry of a list of objects that have
+    exactly those fields, all strings."""
+    keys = set(fields)
+    if isinstance(entries, list) and all(
+            isinstance(e, dict) and e.keys() == keys for e in entries):
+        rows = list(map(itemgetter(*fields), entries))  # fields has >= 2
+        if all(isinstance(v, str) for row in rows for v in row):
+            return rows
+    raise MalformedTable(f"{what} must be a list of objects with exactly "
+                         f"the string fields {', '.join(fields)}")
 
 
 def category_to_data(C: FinCat, marked: frozenset[str] | None = None) -> dict:
@@ -65,13 +87,15 @@ def _category_parts(data: dict) -> tuple[FinCat, frozenset[str] | None]:
     _require_keys(data, {"objects", "morphisms", "composition", "identities",
                          "marked"}, "category")
     objects = data.get("objects")
-    if not isinstance(objects, list) or not all(isinstance(x, str) for x in objects):
+    if not _strings(objects):
         raise MalformedTable("category: objects must be a list of strings")
-    morphisms = []
-    for entry in data.get("morphisms", []):
-        if not isinstance(entry, dict) or set(entry) != {"id", "src", "tgt"}:
-            raise MalformedTable(f"category: bad morphism entry {entry!r}")
-        morphisms.append(Mor(entry["id"], entry["src"], entry["tgt"]))
+    if not (_string_map(data.get("identities") or {})
+            and _strings(data.get("marked") or [])):
+        raise MalformedTable("category: identities must map objects to "
+                             "strings, and marked must be a list of strings")
+    morphisms = [Mor(*e) for e in _entries(data.get("morphisms", []),
+                                           ("id", "src", "tgt"),
+                                           "category: morphisms")]
     identity = dict(data.get("identities") or
                     {x: f"id_{x}" for x in objects})
     named = {m.name for m in morphisms}
@@ -79,17 +103,16 @@ def _category_parts(data: dict) -> tuple[FinCat, frozenset[str] | None]:
         if i not in named:
             morphisms.append(Mor(i, x, x))
             named.add(i)
-    comp = {}
-    for entry in data.get("composition", []):
-        if not isinstance(entry, dict) or set(entry) != {"after", "before", "equals"}:
-            raise MalformedTable(f"category: bad composition entry {entry!r}")
-        comp[(entry["after"], entry["before"])] = entry["equals"]
+    comp = {(g, f): h for g, f, h in _entries(data.get("composition", []),
+                                              ("after", "before", "equals"),
+                                              "category: composition")}
     # identity composites are synthesized
-    src = {m.name: m.src for m in morphisms}
-    tgt = {m.name: m.tgt for m in morphisms}
     for m in morphisms:
-        comp[(identity[tgt[m.name]], m.name)] = m.name
-        comp[(m.name, identity[src[m.name]])] = m.name
+        if m.src not in identity or m.tgt not in identity:
+            raise MalformedTable(f"category: morphism {m.name} does not end "
+                                 f"at objects with identities")
+        comp[(identity[m.tgt], m.name)] = m.name
+        comp[(m.name, identity[m.src])] = m.name
     C = fincat(objects, morphisms, identity, comp)
     marked = data.get("marked")
     if marked is None:
@@ -103,11 +126,17 @@ def functor_to_data(F: Functor) -> dict:
 
 
 def functor_from_data(data: dict, dom: FinCat, cod: FinCat) -> Functor:
+    if not (isinstance(data, dict) and _string_map(data.get("object_map"))
+            and _string_map(data.get("morphism_map", {}))):
+        raise MalformedTable("functor: expected the string maps object_map "
+                             "and morphism_map")
     _require_keys(data, {"object_map", "morphism_map"}, "functor")
+    omap = dict(data["object_map"])
     mmap = dict(data.get("morphism_map", {}))
     for x, i in dom.identity.items():
-        mmap.setdefault(i, cod.identity[data["object_map"][x]])
-    F = Functor(dom, cod, dict(data["object_map"]), mmap)
+        if omap.get(x) in cod.identity:  # otherwise validate reports x
+            mmap.setdefault(i, cod.identity[omap[x]])
+    F = Functor(dom, cod, omap, mmap)
     F.validate()
     return F
 
@@ -123,11 +152,16 @@ def diagram_to_data(F: CatDiagram) -> dict:
 
 
 def diagram_from_data(data: dict) -> CatDiagram:
-    if not isinstance(data, dict):
-        raise MalformedTable("diagram: expected a JSON object")
+    if not (isinstance(data, dict) and isinstance(data.get("fibers"), dict)
+            and isinstance(data.get("transitions", {}), dict)):
+        raise MalformedTable("diagram: expected a JSON object with a fibers "
+                             "object and a transitions object")
     _require_keys(data, {"base", "fibers", "transitions"}, "diagram")
-    base = marked_category_from_data(data["base"])
+    base = marked_category_from_data(data.get("base"))
     fibers = {x: category_from_data(c)[0] for x, c in data["fibers"].items()}
+    missing = [x for x in base.cat.objects if x not in fibers]
+    if missing:
+        raise MalformedTable(f"diagram: no fiber at base objects {missing}")
     transitions = {}
     for x in base.cat.objects:
         transitions[base.cat.identity[x]] = identity_functor(fibers[x])
@@ -151,10 +185,6 @@ def presentation_to_data(p: PresentedCat) -> dict:
     }
 
 
-def _strings(values) -> bool:
-    return isinstance(values, list) and all(isinstance(v, str) for v in values)
-
-
 def presentation_from_data(data: dict) -> PresentedCat:
     """The checked presentation of a file.  A relation may leave out ``src``
     and ``tgt`` when one of its sides is a nonempty path, which gives them."""
@@ -164,12 +194,8 @@ def presentation_from_data(data: dict) -> PresentedCat:
             and isinstance(data["relations"], list)):
         raise MalformedTable("presentation: expected the lists objects, arrows "
                              "and relations, and no other key")
-    arrows = []
-    for e in data["arrows"]:
-        if not (isinstance(e, dict) and set(e) == {"id", "src", "tgt"}
-                and _strings(list(e.values()))):
-            raise MalformedTable(f"presentation: bad arrow entry {e!r}")
-        arrows.append(Arrow(e["id"], e["src"], e["tgt"]))
+    arrows = [Arrow(*e) for e in _entries(data["arrows"], ("id", "src", "tgt"),
+                                          "presentation: arrows")]
     ends = {a.name: (a.src, a.tgt) for a in arrows}
     relations = []
     for e in data["relations"]:

@@ -221,9 +221,10 @@ def whisker_functor(src_fc: FunCat, dst_fc: FunCat,
     post: B' -> B.
 
     A transformation's image is looked up in dst_fc, not minted: the one
-    between the endpoint images with the whiskered components.  An object
-    image outside dst_fc raises KeyError; a missing transformation, which a
-    full functor category cannot lack, raises InvariantViolation.
+    between the endpoint images with the whiskered components, found in
+    FunCat.transformation_ids.  An object image outside dst_fc raises
+    KeyError; a missing transformation, which a full functor category cannot
+    lack, raises InvariantViolation.
 
     The result is not validated here.  lax_limit and
     probe_check_colimit_theorem make it a transition of their end diagram,
@@ -236,13 +237,13 @@ def whisker_functor(src_fc: FunCat, dst_fc: FunCat,
         if hid not in dst_fc.functors:
             raise KeyError(hid)
         omap[gid] = hid
+    image = dst_fc.transformation_ids
     for nid, a in src_fc.transformations.items():
-        comps = {x: post.mor(a.at(pre.obj(x))) for x in pre.dom.objects}
-        h, k = omap[src_fc.cat.src(nid)], omap[src_fc.cat.tgt(nid)]
-        mmap[nid] = next((n for n in dst_fc.cat.hom(h, k)
-                          if dst_fc.transformations[n].components == comps), None)
-        if mmap[nid] is None:
+        comps = tuple((x, post.mor(a.at(pre.obj(x)))) for x in pre.dom.objects)
+        key = (omap[src_fc.cat.src(nid)], omap[src_fc.cat.tgt(nid)], comps)
+        if key not in image:
             raise InvariantViolation(f"whisker_functor: {nid} has no image")
+        mmap[nid] = image[key]
     return Functor(src_fc.cat, dst_fc.cat, omap, mmap)
 
 

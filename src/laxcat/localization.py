@@ -9,14 +9,14 @@ truncating.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import (
     FinCat,
     Functor,
     MarkedFinCat,
-    Mor,
     _product_functor,
-    fincat,
+    build_category,
     flat_marking,
     identity_functor,
     is_iso,
@@ -26,7 +26,6 @@ from .core import (
 )
 from .constructions import (
     DEFAULT_CAPS,
-    FunCat,
     SizeCaps,
     coslice_cat,
     functor_category,
@@ -137,6 +136,29 @@ class LocalizationResult:
 _Node = tuple[str, tuple[str, ...]]  # (source object, letters in diagram order)
 
 
+def _paths(objects, arrows, cap: int, max_words: int) -> dict[_Node, str]:
+    """Every path of at most ``cap`` arrows mapped to its target, breadth
+    first from the empty path at each object.  Raises SizeBoundExceeded as
+    soon as there are more than ``max_words`` paths."""
+    by_src: dict[str, list[Arrow]] = {}
+    for a in arrows:
+        by_src.setdefault(a.src, []).append(a)
+    endpoints: dict[_Node, str] = {(x, ()): x for x in objects}
+    frontier = list(endpoints.items())
+    for _ in range(cap):
+        nxt = []
+        for (s, w), t in frontier:
+            for a in by_src.get(t, []):
+                nd = (s, w + (a.name,))
+                endpoints[nd] = a.tgt
+                nxt.append((nd, a.tgt))
+                if len(endpoints) > max_words:
+                    raise SizeBoundExceeded("localization words", "word",
+                                            len(endpoints), max_words)
+        frontier = nxt
+    return endpoints
+
+
 class _Words:
     """Generator words up to a length cap, keyed by source object, with a
     union-find congruence closed under the presentation relations.
@@ -159,22 +181,7 @@ class _Words:
     def __init__(self, pres: PresentedCat, cap: int, max_words: int):
         self.pres = pres
         self.arrow_tgt = {a.name: a.tgt for a in pres.arrows}
-        by_src: dict[str, list[Arrow]] = {}
-        for a in pres.arrows:
-            by_src.setdefault(a.src, []).append(a)
-        self.endpoints: dict[_Node, str] = {(x, ()): x for x in pres.objects}
-        frontier = list(self.endpoints.items())
-        for _ in range(cap):
-            nxt = []
-            for (s, w), t in frontier:
-                for a in by_src.get(t, []):
-                    nd = (s, w + (a.name,))
-                    self.endpoints[nd] = a.tgt
-                    nxt.append((nd, a.tgt))
-                    if len(self.endpoints) > max_words:
-                        raise SizeBoundExceeded("localization words", "word",
-                                                len(self.endpoints), max_words)
-            frontier = nxt
+        self.endpoints = _paths(pres.objects, pres.arrows, cap, max_words)
         self.parent: dict[_Node, _Node] = {nd: nd for nd in self.endpoints}
         self._close()
 
@@ -222,6 +229,23 @@ class _Words:
             if len(nd[1]) <= max_len:
                 out.setdefault(self.find(nd), []).append(nd)
         return out
+
+
+def _name(rep: _Node) -> str:
+    """A class's id, from its shortlex-least word: ``id_x`` for the empty
+    word at x, otherwise the letters joined by "*"."""
+    return short_id("*".join(rep[1])) if rep[1] else "id_" + rep[0]
+
+
+def _quotient(words: _Words, classes: dict[_Node, list[_Node]],
+              compose: Callable[[_Node, _Node], _Node]) -> FinCat:
+    """One morphism per class, named by its representative (``_name``), which
+    is its build_category payload: ``compose(r2, r1)`` is the representative
+    of r2 after r1."""
+    return build_category(
+        words.pres.objects,
+        [(_name(rep), rep[0], words.endpoints[rep], rep) for rep in classes],
+        compose, lambda rep: not rep[1])
 
 
 def localize(Cm: MarkedFinCat, bounds: Bounds = Bounds()) -> LocalizationResult:
@@ -293,23 +317,15 @@ def _localize_presented(pres: PresentedCat, bounds: Bounds):
         comp_class, last_frontier = _composites(words, cls, L)
         if comp_class is None:
             continue
-        # assemble the quotient category
-        name = {rep: short_id("*".join(rep[1])) if rep[1] else "id_" + rep[0]
-                for rep in cls}
-        objects = list(pres.objects)
-        morphisms = [Mor(name[rep], rep[0], words.endpoints[rep]) for rep in cls]
-        identity = {rep[0]: name[rep] for rep in cls if not rep[1]}
-        comp = {(name[r2], name[r1]): name[r3]
-                for (r2, r1), r3 in comp_class.items()}
         try:
-            cat = fincat(objects, morphisms, identity, comp)
+            cat = _quotient(words, cls, lambda r2, r1: comp_class[r2, r1])
         except MalformedTable:
             # bounded closure not yet consistent; widen the window
-            last_frontier = ((objects[0], objects[0]), len(cls))
+            last_frontier = ((pres.objects[0], pres.objects[0]), len(cls))
             continue
         # the morphism of cat each generator goes to
         return LocalizationResult("ok", cat=cat), {
-            a.name: name[words.find((a.src, (a.name,)))] for a in pres.arrows}
+            a.name: _name(words.find((a.src, (a.name,)))) for a in pres.arrows}
     # with no word length tried there is no frontier to report
     bound = {"which": "word_length", "cap": bounds.word_length}
     if last_frontier is not None:
@@ -392,30 +408,29 @@ def probe_check_colimit_theorem(F, probes: dict[str, FinCat],
     tw = twisted_arrow(I, caps)
     coslices = {i: coslice_cat(Im, i) for i in I.objects}
 
+    # P(f: s -> t) = coslice(t) x flat(F(s)), covariant on Tw(I); mapping
+    # out is contravariant, so the limit diagram lives over opposite(Tw(I)).
+    # The products and the functors between them do not depend on the probe.
+    pcats = {f: product(coslices[I.tgt(f)].marked,
+                        flat_marking(F.fiber[I.src(f)]))
+             for f in tw.cat.objects}
+    pre = {}
+    for m in tw.cat.morphisms:
+        a, b = tw.legs[m.name]
+        f, f2 = m.src, m.tgt
+        cos = slice_transition(Im, coslices[I.tgt(f)], coslices[I.tgt(f2)], b)
+        pre[m.name] = _product_functor(pcats[f], pcats[f2], cos, F.transition[a])
+
     failures = []
     for name, D in probes.items():
         Dm = flat_marking(D)
         side_a = marked_functor_category(E.total, Dm, caps)
-
-        # P(f: s -> t) = coslice(t) x flat(F(s)), covariant on Tw(I);
-        # mapping out is contravariant, so the limit diagram lives over
-        # opposite(Tw(I)).
-        pfun: dict[str, FunCat] = {}
-        pcats = {}
-        for f in tw.cat.objects:
-            s, t = I.src(f), I.tgt(f)
-            pcats[f] = product(coslices[t].marked, flat_marking(F.fiber[s]))
-            pfun[f] = marked_functor_category(pcats[f], Dm, caps)
-        transitions = {}
-        for m in tw.cat.morphisms:
-            a, b = tw.legs[m.name]
-            f, f2 = m.src, m.tgt
-            s, s2 = I.src(f), I.src(f2)
-            t, t2 = I.tgt(f), I.tgt(f2)
-            cos = slice_transition(Im, coslices[t], coslices[t2], b)
-            pre = _product_functor(pcats[f], pcats[f2], cos, F.transition[a])
-            transitions[m.name] = whisker_functor(
-                pfun[f2], pfun[f], pre, identity_functor(D))
+        pfun = {f: marked_functor_category(pcats[f], Dm, caps)
+                for f in tw.cat.objects}
+        post = identity_functor(D)
+        transitions = {m.name: whisker_functor(pfun[m.tgt], pfun[m.src],
+                                               pre[m.name], post)
+                       for m in tw.cat.morphisms}
         diagram = CatDiagram(
             flat_marking(opposite_cat(tw.cat)),
             {f: pfun[f].cat for f in tw.cat.objects},

@@ -18,6 +18,7 @@ from laxcat.core import (
     marked_subcategory,
     opposite,
     opposite_cat,
+    pair_id,
     parallel_pair,
     product,
     saturate_marking,
@@ -154,6 +155,38 @@ def test_product_with_terminal_is_unit():
     D = flat_marking(parallel_pair())
     P = product(flat_marking(terminal_cat()), D)
     assert is_isomorphic(P.cat, D.cat)
+
+
+def _hand_built_product(Cm, Dm):
+    """The product as its table was filled by hand before build_category
+    assembled it: every pair of morphisms, composed pairwise from the two
+    composition tables.  Kept as an independent reference."""
+    C, D = Cm.cat, Dm.cat
+    objects = [pair_id(x, y) for x in C.objects for y in D.objects]
+    morphisms = [Mor(pair_id(f.name, g.name), pair_id(f.src, g.src),
+                     pair_id(f.tgt, g.tgt))
+                 for f in C.morphisms for g in D.morphisms]
+    identity = {pair_id(x, y): pair_id(C.identity[x], D.identity[y])
+                for x in C.objects for y in D.objects}
+    comp = {(pair_id(g1, g2), pair_id(f1, f2)): pair_id(h1, h2)
+            for (g1, f1), h1 in C.comp.items()
+            for (g2, f2), h2 in D.comp.items()}
+    return (fincat(objects, morphisms, identity, comp),
+            frozenset(pair_id(f, g) for f in Cm.marked for g in Dm.marked))
+
+
+def test_product_matches_the_hand_built_table():
+    generated = []
+    for s in range(12):
+        p = GenParams(seed=s)
+        generated.append(gen_marking(gen_category(p), p))
+    for D in probe_suite().values():
+        for Gm in generated:
+            for Am, Bm in ((flat_marking(D), Gm), (Gm, sharp_marking(D))):
+                P = product(Am, Bm)
+                cat, mk = _hand_built_product(Am, Bm)
+                assert P.cat.same_table(cat)
+                assert P.marked == mk
 
 
 def test_marked_subcategory():

@@ -3,11 +3,16 @@
 import random
 from dataclasses import replace
 
+import pytest
+
 from laxcat.constructions import enumerate_functors, generating_morphisms
 from laxcat.core import (
+    Mor,
     check_axioms,
     compose_functors,
+    fincat,
     identity_functor,
+    short_id,
     validate_marking,
     walking_arrow,
 )
@@ -208,3 +213,141 @@ def test_backtrack_transitions_budget_matches_unpruned_search(monkeypatch):
             got, ran_out = _same_as_unpruned(I, fibers, random.Random(s), limit)
             outcomes.add((got is None, ran_out))
     assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+# -- gen_category against the union-find quotient it replaced ------------------------
+
+
+_Path = tuple[str, tuple[str, ...]]  # (source object, edge names in order)
+
+
+def _reference_dag_paths(objects, edges):
+    """All composable edge sequences, including the empty path per object."""
+    tgt = {e: j for e, (_, j) in edges.items()}
+    by_src: dict[str, list[str]] = {}
+    for e, (i, _) in edges.items():
+        by_src.setdefault(i, []).append(e)
+    paths = [(x, ()) for x in objects]
+    frontier = [((x, ()), x) for x in objects]
+    while frontier:
+        nxt = []
+        for (s, p), end in frontier:
+            for e in by_src.get(end, []):
+                q = (s, p + (e,))
+                paths.append(q)
+                nxt.append((q, tgt[e]))
+        frontier = nxt
+    return paths, tgt
+
+
+def _union_find_category(p: GenParams):
+    """gen_category as it was before it drew its categories through the word
+    closure: a path BFS, a union-find closed under one-edge extensions on
+    either side, and a hand-filled table.  Kept verbatim as an independent
+    reference; it makes the same rng draws in the same order."""
+    rng = random.Random(("cat", p.seed, p.max_objects, p.max_morphisms,
+                         p.relation_density).__repr__())
+    if rng.random() < p.nonposet_prob:
+        return generator._curated(rng)
+
+    n = rng.randint(1, max(1, p.max_objects))
+    objects = [f"o{i}" for i in range(n)]
+    edges: dict[str, tuple[str, str]] = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            k = rng.choices([0, 1, 2], weights=[45, 40, 15])[0]
+            for c in range(k):
+                edges[f"e{i}{j}{'ab'[c]}"] = (objects[i], objects[j])
+    # trim edges until the free category fits the morphism budget
+    while True:
+        paths, tgt_of = _reference_dag_paths(objects, edges)
+        if len(paths) - n <= p.max_morphisms or not edges:
+            break
+        del edges[rng.choice(sorted(edges))]
+
+    def path_tgt(path):
+        s, es = path
+        return tgt_of[es[-1]] if es else s
+
+    # random parallel-path identifications, then congruence closure
+    parent = {q: q for q in paths}
+
+    def find(q):
+        while parent[q] != q:
+            parent[q] = parent[parent[q]]
+            q = parent[q]
+        return q
+
+    def union(a, b) -> bool:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        lo, hi = sorted((ra, rb), key=lambda q: (len(q[1]), q[1], q[0]))
+        parent[hi] = lo
+        return True
+
+    groups: dict[tuple[str, str], list[_Path]] = {}
+    for q in paths:
+        groups.setdefault((q[0], path_tgt(q)), []).append(q)
+    for key in sorted(groups):
+        grp = groups[key]
+        for a in range(len(grp)):
+            for b in range(a + 1, len(grp)):
+                if len(grp[a][1]) >= 1 and len(grp[b][1]) >= 1 \
+                        and rng.random() < p.relation_density:
+                    union(grp[a], grp[b])
+    by_src: dict[str, list[str]] = {}
+    for e, (i, _) in edges.items():
+        by_src.setdefault(i, []).append(e)
+    by_tgt: dict[str, list[str]] = {}
+    for e, (_, j) in edges.items():
+        by_tgt.setdefault(j, []).append(e)
+    changed = True
+    while changed:
+        changed = False
+        classes: dict[_Path, list[_Path]] = {}
+        for q in paths:
+            classes.setdefault(find(q), []).append(q)
+        for members in classes.values():
+            base = members[0]
+            for q in members[1:]:
+                for e in by_src.get(path_tgt(base), []):
+                    if union((base[0], base[1] + (e,)), (q[0], q[1] + (e,))):
+                        changed = True
+                for e in by_tgt.get(base[0], []):
+                    s = edges[e][0]
+                    if union((s, (e,) + base[1]), (s, (e,) + q[1])):
+                        changed = True
+
+    reps = sorted({find(q) for q in paths}, key=lambda q: (q[0], len(q[1]), q[1]))
+
+    def mname(rep: _Path) -> str:
+        s, es = rep
+        return f"id_{s}" if not es else short_id("*".join(es))
+
+    morphisms = [Mor(mname(r), r[0], path_tgt(r)) for r in reps]
+    identity = {x: f"id_{x}" for x in objects}
+    comp = {}
+    for r1 in reps:
+        for r2 in reps:
+            if path_tgt(r1) != r2[0]:
+                continue
+            comp[(mname(r2), mname(r1))] = mname(find((r1[0], r1[1] + r2[1])))
+    return fincat(objects, morphisms, identity, comp)
+
+
+REFERENCE_PARAMS = {
+    "default": GenParams(),
+    "2/5": GenParams(max_objects=2, max_morphisms=5),
+    "3/6": GenParams(max_objects=3, max_morphisms=6),
+    "5/20 at density 0.8": GenParams(max_objects=5, max_morphisms=20,
+                                     relation_density=0.8),
+    "density 0.2": GenParams(relation_density=0.2),
+}
+
+
+@pytest.mark.parametrize("label", sorted(REFERENCE_PARAMS))
+def test_gen_category_matches_the_union_find_quotient(label):
+    for s in range(500):
+        p = replace(REFERENCE_PARAMS[label], seed=s)
+        assert gen_category(p).same_table(_union_find_category(p)), (label, s)

@@ -15,6 +15,7 @@ from laxcat.core import (
     walking_arrow,
     walking_iso,
 )
+from laxcat.diagrams import constant_diagram
 from laxcat.errors import MalformedTable
 from laxcat.generator import GenParams, gen_category, gen_diagram, gen_marking
 from laxcat.io_formats import (
@@ -305,3 +306,45 @@ def test_cli_localize_reads_a_presentation(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     # id_x, id_y, a, b, a after b
     assert len(out["category"]["morphisms"]) == 3
+
+
+def _arrow_over_an_arrow(edit):
+    """The constant diagram of the walking arrow over itself as file data,
+    after ``edit`` has changed it in place."""
+    data = diagram_to_data(constant_diagram(flat_marking(walking_arrow()),
+                                            walking_arrow()))
+    edit(data)
+    return data
+
+
+# each case: the command line before the file's name, and the file's data
+MALFORMED_INPUT_FILES = {
+    "transition without object_map": (["grothendieck"], _arrow_over_an_arrow(
+        lambda d: d["transitions"]["a01"].pop("object_map"))),
+    "transition with an empty object_map": (["grothendieck"], _arrow_over_an_arrow(
+        lambda d: d["transitions"]["a01"].update(object_map={}))),
+    "diagram without fibers": (["grothendieck"], _arrow_over_an_arrow(
+        lambda d: d.pop("fibers"))),
+    "fibers given as a list": (["grothendieck"], _arrow_over_an_arrow(
+        lambda d: d.update(fibers=list(d["fibers"].values())))),
+    "base object without a fiber": (["grothendieck"], _arrow_over_an_arrow(
+        lambda d: d["fibers"].pop("1"))),
+    "morphism id that is a number": (["validate"], {
+        "objects": ["x"], "morphisms": [{"id": 5, "src": "x", "tgt": "x"}]}),
+    "morphism to an unknown object": (["validate"], {
+        "objects": ["x"], "morphisms": [{"id": "f", "src": "x", "tgt": "y"}]}),
+    "identities given as a list": (["validate"], {
+        "objects": ["x"], "identities": ["id_x"]}),
+    "file to localize that is a number": (["localize"], 5),
+    "probe manifest that is a list": (
+        ["check", "thm-lax-colim-probe", "--count", "1", "--probes"],
+        [category_to_data(terminal_cat())]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUT_FILES))
+def test_cli_malformed_input_file_exits_3(tmp_path, capsys, case):
+    argv, data = MALFORMED_INPUT_FILES[case]
+    f = _write(tmp_path, "input.json", data)
+    assert main(argv + [f]) == 3
+    assert capsys.readouterr().err.startswith("invalid input:")

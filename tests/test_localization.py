@@ -313,14 +313,14 @@ def test_localize_widens_only_on_malformed_tables(monkeypatch):
     def malformed(*args, **kw):
         raise MalformedTable("inconsistent closure")
 
-    monkeypatch.setattr(localization, "fincat", malformed)
+    monkeypatch.setattr(localization, "build_category", malformed)
     r = localize(sharp_marking(walking_arrow()), Bounds(word_length=2))
     assert r.status == "word-bound"
 
     def bug(*args, **kw):
         raise UnknownMorphism("a bug, not a window too narrow")
 
-    monkeypatch.setattr(localization, "fincat", bug)
+    monkeypatch.setattr(localization, "build_category", bug)
     with pytest.raises(UnknownMorphism):
         localize(sharp_marking(walking_arrow()), Bounds(word_length=2))
 

@@ -16,6 +16,12 @@
   ``validate_marking`` and ``saturate_marking``.  A functor or a diagram is
   checked on the pairs whose left factor is a generator
   (``FinCat.generator_pairs``), not on every composable pair.
+- ``fincat`` is called only in ``build_category``, ``subcategory`` and
+  ``opposite_cat``, in the named small categories of ``core.py``, in
+  ``io_formats.py``, and in the literal tables ``generator._monoid3``,
+  ``checks._nonposet5`` and ``checks._cospan_cat``.  Every derived category
+  (a product, a quotient, a functor category) is assembled by
+  ``build_category``, so no other code fills a composition table by hand.
 - No handler catches ``LaxcatError`` (or ``Exception``, ``BaseException``, or
   everything with a bare ``except``) unless an earlier handler of the same
   ``try`` catches ``InvariantViolation``.  ``InvariantViolation`` is a
@@ -156,6 +162,33 @@ def test_composable_pairs_called_only_by_the_axiom_and_marking_checks(path):
 
     visit(tree, "module level")
     assert not found, f"{path.name}: composable_pairs() called in {found}"
+
+
+FINCAT_CALLERS = {
+    ("core.py", f) for f in ("build_category", "subcategory", "opposite_cat",
+                             "terminal_cat", "discrete_cat", "chain_cat",
+                             "walking_iso", "parallel_pair")
+} | {("generator.py", "_monoid3"), ("checks.py", "_nonposet5"),
+     ("checks.py", "_cospan_cat")}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "io_formats.py"],
+                         ids=lambda p: p.name)
+def test_fincat_called_only_where_a_table_is_given(path):
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+
+    def visit(node, scope):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None))
+                == "fincat" and (path.name, scope) not in FINCAT_CALLERS):
+            found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(tree, "module level")
+    assert not found, f"{path.name}: fincat() called in {found}"
 
 
 CATCH_ALL = {"LaxcatError", "Exception", "BaseException"}
