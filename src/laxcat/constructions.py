@@ -188,19 +188,18 @@ def enumerate_functors(
 
 @dataclass
 class FunCat:
-    """A functor category together with decodings of its ids."""
+    """A functor category together with decodings of its ids.  ``cat.comp``
+    is a ``build_category`` table: its ``hom`` gives each transformation's
+    component tuple, and its ``index`` finds one by endpoints and components."""
 
     cat: FinCat
     functors: dict[str, Functor]
-    transformations: dict[str, NatTrans]
 
     @cached_property
-    def transformation_ids(self) -> dict[tuple, str]:
-        """(source id, target id, sorted component items) -> the id of the
-        transformation between those functors with those components."""
-        return {(self.cat.src(nid), self.cat.tgt(nid),
-                 tuple(sorted(a.components.items()))): nid
-                for nid, a in self.transformations.items()}
+    def transformations(self) -> dict[str, NatTrans]:
+        F = self.functors
+        return {nid: NatTrans(F[s], F[t], dict(zip(F[s].dom.objects, comps)))
+                for nid, s, t, comps in self.cat.comp.hom.values()}
 
 
 def _assemble_funcat(C: FinCat, functors: list[Functor], D: FinCat,
@@ -219,7 +218,8 @@ def _assemble_funcat(C: FinCat, functors: list[Functor], D: FinCat,
     always hold.  If the squares of g and h commute, so does that of g h, as
     a_z F(g h) = G(g) a_y F(h) = G(g) G(h) a_x; and every non-identity is a
     composite of generators (FinCat.generators).  So generator squares decide
-    naturality, and the families come out in candidate order.
+    naturality, and the families come out in candidate order.  Unless check
+    is set, each composite is composed componentwise in D when first read.
     """
     caps.check_objects(what, len(functors))
     by_id = {F.key(): F for F in functors}
@@ -250,7 +250,6 @@ def _assemble_funcat(C: FinCat, functors: list[Functor], D: FinCat,
             D.compose(*hole.args[0])  # raises UnknownMorphism
             raise
 
-    trans: dict[str, NatTrans] = {}
     homs = []
     for fid in ids:
         fobj, fgen = images[fid]
@@ -265,8 +264,6 @@ def _assemble_funcat(C: FinCat, functors: list[Functor], D: FinCat,
             for comps in families(0, [""] * n, cands, fgen, ggen):
                 cs = ",".join(map("{}:{}".format, objs, comps))
                 nid = short_id(f"N{{{fid}=>{gid};{cs}}}")
-                trans[nid] = NatTrans(by_id[fid], by_id[gid],
-                                      dict(zip(objs, comps)))
                 homs.append((nid, fid, gid, comps))
                 caps.check_morphisms(what, len(homs))
     cat = build_category(
@@ -274,7 +271,7 @@ def _assemble_funcat(C: FinCat, functors: list[Functor], D: FinCat,
         lambda t2, t1: tuple(map(dcomp.__getitem__, zip(t2, t1))),
         lambda t: all(D.is_identity(c) for c in t),
         check=check)
-    return FunCat(cat, by_id, trans)
+    return FunCat(cat, by_id)
 
 
 def functor_category(C: FinCat, D: FinCat, caps: SizeCaps = DEFAULT_CAPS) -> FunCat:

@@ -10,8 +10,10 @@ Derived categories are assembled in one of two ways.  ``build_category``
 takes homs that carry a hashable payload (a pair of legs, a component tuple,
 a family, a class's shortest word) and a rule composing payloads; it looks
 every composite up among the enumerated homs, so ids are minted only where
-homs are enumerated.  ``subcategory`` restricts a category to some objects
-and morphisms, keeping the composites of kept pairs.  Beside them only
+homs are enumerated.  Its table is filled on first read (``_Table``), so an
+unchecked category, such as a functor category, computes only the composites
+something reads.  ``subcategory`` restricts a category to some objects and
+morphisms, looking up the composites of kept pairs.  Beside them only
 ``opposite_cat`` and literal tables call ``fincat``.  ``Functor.key`` mints
 a functor-category object id and nothing else: functors are compared by
 their maps.
@@ -20,7 +22,7 @@ their maps.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from .errors import InvalidMarking, MalformedTable, UnknownMorphism
@@ -76,7 +78,8 @@ class FinCat:
             sorted(morphisms, key=lambda m: m.name)
         )
         self.identity: dict[str, str] = dict(identity)
-        self.comp: dict[tuple[str, str], str] = dict(comp)
+        self.comp: dict[tuple[str, str], str] = (
+            comp if isinstance(comp, _Table) else dict(comp))
         self._mor: dict[str, Mor] = {m.name: m for m in self.morphisms}
         self._identity_names = frozenset(self.identity.values())
         self._hom: dict[tuple[str, str], list[str]] = {}
@@ -253,8 +256,9 @@ def check_axioms(C: FinCat) -> ValidationReport:
     if bad:
         return ValidationReport(bad)
     # totality
+    entries = C.comp.keys()
     for g, f in C.composable_pairs():
-        if (g, f) not in C.comp:
+        if (g, f) not in entries:
             bad.append(Violation("composite", f"missing composite ({g},{f})"))
     if bad:
         return ValidationReport(bad)
@@ -300,6 +304,69 @@ def fincat(
     return C
 
 
+class _Table(dict):
+    """A ``build_category`` table, filled on first read: ``table[g, f]``
+    composes the payloads of g and f (``hom`` maps a name to its hom) and
+    looks the composite up in ``index``.  A composite outside the homs raises
+    MalformedTable; a pair that does not compose raises KeyError, which
+    ``FinCat.compose`` turns into UnknownMorphism.  A read of the whole table
+    (iteration, ``items``, ``len``, ``in``, ``get``, ``==``, pickling) first
+    fills it in the order of the homs, as an eager fill would have.
+    """
+
+    def __init__(self, homs, index, compose):
+        super().__init__()
+        self.hom = {h[0]: h for h in homs}
+        self.index, self._compose, self._full = index, compose, False
+
+    def __missing__(self, key):
+        g, f = key
+        _, s1, t1, p1 = self.hom[f]
+        _, s2, t2, p2 = self.hom[g]
+        if t1 != s2:
+            raise KeyError(key)
+        try:
+            h = self[key] = self.index[s1, t2, self._compose(p2, p1)]
+        except KeyError:
+            raise MalformedTable(f"missing composite ({g} after {f})") from None
+        return h
+
+    def filled(self) -> "_Table":
+        if not self._full:
+            dict.clear(self)  # refilled in the order of the homs
+            index, compose = self.index, self._compose
+            by_src: dict[str, list] = {}
+            for hom in self.hom.values():
+                by_src.setdefault(hom[1], []).append(hom)
+            for n1, s1, t1, p1 in self.hom.values():
+                for n2, _, t2, p2 in by_src.get(t1, ()):
+                    try:
+                        self[n2, n1] = index[s1, t2, compose(p2, p1)]
+                    except KeyError:
+                        raise MalformedTable(
+                            f"missing composite ({n2} after {n1})") from None
+            self._full = True
+        return self
+
+    def __reduce__(self):  # pickled as the plain, full table
+        return dict, (dict(self.items()),)
+
+
+def _whole_table_read(name: str):
+    read = getattr(dict, name)
+    return lambda self, *args: read(self.filled(), *map(_filled, args))
+
+
+def _filled(x):
+    return x.filled() if isinstance(x, _Table) else x
+
+
+for _name in ("__iter__", "__len__", "__contains__", "__eq__", "__ne__",
+              "__repr__", "get", "items", "keys", "values", "copy"):
+    setattr(_Table, _name, _whole_table_read(_name))
+del _name
+
+
 def build_category(
     objects: Iterable[str],
     homs: Iterable[tuple[str, str, str, Hashable]],
@@ -313,42 +380,35 @@ def build_category(
     the composite is the hom with that payload between the outer endpoints.
     A hom from an object to itself whose payload satisfies ``is_identity`` is
     that object's identity.  Raises MalformedTable when two homs share
-    ``(src, tgt, payload)`` or a composite is not among the homs.
+    ``(src, tgt, payload)`` or a composite is not among the homs, the latter
+    when it is read (see ``_Table``); ``check`` fills and checks the table.
     """
     homs = list(homs)
     index: dict[tuple[str, str, Hashable], str] = {}
     identity: dict[str, str] = {}
-    by_src: dict[str, list[tuple[str, str, str, Hashable]]] = {}
-    for hom in homs:
-        name, src, tgt, payload = hom
+    for name, src, tgt, payload in homs:
         key = (src, tgt, payload)
         if key in index:
             raise MalformedTable(f"homs {index[key]} and {name} coincide")
         index[key] = name
-        by_src.setdefault(src, []).append(hom)
         if src == tgt and is_identity(payload):
             identity[src] = name
-    comp: dict[tuple[str, str], str] = {}
-    for n1, s1, t1, p1 in homs:
-        for n2, _, t2, p2 in by_src.get(t1, ()):
-            try:
-                comp[(n2, n1)] = index[(s1, t2, compose(p2, p1))]
-            except KeyError:
-                raise MalformedTable(
-                    f"missing composite ({n2} after {n1})") from None
     morphisms = [Mor(name, src, tgt) for name, src, tgt, _ in homs]
-    return fincat(objects, morphisms, identity, comp, check=check)
+    return fincat(objects, morphisms, identity,
+                  _Table(homs, index, compose), check=check)
 
 
 def subcategory(C: FinCat, objects: Iterable[str], morphisms: Iterable[Mor],
                 check: bool = True) -> FinCat:
-    """C restricted to the given objects and morphisms, with the composites
-    of every pair of kept morphisms."""
+    """C restricted to the given objects and morphisms, with the composite of
+    every composable pair of kept morphisms, each looked up in C."""
     objects = list(objects)
     morphisms = list(morphisms)
-    keep = {m.name for m in morphisms}
-    comp = {(g, f): h for (g, f), h in C.comp.items()
-            if g in keep and f in keep}
+    by_src: dict[str, list[str]] = {}
+    for m in morphisms:
+        by_src.setdefault(m.src, []).append(m.name)
+    comp = {(g, f.name): C.compose(g, f.name)
+            for f in morphisms for g in by_src.get(f.tgt, ())}
     return fincat(objects, morphisms, {o: C.identity[o] for o in objects},
                   comp, check=check)
 
@@ -510,6 +570,7 @@ class Functor:
     cod: FinCat
     object_map: Mapping[str, str]
     morphism_map: Mapping[str, str]
+    _proved: bool = field(default=False, init=False, repr=False, compare=False)
 
     def obj(self, x: str) -> str:
         return self.object_map[x]
@@ -525,6 +586,7 @@ class Functor:
         every non-identity h is g after h' for a generator g and an h' reached
         before it (FinCat.generators), so by induction on when h was reached,
         F(h m) = F(g) F(h' m) = F(g) F(h') F(m) = F(h) F(m).
+        A functor marked by ``_by_construction`` skips the composites.
         """
         dom, cod = self.dom, self.cod
         omap, mmap = self.object_map, self.morphism_map
@@ -542,6 +604,8 @@ class Functor:
         for x in dom.objects:
             if mmap[dom.identity[x]] != cod.identity[omap[x]]:
                 raise MalformedTable(f"functor: identity of {x} not preserved")
+        if self._proved:
+            return
         dom_compose, cod_compose = dom.compose, cod.compose
         for g, f in dom.generator_pairs():
             if mmap[dom_compose(g, f)] != cod_compose(mmap[g], mmap[f]):
@@ -563,6 +627,14 @@ class Functor:
             if not self.dom.is_identity(m)
         )
         return short_id(f"F{{{os};{ms}}}")
+
+
+def _by_construction(F: Functor) -> Functor:
+    """Mark F as preserving composites by construction, so that F.validate()
+    skips them, and with them the generators of its domain.  Only a maker
+    whose docstring proves the claim calls this."""
+    object.__setattr__(F, "_proved", True)
+    return F
 
 
 def identity_functor(C: FinCat) -> Functor:

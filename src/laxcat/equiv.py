@@ -20,7 +20,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .core import FinCat, Functor, compose_functors, is_iso, subcategory
+from .core import (FinCat, Functor, _by_construction, compose_functors, is_iso,
+                   subcategory)
 from .errors import InvariantViolation, MalformedTable, SearchBudgetExceeded
 
 DEFAULT_BUDGET = 10**6
@@ -66,7 +67,11 @@ class SkeletonResult:
 
 
 def skeleton(C: FinCat) -> SkeletonResult:
-    """Full subcategory on one representative per isomorphism class."""
+    """Full subcategory on one representative per isomorphism class.
+
+    The retraction, m: x -> y |-> rho_y m rho_x^-1 for the chosen isos
+    rho_x: x -> rep(x), whose inverses are checked when chosen, is a functor
+    by construction: rho_z n rho_y^-1 rho_y m rho_x^-1 = rho_z n m rho_x^-1."""
     reps = iso_classes(C)
     keep = sorted(set(reps.values()))
     keep_set = set(keep)
@@ -90,12 +95,12 @@ def skeleton(C: FinCat) -> SkeletonResult:
                 if C.compose(v, u) == C.identity[x]
                 and C.compose(u, v) == C.identity[r]
             )
-    retraction = Functor(
+    retraction = _by_construction(Functor(
         C, skel,
         {x: reps[x] for x in C.objects},
         {m.name: C.compose(rho[m.tgt], C.compose(m.name, rho_inv[m.src]))
          for m in C.morphisms},
-    )
+    ))
     retraction.validate()
     return SkeletonResult(skel, inclusion, retraction)
 
@@ -336,13 +341,14 @@ def is_isomorphic(C: FinCat, D: FinCat,
 
 def is_equivalent(C: FinCat, D: FinCat,
                   budget: int = DEFAULT_BUDGET) -> EquivalenceVerdict:
-    """is_isomorphic on skeletons; witness transported along the inclusions."""
+    """is_isomorphic on skeletons; witness transported along the inclusions.
+    As a composite of functors, the witness is a functor by construction."""
     sc, sd = skeleton(C), skeleton(D)
     verdict = is_isomorphic(sc.cat, sd.cat, budget=budget)
     if verdict.verdict == "inequivalent":
         return verdict
-    witness = compose_functors(
-        sd.inclusion, compose_functors(verdict.witness, sc.retraction))
+    witness = _by_construction(compose_functors(
+        sd.inclusion, compose_functors(verdict.witness, sc.retraction)))
     witness.validate()
     if not (is_fully_faithful(witness) and is_essentially_surjective(witness)):
         raise InvariantViolation(

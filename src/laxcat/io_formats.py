@@ -133,6 +133,10 @@ def functor_from_data(data: dict, dom: FinCat, cod: FinCat) -> Functor:
     _require_keys(data, {"object_map", "morphism_map"}, "functor")
     omap = dict(data["object_map"])
     mmap = dict(data.get("morphism_map", {}))
+    unknown = [x for x in omap if x not in dom.objects] + [
+        m for m in mmap if not dom.has_mor(m)]
+    if unknown:
+        raise MalformedTable(f"functor: {unknown[0]} is not in the domain")
     for x, i in dom.identity.items():
         if omap.get(x) in cod.identity:  # otherwise validate reports x
             mmap.setdefault(i, cod.identity[omap[x]])

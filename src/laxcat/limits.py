@@ -16,6 +16,7 @@ from .core import (
     FinCat,
     Functor,
     MarkedFinCat,
+    _by_construction,
     build_category,
     compose_functors,
     flat_marking,
@@ -34,7 +35,7 @@ from .constructions import (
     twisted_arrow,
 )
 from .diagrams import CatDiagram, MarkedCatDiagram, SetDiagram, fiberwise_op
-from .errors import InvariantViolation
+from .errors import InvariantViolation, MalformedTable
 
 
 # -- set-valued (co)limits -------------------------------------------------------
@@ -215,43 +216,57 @@ def marked_cat_limit(F: MarkedCatDiagram,
 # -- helpers on functor categories ---------------------------------------------------
 
 
+def _land_in(fc: FunCat, B: FinCat) -> None:
+    """Raise unless fc's functors, which share one codomain, land in B."""
+    if fc.functors and not next(iter(fc.functors.values())).cod.same_table(B):
+        raise MalformedTable("functor category lands outside the codomain")
+
+
 def whisker_functor(src_fc: FunCat, dst_fc: FunCat,
                     pre: Functor, post: Functor) -> Functor:
     """Fun(A', B') -> Fun(A, B) by G |-> post . G . pre, for pre: A -> A' and
-    post: B' -> B.
+    a functor post: B' -> B.
 
-    A transformation's image is looked up in dst_fc, not minted: the one
-    between the endpoint images with the whiskered components, found in
-    FunCat.transformation_ids.  An object image outside dst_fc raises
-    KeyError; a missing transformation, which a full functor category cannot
-    lack, raises InvariantViolation.
+    A transformation a goes to the one between the endpoint images with the
+    components post(a_{pre x}), computed from a's component tuple and looked
+    up by endpoints and components in dst_fc's table.  An object image outside
+    dst_fc raises KeyError; a missing transformation, which a full functor
+    category cannot lack, raises InvariantViolation.
 
-    The result is not validated here.  lax_limit and
-    probe_check_colimit_theorem make it a transition of their end diagram,
-    whose CatDiagram constructor checks it once; any other caller must
-    validate it."""
+    A functor by construction, as composition in a functor category is
+    componentwise: the image of b a has the components
+    post(b_{pre x} a_{pre x}) = post(b_{pre x}) post(a_{pre x}), those of the
+    composite of the images.  So validate checks only objects, endpoints and
+    identities; a caller other than a CatDiagram constructor must call it."""
+    _land_in(dst_fc, post.cod)
     omap = {}
-    mmap = {}
     for gid, G in src_fc.functors.items():
         hid = compose_functors(post, compose_functors(G, pre)).key()
         if hid not in dst_fc.functors:
             raise KeyError(hid)
         omap[gid] = hid
-    image = dst_fc.transformation_ids
-    for nid, a in src_fc.transformations.items():
-        comps = tuple((x, post.mor(a.at(pre.obj(x)))) for x in pre.dom.objects)
-        key = (omap[src_fc.cat.src(nid)], omap[src_fc.cat.tgt(nid)], comps)
-        if key not in image:
-            raise InvariantViolation(f"whisker_functor: {nid} has no image")
-        mmap[nid] = image[key]
-    return Functor(src_fc.cat, dst_fc.cat, omap, mmap)
+    at = {x: i for i, x in enumerate(pre.cod.objects)}
+    idx = [at[pre.obj(x)] for x in pre.dom.objects]
+    pmor, image = post.morphism_map, dst_fc.cat.comp.index
+    mmap = {}
+    for nid, s, t, comps in src_fc.cat.comp.hom.values():
+        key = (omap[s], omap[t], tuple([pmor[comps[i]] for i in idx]))
+        try:
+            mmap[nid] = image[key]
+        except KeyError:
+            raise InvariantViolation(
+                f"whisker_functor: {nid} has no image") from None
+    return _by_construction(Functor(src_fc.cat, dst_fc.cat, omap, mmap))
 
 
 def evaluation_functor(fc: FunCat, at_obj: str, codomain: FinCat) -> Functor:
-    """Fun(A, B) -> B evaluating at a fixed object of A."""
+    """Fun(A, B) -> B evaluating at a fixed object x of A; codomain is B.
+    A functor by construction, as (b a)_x = b_x a_x in B, so validate checks
+    only objects, endpoints and identities."""
+    _land_in(fc, codomain)
     omap = {gid: G.obj(at_obj) for gid, G in fc.functors.items()}
     mmap = {nid: a.at(at_obj) for nid, a in fc.transformations.items()}
-    F = Functor(fc.cat, codomain, omap, mmap)
+    F = _by_construction(Functor(fc.cat, codomain, omap, mmap))
     F.validate()
     return F
 

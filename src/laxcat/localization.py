@@ -359,7 +359,7 @@ def check_localization_up(Cm: MarkedFinCat, L: LocalizationResult,
         except KeyError:
             failures.append((name, "precomposition leaves marked functors"))
             continue
-        P.validate()  # P is no diagram transition, so no constructor checks it
+        P.validate()  # no diagram checks P; a whiskering, it keeps composites
         if not is_fully_faithful(P):
             failures.append((name, "precomposition not fully faithful"))
         elif not is_essentially_surjective(P):

@@ -48,6 +48,12 @@ def test_report_accounting_and_canonical_bytes():
     assert "wall_time" not in data
 
 
+def test_ghn_flat_passes_its_heaviest_stream():
+    # stream 17 builds the largest functor categories of the ghn-flat streams
+    r = run_check("ghn-flat", seed=17, count=1)
+    assert (r.passes, r.bound_exceeded, r.failures) == (1, 0, [])
+
+
 def test_parallel_run_matches_sequential():
     r1 = run_check("pullback-remark", seed=5, count=20)
     r2 = run_check("pullback-remark", seed=5, count=20, jobs=3)

@@ -257,6 +257,31 @@ def test_build_category_rejects_duplicate_payload():
                        lambda q, p: (p[0], q[1]), lambda p: p[0] == p[1])
 
 
+def test_a_lazy_table_raises_where_the_eager_one_does():
+    args = (["0", "1", "2"], _chain_homs(), lambda q, p: (p[0], q[1]),
+            lambda p: p[0] == p[1])
+    lazy, eager = build_category(*args, check=False), build_category(*args)
+    assert lazy.compose("h12", "h01") == "h02"  # computed on first read
+    for C in (lazy, eager):
+        with pytest.raises(UnknownMorphism, match="h01 after h01"):
+            C.compose("h01", "h01")  # does not compose
+        with pytest.raises(UnknownMorphism, match="nope after h01"):
+            C.compose("nope", "h01")
+        with pytest.raises(KeyError):
+            C.comp["h01", "h01"]
+    # a whole-table read sees the eager table, in the eager order
+    assert list(lazy.comp.items()) == list(eager.comp.items())
+    assert len(lazy.comp) == len(eager.comp) and lazy.same_table(eager)
+    holed = build_category(["0", "1", "2"],
+                           [h for h in _chain_homs() if h[0] != "h02"],
+                           *args[2:], check=False)
+    assert holed.compose("h12", "h11") == "h12"
+    with pytest.raises(MalformedTable, match="missing composite"):
+        holed.compose("h12", "h01")
+    with pytest.raises(MalformedTable, match="missing composite"):
+        len(holed.comp)
+
+
 def test_subcategory_keeps_composites_of_kept_pairs():
     C2 = chain_cat(2)
     full = subcategory(C2, ["0", "2"],

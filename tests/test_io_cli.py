@@ -348,3 +348,14 @@ def test_cli_malformed_input_file_exits_3(tmp_path, capsys, case):
     f = _write(tmp_path, "input.json", data)
     assert main(argv + [f]) == 3
     assert capsys.readouterr().err.startswith("invalid input:")
+
+
+@pytest.mark.parametrize("which, key", [("morphism_map", "a01"), ("object_map", "1")])
+def test_cli_names_a_functor_file_key_outside_the_domain(tmp_path, capsys,
+                                                         which, key):
+    data = _arrow_over_an_arrow(
+        lambda d: d["transitions"]["a01"][which].update(nope=key))
+    f = _write(tmp_path, "input.json", data)
+    assert main(["grothendieck", f]) == 3
+    assert capsys.readouterr().err.startswith(
+        "invalid input: functor: nope is not in the domain")

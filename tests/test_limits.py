@@ -1,10 +1,10 @@
 """Set/category limits, lax and oplax limits, and the pseudo-limit oracle."""
 
-from dataclasses import replace
-
 import pytest
 
-from laxcat.constructions import FunCat, SizeCaps, marked_functor_category
+from laxcat import constructions, core, equiv, limits, localization
+from laxcat.checks import probe_suite
+from laxcat.constructions import SizeCaps, _assemble_funcat, marked_functor_category
 from laxcat.core import (
     Functor,
     chain_cat,
@@ -40,7 +40,8 @@ from laxcat.limits import (
     set_limit,
     whisker_functor,
 )
-from laxcat.errors import InvariantViolation
+from laxcat.errors import InvariantViolation, MalformedTable
+from laxcat.localization import probe_check_colimit_theorem
 
 BIG = SizeCaps(max_objects=1024, max_morphisms=8192, max_candidates=10**6)
 
@@ -219,10 +220,6 @@ def _corrupt_first_identity(whisker, corrupted):
 
 
 def test_lax_limit_still_validates_each_whiskered_transition(monkeypatch):
-    from laxcat import limits
-    from laxcat.checks import probe_suite
-    from laxcat.errors import MalformedTable
-
     F = constant_diagram(flat_marking(walking_arrow()), probe_suite()["nonposet5"])
     lax_limit(F, BIG)  # the uncorrupted diagram is fine
     corrupted = []
@@ -263,12 +260,106 @@ def test_whisker_functor_maps_transformations_to_whiskered_ones():
 def test_whisker_functor_raises_on_a_missing_whiskered_transformation():
     src, dst, pre, post = _whisker_pair()
     W = whisker_functor(src, dst, pre, post)
-    nid = next(n for n in src.cat.nonidentity()
-               if not dst.cat.is_identity(W.mor(n)))
-    img = W.mor(nid)
-    b = dst.transformations[img]
-    altered = {**dst.transformations,
-               img: replace(b, components={**b.components, "0": "altered"})}
-    broken = FunCat(dst.cat, dst.functors, altered)
-    with pytest.raises(InvariantViolation):
-        whisker_functor(src, broken, pre, post)
+    assert any(not dst.cat.is_identity(W.mor(n)) for n in src.cat.nonidentity())
+    # the same functors, with only the transformations whose components are
+    # identities: the whiskered image of a non-identity is missing
+    A, B = pre.dom, post.cod
+    partial = _assemble_funcat(A, list(dst.functors.values()), B, "partial",
+                               BIG, component_filter=lambda x, c: B.is_identity(c))
+    with pytest.raises(InvariantViolation, match="has no image"):
+        whisker_functor(src, partial, pre, post)
+
+
+# -- functor categories: composites on first read, functors by construction -----
+
+
+def _small_diagrams():
+    for s in range(7):
+        p = GenParams(seed=s, max_objects=2, max_morphisms=5,
+                      fiber_max_objects=2, fiber_max_morphisms=4)
+        yield gen_diagram(gen_marking(gen_category(p), p), p)
+    yield constant_diagram(flat_marking(walking_arrow()),
+                           probe_suite()["nonposet5"])
+
+
+def _probes():
+    return {n: probe_suite()[n] for n in ("arrow", "iso", "parallel")}
+
+
+def _limits_and_whiskers():
+    """lax_limit and the probe check of each small diagram, and the maps of
+    every whiskering they made."""
+    made = []
+    real = limits.whisker_functor
+
+    def recorded(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (limits, localization):
+            mp.setattr(module, "whisker_functor", recorded)
+        out = [(lax_limit(F, BIG), probe_check_colimit_theorem(F, _probes(), BIG))
+               for F in _small_diagrams()]
+    return out, made
+
+
+def test_lazy_functor_categories_agree_with_full_tables_and_checks(monkeypatch):
+    lazy, lazy_made = _limits_and_whiskers()
+    # the full path: every table filled and checked when built, every functor
+    # validated on the generator pairs of its domain
+    real = core.build_category
+    for module in (core, constructions):
+        monkeypatch.setattr(module, "build_category",
+                            lambda *args, check=True: real(*args, check=True))
+    for module in (limits, equiv):
+        monkeypatch.setattr(module, "_by_construction", lambda F: F)
+    full, full_made = _limits_and_whiskers()
+    for (lax, verdict), (lax2, verdict2) in zip(lazy, full, strict=True):
+        assert lax.cat.same_table(lax2.cat)
+        assert all(P.same_maps(lax2.projections[i])
+                   for i, P in lax.projections.items())
+        assert verdict == verdict2
+    assert any(verdict.failures == [] for _, verdict in lazy)
+    assert len(lazy_made) == len(full_made) > 10
+    for W, V in zip(lazy_made, full_made):
+        assert W._proved and not V._proved
+        assert W.same_maps(V)
+        assert W.dom.generators() == V.dom.generators()
+        assert W.dom.same_table(V.dom) and W.cod.same_table(V.cod)
+        Functor(W.dom, W.cod, W.object_map, W.morphism_map).validate()
+
+
+def test_no_functor_category_computes_its_generators(monkeypatch):
+    built = []
+    real = constructions._assemble_funcat
+
+    def recorded(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(constructions, "_assemble_funcat", recorded)
+    F = constant_diagram(flat_marking(walking_arrow()), probe_suite()["nonposet5"])
+    assert probe_check_colimit_theorem(F, _probes(), BIG).ok
+    lax_limit(F, BIG)
+    assert len(built) > 10
+    assert all(fc.cat._gen_cache is None for fc in built)
+    assert any(fc.cat.comp._full is False for fc in built)
+
+
+def test_a_hand_made_non_functor_out_of_a_functor_category_is_rejected():
+    fc = marked_functor_category(flat_marking(walking_arrow()),
+                                 flat_marking(probe_suite()["nonposet5"]), BIG)
+    C = fc.cat
+    nonid = C.nonidentity()
+    composites = {C.compose(g, f) for f in nonid for g in nonid
+                  if C.src(g) == C.tgt(f)} - set(C.identity.values())
+    h, other = next((h, o) for h in sorted(composites)
+                    for o in C.hom(C.src(h), C.tgt(h))
+                    if o != h and not C.is_identity(o))
+    ident = {m.name: m.name for m in C.morphisms}
+    G = Functor(C, C, {x: x for x in C.objects}, {**ident, h: other})
+    with pytest.raises(MalformedTable, match="not preserved"):
+        G.validate()
+    with pytest.raises(TypeError):  # the mark is no constructor argument
+        Functor(C, C, {}, {}, True)
