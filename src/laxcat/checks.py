@@ -23,6 +23,8 @@ from .core import (
     discrete_cat,
     fincat,
     flat_marking,
+    opposite,
+    opposite_cat,
     pair_id,
     parallel_pair,
     product,
@@ -33,7 +35,7 @@ from .core import (
     walking_iso,
 )
 from .constructions import SizeCaps, enumerate_functors, twisted_arrow
-from .diagrams import CatDiagram, MarkedCatDiagram, restrict_set_diagram
+from .diagrams import CatDiagram, MarkedCatDiagram, fiberwise_op, restrict_set_diagram
 from .equiv import is_equivalent, is_fully_faithful, iso_classes
 from .errors import (
     GenerationExhausted,
@@ -64,12 +66,7 @@ from .limits import (
     set_colimit,
     set_limit,
 )
-from .localization import (
-    Bounds,
-    check_localization_up,
-    localize,
-    probe_check_colimit_theorem,
-)
+from .localization import Bounds, _mapping_out, _up_failure, localize
 
 
 def _nonposet5() -> FinCat:
@@ -174,15 +171,31 @@ def _check_thm_oplax_lim(p: GenParams, ctx: Ctx):
 
 
 def _colim_probe_ok(F: CatDiagram, ctx: Ctx, cartesian: bool) -> tuple[bool, str]:
-    v = probe_check_colimit_theorem(F, ctx.probes, ctx.caps, cartesian=cartesian)
-    if not v.ok:
-        return False, f"mapping-out comparison failed: {v.failures}"
-    E = grothendieck_cart(F, ctx.caps) if cartesian else grothendieck_cocart(F, ctx.caps)
-    r = localize(E.total, ctx.bounds)
+    """The probe check (probe_check_colimit_theorem) and, when the bounded
+    localization of the total category completes, its universal property
+    (check_localization_up), on one Grothendieck total.  The cartesian total
+    is the opposite of the cocartesian one of the fiberwise opposite.  In the
+    cocartesian case each probe's Fun†(E.total, D♭) serves both checks."""
+    caps = ctx.caps
+    G, probes = F, ctx.probes
+    if cartesian:
+        G, probes = fiberwise_op(F), {n: opposite_cat(D) for n, D in probes.items()}
+    E = grothendieck_cocart(G, caps)
+    compared = list(_mapping_out(G, E, probes, caps))
+    failures = [(name, reason) for name, _, reason in compared if reason is not None]
+    if failures:
+        return False, f"mapping-out comparison failed: {failures}"
+    total = opposite(E.total) if cartesian else E.total
+    r = localize(total, ctx.bounds)
     if r.ok:
-        up = check_localization_up(E.total, r, ctx.probes, ctx.caps)
-        if not up.ok:
-            return False, f"localization universal property failed: {up.failures}"
+        failures = []
+        for name, side_a, _ in compared:
+            reason = _up_failure(total, r, ctx.probes[name],
+                                 None if cartesian else side_a, caps)
+            if reason is not None:
+                failures.append((name, reason))
+        if failures:
+            return False, f"localization universal property failed: {failures}"
     return True, ""
 
 

@@ -202,14 +202,39 @@ class FunCat:
                 for nid, s, t, comps in self.cat.comp.hom.values()}
 
 
-def _assemble_funcat(C: FinCat, functors: list[Functor], D: FinCat,
-                     what: str, caps: SizeCaps,
-                     component_filter: Callable[[str, str], bool] | None = None,
-                     check: bool = False) -> FunCat:
+class _Composites(dict):
+    """The composites of a FunHoms, each composed componentwise in its
+    codomain on first read; a pair that does not compose raises KeyError."""
+
+    def __init__(self, homs: "FunHoms"):
+        super().__init__()
+        self.homs = homs
+
+    def __missing__(self, key):
+        H = self.homs
+        _, s2, t2, c2 = H.hom_of[key[0]]
+        _, s1, t1, c1 = H.hom_of[key[1]]
+        if t1 != s2:
+            raise KeyError(key)
+        dcomp = H.cod.comp
+        h = self[key] = H.find((s1, t2, tuple(map(dcomp.__getitem__, zip(c2, c1)))))
+        return h
+
+
+class FunHoms:
     """Functors C -> D as objects, natural transformations (with components
-    passing component_filter) as morphisms; a hom's payload is its component
-    tuple over the objects of C.  Object ids are ``key()``s; this is the one
-    place transformation ids, ``N{src=>tgt;cs}``, are formatted.
+    passing component_filter) as morphisms, each hom enumerated when first
+    read (``hom``) and kept.  This is the one transformation enumerator: a
+    functor category reads every hom through it (``_assemble_funcat``), and
+    the end formula only the homs its limit reads (``limits.end_limit``).
+
+    Object ids are ``key()``s; this is the one place transformation ids,
+    ``N{src=>tgt;cs}``, are formatted.  As in a ``build_category`` table,
+    ``hom_of`` maps a transformation to ``(id, src, tgt, components)``, the
+    components a tuple over the objects of C, and ``find`` maps
+    ``(src, tgt, components)`` back to its id; ``comp[g, f]`` composes
+    componentwise in D when first read.  The morphism cap counts the
+    transformations enumerated so far.
 
     Components a_x are chosen object by object of C, each in hom(Fx, Gx) in
     hom order.  One schedule serves every pair F, G: the square
@@ -218,60 +243,112 @@ def _assemble_funcat(C: FinCat, functors: list[Functor], D: FinCat,
     always hold.  If the squares of g and h commute, so does that of g h, as
     a_z F(g h) = G(g) a_y F(h) = G(g) G(h) a_x; and every non-identity is a
     composite of generators (FinCat.generators).  So generator squares decide
-    naturality, and the families come out in candidate order.  Unless check
-    is set, each composite is composed componentwise in D when first read.
+    naturality, and each hom comes out in candidate order.
     """
-    caps.check_objects(what, len(functors))
-    by_id = {F.key(): F for F in functors}
-    ids = sorted(by_id)
-    objs, n = C.objects, C.n_objects
-    at = {x: i for i, x in enumerate(objs)}
-    schedule: list[list[tuple[int, int, str]]] = [[] for _ in objs]
-    for g in C.generators():
-        s, t = at[C.src(g)], at[C.tgt(g)]
-        schedule[max(s, t)].append((s, t, g))
-    images = {fid: ([F.obj(x) for x in objs],
-                    [[F.mor(g) for _, _, g in level] for level in schedule])
-              for fid, F in by_id.items()}
-    dcomp = D.comp
 
-    def families(i, comps, cands, fgen, ggen) -> Iterator[tuple[str, ...]]:
-        if i == n:
-            yield tuple(comps)
-            return
-        try:
-            for comps[i] in cands[i]:
-                for (s, t, _), fg, gg in zip(schedule[i], fgen[i], ggen[i]):
-                    if dcomp[comps[t], fg] != dcomp[gg, comps[s]]:
-                        break
-                else:
-                    yield from families(i + 1, comps, cands, fgen, ggen)
-        except KeyError as hole:  # missing at this level; deeper ones convert
-            D.compose(*hole.args[0])  # raises UnknownMorphism
-            raise
+    def __init__(self, C: FinCat, functors: list[Functor], D: FinCat,
+                 what: str, caps: SizeCaps,
+                 component_filter: Callable[[str, str], bool] | None = None):
+        caps.check_objects(what, len(functors))
+        self.dom, self.cod, self.what, self.caps = C, D, what, caps
+        self.component_filter = component_filter
+        self.functors = {F.key(): F for F in functors}
+        self.objects = sorted(self.functors)
+        self.hom_of: dict[str, tuple[str, str, str, tuple[str, ...]]] = {}
+        self.comp = _Composites(self)
+        # (src, tgt) -> components -> id, for the homs enumerated so far
+        self._homs: dict[tuple[str, str], dict[tuple[str, ...], str]] = {}
+        at = {x: i for i, x in enumerate(C.objects)}
+        self._schedule: list[list[tuple[int, int, str]]] = [[] for _ in at]
+        for g in C.generators():
+            s, t = at[C.src(g)], at[C.tgt(g)]
+            self._schedule[max(s, t)].append((s, t, g))
+        # each functor's objects, and its generators level by level
+        self._images = {fid: ([F.obj(x) for x in C.objects],
+                              [[F.mor(g) for _, _, g in level]
+                               for level in self._schedule])
+                        for fid, F in self.functors.items()}
+        schedule, dcomp, n = self._schedule, D.comp, C.n_objects
 
-    homs = []
-    for fid in ids:
-        fobj, fgen = images[fid]
-        for gid in ids:
-            gobj, ggen = images[gid]
-            cands = [D.hom(a, b) for a, b in zip(fobj, gobj)]
-            if component_filter is not None:
-                cands = [[c for c in cs if component_filter(x, c)]
-                         for x, cs in zip(objs, cands)]
-            if not all(cands):
-                continue
-            for comps in families(0, [""] * n, cands, fgen, ggen):
+        def families(i, comps, cands, fgen, ggen) -> Iterator[tuple[str, ...]]:
+            if i == n:
+                yield tuple(comps)
+                return
+            try:
+                for comps[i] in cands[i]:
+                    for (s, t, _), fg, gg in zip(schedule[i], fgen[i], ggen[i]):
+                        if dcomp[comps[t], fg] != dcomp[gg, comps[s]]:
+                            break
+                    else:
+                        yield from families(i + 1, comps, cands, fgen, ggen)
+            except KeyError as hole:  # missing at this level; deeper ones convert
+                D.compose(*hole.args[0])  # raises UnknownMorphism
+                raise
+
+        self._families = families
+
+    def hom(self, fid: str, gid: str):
+        """The transformations F => G, enumerated on the first call."""
+        return self._hom(fid, gid).values()
+
+    def _hom(self, fid: str, gid: str) -> dict[tuple[str, ...], str]:
+        found = self._homs.get((fid, gid))
+        if found is None:
+            found = self._homs[fid, gid] = self._enumerate(fid, gid)
+        return found
+
+    def _enumerate(self, fid: str, gid: str) -> dict[tuple[str, ...], str]:
+        D, objs = self.cod, self.dom.objects
+        (fobj, fgen), (gobj, ggen) = self._images[fid], self._images[gid]
+        cands = [D.hom(a, b) for a, b in zip(fobj, gobj)]
+        if self.component_filter is not None:
+            keep = self.component_filter
+            cands = [[c for c in cs if keep(x, c)] for x, cs in zip(objs, cands)]
+        found: dict[tuple[str, ...], str] = {}
+        if all(cands):
+            hom_of = self.hom_of
+            check, what = self.caps.check_morphisms, self.what
+            for comps in self._families(0, [""] * len(objs), cands, fgen, ggen):
                 cs = ",".join(map("{}:{}".format, objs, comps))
-                nid = short_id(f"N{{{fid}=>{gid};{cs}}}")
-                homs.append((nid, fid, gid, comps))
-                caps.check_morphisms(what, len(homs))
-    cat = build_category(
-        ids, homs,
-        lambda t2, t1: tuple(map(dcomp.__getitem__, zip(t2, t1))),
-        lambda t: all(D.is_identity(c) for c in t),
-        check=check)
-    return FunCat(cat, by_id)
+                nid = found[comps] = short_id(f"N{{{fid}=>{gid};{cs}}}")
+                hom_of[nid] = (nid, fid, gid, comps)
+                check(what, len(hom_of))
+        return found
+
+    def find(self, key: tuple[str, str, tuple[str, ...]]) -> str:
+        """The transformation with these endpoints and components, its hom
+        enumerated first; KeyError if there is none."""
+        return self._hom(key[0], key[1])[key[2]]
+
+    def is_identity(self, nid: str) -> bool:
+        return all(map(self.cod.is_identity, self.hom_of[nid][3]))
+
+    def every_hom(self) -> list[tuple[str, str, str, tuple[str, ...]]]:
+        """Every transformation, hom by hom in id order."""
+        return [self.hom_of[nid] for fid in self.objects for gid in self.objects
+                for nid in self.hom(fid, gid)]
+
+    def category(self, check: bool = False) -> FunCat:
+        """Every hom, as a FunCat.  Unless check is set, each composite is
+        composed componentwise in D when first read."""
+        homs = self.every_hom()
+        D = self.cod
+        dcomp = D.comp
+        cat = build_category(
+            self.objects, homs,
+            lambda t2, t1: tuple(map(dcomp.__getitem__, zip(t2, t1))),
+            lambda t: all(D.is_identity(c) for c in t),
+            check=check)
+        return FunCat(cat, self.functors)
+
+
+def _assemble_funcat(C: FinCat, functors: list[Functor], D: FinCat,
+                     what: str, caps: SizeCaps,
+                     component_filter: Callable[[str, str], bool] | None = None,
+                     check: bool = False) -> FunCat:
+    """The functor category on these functors, every hom read through one
+    FunHoms; see there."""
+    return FunHoms(C, functors, D, what, caps, component_filter).category(check)
 
 
 def functor_category(C: FinCat, D: FinCat, caps: SizeCaps = DEFAULT_CAPS) -> FunCat:
@@ -281,10 +358,8 @@ def functor_category(C: FinCat, D: FinCat, caps: SizeCaps = DEFAULT_CAPS) -> Fun
                             f"Fun({C.n_objects}o,{D.n_objects}o)", caps)
 
 
-def marked_functor_category(
-    Cm: MarkedFinCat, Dm: MarkedFinCat, caps: SizeCaps = DEFAULT_CAPS
-) -> FunCat:
-    """Full subcategory of functor_category(C, D) on the marked functors."""
+def _marked_functors(Cm: MarkedFinCat, Dm: MarkedFinCat,
+                     caps: SizeCaps) -> list[Functor]:
     C, D = Cm.cat, Dm.cat
 
     def gen_ok(g: str, d: str) -> bool:
@@ -292,13 +367,26 @@ def marked_functor_category(
         # generators, so a full filter still runs below
         return g not in Cm.marked or d in Dm.marked
 
-    functors = [
+    return [
         F
         for F in enumerate_functors(C, D, gen_filter=gen_ok,
                                     max_candidates=caps.max_candidates)
         if F.is_marked(Cm.marked, Dm.marked)
     ]
-    return _assemble_funcat(C, functors, D, "Fun†", caps)
+
+
+def marked_functor_homs(Cm: MarkedFinCat, Dm: MarkedFinCat,
+                        caps: SizeCaps = DEFAULT_CAPS) -> FunHoms:
+    """The marked functors C -> D, each hom between them read on demand."""
+    return FunHoms(Cm.cat, _marked_functors(Cm, Dm, caps), Dm.cat, "Fun†", caps)
+
+
+def marked_functor_category(
+    Cm: MarkedFinCat, Dm: MarkedFinCat, caps: SizeCaps = DEFAULT_CAPS
+) -> FunCat:
+    """Full subcategory of functor_category(C, D) on the marked functors."""
+    return _assemble_funcat(Cm.cat, _marked_functors(Cm, Dm, caps), Dm.cat,
+                            "Fun†", caps)
 
 
 # -- twisted arrow category -------------------------------------------------------

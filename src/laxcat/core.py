@@ -546,7 +546,8 @@ def product(Cm: MarkedFinCat, Dm: MarkedFinCat) -> MarkedFinCat:
 
 def _product_functor(P: MarkedFinCat, P2: MarkedFinCat, g: Functor,
                      h: Functor) -> Functor:
-    """(g x h): product P -> product P2, matching the product id scheme."""
+    """(g x h): product P -> product P2, matching the product id scheme.
+    Unchecked: each caller hands it to a diagram constructor, which checks it."""
     A, B = g.dom, h.dom
     omap = {}
     for x in A.objects:
@@ -556,9 +557,7 @@ def _product_functor(P: MarkedFinCat, P2: MarkedFinCat, g: Functor,
     for m in A.morphisms:
         for n in B.morphisms:
             mmap[pair_id(m.name, n.name)] = pair_id(g.mor(m.name), h.mor(n.name))
-    F = Functor(P.cat, P2.cat, omap, mmap)
-    F.validate()
-    return F
+    return Functor(P.cat, P2.cat, omap, mmap)
 
 
 # -- functors and natural transformations -------------------------------------

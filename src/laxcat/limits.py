@@ -3,14 +3,19 @@
 Lax limits are computed by the end formula: a limit over the opposite of the
 twisted arrow category of the diagram sending an arrow f: s -> t to the
 category of marked functors from the marked slice over s into the flat-marked
-fiber at t.  The oplax variant is obtained from the lax one by fiberwise
-opposites, so a single implementation carries the correctness burden.
+fiber at t.  One core (``_limit``) computes every strict limit family by
+family, and it reads a fiber's homs only between the components of two
+families, so the end formula (``end_limit``) enumerates only those homs of
+its functor categories.  The oplax variant is obtained from the lax one by
+fiberwise opposites, so a single implementation carries the correctness
+burden.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     FinCat,
@@ -18,7 +23,6 @@ from .core import (
     MarkedFinCat,
     _by_construction,
     build_category,
-    compose_functors,
     flat_marking,
     is_iso,
     opposite_cat,
@@ -28,8 +32,9 @@ from .core import (
 from .constructions import (
     DEFAULT_CAPS,
     FunCat,
+    FunHoms,
     SizeCaps,
-    marked_functor_category,
+    marked_functor_homs,
     slice_cat,
     slice_transition,
     twisted_arrow,
@@ -148,20 +153,38 @@ def _enumerate_families(B: FinCat, candidates, force):
 @dataclass
 class CatLimitResult:
     cat: FinCat
-    projections: dict[str, Functor]  # base object -> evaluation functor
     obj_family: dict[str, dict[str, str]]
     mor_family: dict[str, dict[str, str]]
+    fiber: dict[str, FinCat]  # base object -> its fiber
+
+    @cached_property
+    def projections(self) -> dict[str, Functor]:
+        """Base object -> projection onto its fiber, made and validated on
+        first read."""
+        out = {}
+        for b, C in self.fiber.items():
+            P = Functor(
+                self.cat, C,
+                {xid: fam[b] for xid, fam in self.obj_family.items()},
+                {mid: fam[b] for mid, fam in self.mor_family.items()},
+            )
+            P.validate()
+            out[b] = P
+        return out
 
 
-def cat_limit(F: CatDiagram, caps: SizeCaps = DEFAULT_CAPS) -> CatLimitResult:
-    """Strictly compatible families of objects and morphisms, componentwise."""
-    B = F.base.cat
+def _limit(B: FinCat, fiber, obj, mor, caps: SizeCaps, check: bool = True):
+    """The category of strictly compatible families over B, componentwise,
+    with its object and morphism families.
 
+    fiber[b] is a FinCat or a FunHoms; of it the limit reads ``objects``,
+    ``hom(x, y)``, ``comp[g, f]`` and ``is_identity``.  obj(phi, x) and
+    mor(phi, m) transport along the transition at phi.  A hom is read only
+    as hom(X_b, Y_b) for object families X and Y, so a FunHoms enumerates
+    no other hom.  check is build_category's.
+    """
     obj_families = list(_enumerate_families(
-        B,
-        lambda b: list(F.fiber[b].objects),
-        lambda phi, x: F.transition[phi].obj(x),
-    ))
+        B, lambda b: list(fiber[b].objects), obj))
     caps.check_objects("cat limit", len(obj_families))
     obj_family = {_family_obj_id(fam): fam for fam in obj_families}
     ids = sorted(obj_family)
@@ -174,30 +197,30 @@ def cat_limit(F: CatDiagram, caps: SizeCaps = DEFAULT_CAPS) -> CatLimitResult:
         for yid in ids:
             Y = obj_family[yid]
             for fam in _enumerate_families(
-                B,
-                lambda b: F.fiber[b].hom(X[b], Y[b]),
-                lambda phi, m: F.transition[phi].mor(m),
-            ):
+                    B, lambda b: fiber[b].hom(X[b], Y[b]), mor):
                 mid = _family_mor_id(fam)
                 homs.append((mid, xid, yid, tuple(fam[b] for b in B.objects)))
                 mor_family[mid] = fam
                 caps.check_morphisms("cat limit", len(homs))
-    fibers = [F.fiber[b] for b in B.objects]
+    fibers = [fiber[b] for b in B.objects]
     tables = [C.comp for C in fibers]
     cat = build_category(
         ids, homs,
         lambda t2, t1: tuple(map(dict.__getitem__, tables, zip(t2, t1))),
-        lambda t: all(C.is_identity(x) for C, x in zip(fibers, t)))
-    projections = {}
-    for b in B.objects:
-        P = Functor(
-            cat, F.fiber[b],
-            {xid: obj_family[xid][b] for xid in ids},
-            {mid: fam[b] for mid, fam in mor_family.items()},
-        )
-        P.validate()
-        projections[b] = P
-    return CatLimitResult(cat, projections, obj_family, mor_family)
+        lambda t: all(C.is_identity(x) for C, x in zip(fibers, t)),
+        check=check)
+    return cat, obj_family, mor_family
+
+
+def cat_limit(F: CatDiagram, caps: SizeCaps = DEFAULT_CAPS) -> CatLimitResult:
+    """Strictly compatible families of objects and morphisms, componentwise."""
+    B = F.base.cat
+    T = F.transition
+    cat, obj_family, mor_family = _limit(
+        B, F.fiber, lambda phi, x: T[phi].obj(x), lambda phi, m: T[phi].mor(m),
+        caps)
+    return CatLimitResult(cat, obj_family, mor_family,
+                          {b: F.fiber[b] for b in B.objects})
 
 
 def marked_cat_limit(F: MarkedCatDiagram,
@@ -213,13 +236,69 @@ def marked_cat_limit(F: MarkedCatDiagram,
     return MarkedFinCat(res.cat, marked), res
 
 
-# -- helpers on functor categories ---------------------------------------------------
+# -- whiskering ----------------------------------------------------------------------
 
 
-def _land_in(fc: FunCat, B: FinCat) -> None:
-    """Raise unless fc's functors, which share one codomain, land in B."""
-    if fc.functors and not next(iter(fc.functors.values())).cod.same_table(B):
-        raise MalformedTable("functor category lands outside the codomain")
+def _whiskerable(src: dict[str, Functor], dst: dict[str, Functor],
+                 pre: Functor, post: Functor) -> None:
+    """Raise unless the functors src go pre.cod -> post.dom and the functors
+    dst pre.dom -> post.cod (the functors of a functor category share their
+    domain and codomain), which the whiskering proofs need."""
+    for functors, dom, cod in ((src, pre.cod, post.dom), (dst, pre.dom, post.cod)):
+        G = next(iter(functors.values()), None)
+        if G is not None and not (G.dom.same_table(dom) and G.cod.same_table(cod)):
+            raise MalformedTable("functor category does not fit the whiskering")
+
+
+class _Whiskering:
+    """G |-> post . G . pre from the functors src to the functors dst, and a
+    transformation a of src (hom: id -> (id, source, target, components)) to
+    the one with the components post(a_{pre x}), found by lookup on
+    (endpoints, components).  Each image is computed on its first request.
+    An object image outside dst raises KeyError; a missing transformation,
+    which a full functor category cannot lack, raises InvariantViolation."""
+
+    def __init__(self, src: dict[str, Functor], hom, dst: dict[str, Functor],
+                 lookup, pre: Functor, post: Functor):
+        _whiskerable(src, dst, pre, post)
+        self.src, self.hom, self.dst, self.lookup = src, hom, dst, lookup
+        self.pre, self.post = pre, post
+        self.objs = [(x, pre.obj(x)) for x in pre.dom.objects]
+        self.mors = [(m.name, pre.mor(m.name)) for m in pre.dom.morphisms]
+        at = {x: i for i, x in enumerate(pre.cod.objects)}
+        self.idx = [at[y] for _, y in self.objs]
+        self.omap: dict[str, str] = {}
+        self.mmap: dict[str, str] = {}
+
+    def obj(self, gid: str) -> str:
+        try:
+            return self.omap[gid]
+        except KeyError:
+            pass
+        G = self.src[gid]
+        go, gm = G.object_map, G.morphism_map
+        po, pm = self.post.object_map, self.post.morphism_map
+        hid = Functor(self.pre.dom, self.post.cod,
+                      {x: po[go[y]] for x, y in self.objs},
+                      {m: pm[gm[n]] for m, n in self.mors}).key()
+        if hid not in self.dst:
+            raise KeyError(hid)
+        self.omap[gid] = hid
+        return hid
+
+    def mor(self, nid: str) -> str:
+        try:
+            return self.mmap[nid]
+        except KeyError:
+            pass
+        _, s, t, comps = self.hom[nid]
+        pm = self.post.morphism_map
+        key = (self.obj(s), self.obj(t), tuple([pm[comps[i]] for i in self.idx]))
+        try:
+            h = self.mmap[nid] = self.lookup(key)
+        except KeyError:
+            raise InvariantViolation(f"whiskering: {nid} has no image") from None
+        return h
 
 
 def whisker_functor(src_fc: FunCat, dst_fc: FunCat,
@@ -229,46 +308,78 @@ def whisker_functor(src_fc: FunCat, dst_fc: FunCat,
 
     A transformation a goes to the one between the endpoint images with the
     components post(a_{pre x}), computed from a's component tuple and looked
-    up by endpoints and components in dst_fc's table.  An object image outside
-    dst_fc raises KeyError; a missing transformation, which a full functor
-    category cannot lack, raises InvariantViolation.
+    up by endpoints and components in dst_fc's table (see _Whiskering).  An
+    object image outside dst_fc raises KeyError; a missing transformation
+    raises InvariantViolation.
 
     A functor by construction, as composition in a functor category is
     componentwise: the image of b a has the components
     post(b_{pre x} a_{pre x}) = post(b_{pre x}) post(a_{pre x}), those of the
     composite of the images.  So validate checks only objects, endpoints and
     identities; a caller other than a CatDiagram constructor must call it."""
-    _land_in(dst_fc, post.cod)
-    omap = {}
-    for gid, G in src_fc.functors.items():
-        hid = compose_functors(post, compose_functors(G, pre)).key()
-        if hid not in dst_fc.functors:
-            raise KeyError(hid)
-        omap[gid] = hid
-    at = {x: i for i, x in enumerate(pre.cod.objects)}
-    idx = [at[pre.obj(x)] for x in pre.dom.objects]
-    pmor, image = post.morphism_map, dst_fc.cat.comp.index
-    mmap = {}
-    for nid, s, t, comps in src_fc.cat.comp.hom.values():
-        key = (omap[s], omap[t], tuple([pmor[comps[i]] for i in idx]))
-        try:
-            mmap[nid] = image[key]
-        except KeyError:
-            raise InvariantViolation(
-                f"whisker_functor: {nid} has no image") from None
+    W = _Whiskering(src_fc.functors, src_fc.cat.comp.hom, dst_fc.functors,
+                    dst_fc.cat.comp.index.__getitem__, pre, post)
+    omap = {gid: W.obj(gid) for gid in src_fc.functors}
+    mmap = {nid: W.mor(nid) for nid in src_fc.cat.comp.hom}
     return _by_construction(Functor(src_fc.cat, dst_fc.cat, omap, mmap))
 
 
-def evaluation_functor(fc: FunCat, at_obj: str, codomain: FinCat) -> Functor:
-    """Fun(A, B) -> B evaluating at a fixed object x of A; codomain is B.
-    A functor by construction, as (b a)_x = b_x a_x in B, so validate checks
-    only objects, endpoints and identities."""
-    _land_in(fc, codomain)
-    omap = {gid: G.obj(at_obj) for gid, G in fc.functors.items()}
-    mmap = {nid: a.at(at_obj) for nid, a in fc.transformations.items()}
-    F = _by_construction(Functor(fc.cat, codomain, omap, mmap))
-    F.validate()
-    return F
+# -- the end formula -------------------------------------------------------------------
+
+
+def end_limit(pre: CatDiagram, fun: dict[str, FunHoms],
+              post: dict[str, Functor], caps: SizeCaps = DEFAULT_CAPS):
+    """The limit over opposite(Tw) of f |-> Fun†(pre(f), D_f), where Tw is
+    pre's base and fun[f] lists the marked functors pre(f) -> D_f
+    (marked_functor_homs) into a flat-marked D_f; the transition along
+    m: f -> f2 of Tw whiskers G to post(m) . G . pre(m).  This is the end
+    formula of lax_limit and of the probe check, and it builds no fiber whole.
+
+    A hom of transformations is read only as hom(X_b, Y_b) for object
+    families X, Y (see _limit), so fun[f] enumerates no other hom.  Objects
+    are transported by their whiskered key, and a transformation by its
+    component tuple, looked up in the target fiber (see _Whiskering); each
+    is computed on its first request.
+
+    The transitions form a diagram, so nothing checks them beyond pre, a
+    CatDiagram checked when made.  Each is a functor, as whisker_functor's
+    proof shows, and lands in Fun† when pre(m) is marked and post(m) sends
+    isomorphisms to isomorphisms; an image outside fun[f] raises
+    InvariantViolation.  At an identity m, pre(m) and post(m) are
+    identities, so the transition is one.  Along m2 m1 the transition sends
+    G to post(m1) post(m2) G pre(m2) pre(m1), the composite of the
+    transitions along m1 and m2 of opposite(Tw), since pre is a functor
+    Tw -> Cat and post is contravariant: post(m2 m1) = post(m1) post(m2),
+    with identities at identities.  The caller gives such a post (the
+    transitions of a CatDiagram along the second leg, or identities).
+
+    So the limit is a category by construction, and its table is filled on
+    first read, unchecked: the composite of two families is a family, as
+    every transition preserves composites, and units and associativity hold
+    componentwise, where composition is that of D_f componentwise.
+
+    Returns the limit category and its object and morphism families."""
+    tw = pre.base.cat
+    whisker = {m.name: _Whiskering(fun[m.tgt].functors, fun[m.tgt].hom_of,
+                                   fun[m.src].functors, fun[m.src].find,
+                                   pre.transition[m.name], post[m.name])
+               for m in tw.morphisms if not tw.is_identity(m.name)}
+
+    def obj(phi: str, gid: str) -> str:
+        W = whisker.get(phi)
+        if W is None:
+            return gid
+        try:
+            return W.obj(gid)
+        except KeyError:
+            raise InvariantViolation(
+                f"end_limit: {gid} leaves Fun† along {phi}") from None
+
+    def mor(phi: str, nid: str) -> str:
+        W = whisker.get(phi)
+        return nid if W is None else W.mor(nid)
+
+    return _limit(opposite_cat(tw), fun, obj, mor, caps, check=False)
 
 
 # -- lax and oplax limits --------------------------------------------------------------
@@ -281,44 +392,50 @@ class LaxLimitResult:
 
 
 def lax_limit(F: CatDiagram, caps: SizeCaps = DEFAULT_CAPS) -> LaxLimitResult:
-    """Partially lax limit via the end formula over the twisted arrow category."""
+    """Partially lax limit via the end formula over the twisted arrow category:
+    the limit, over opposite(Tw(I)), of the marked functors from the marked
+    slice over s into the flat-marked fiber at t, for f: s -> t (end_limit).
+    The projection to F(i) evaluates the component at id_i at id_i."""
     Im = F.base
     I = Im.cat
     tw = twisted_arrow(I, caps)
     slices = {i: slice_cat(Im, i) for i in I.objects}
-
-    # Q(f: s -> t) = marked functors from the marked slice over s into the
-    # flat-marked fiber at t; contravariant on Tw(I), so the limit diagram
-    # lives over opposite(Tw(I)).
-    funcats: dict[str, FunCat] = {}
+    # slice_transition keeps each morphism's witness, so it is marked
+    pre = CatDiagram(
+        flat_marking(tw.cat),
+        {f: slices[I.src(f)].cat for f in tw.cat.objects},
+        {m.name: slice_transition(Im, slices[I.src(m.src)], slices[I.src(m.tgt)],
+                                  tw.legs[m.name][0])
+         for m in tw.cat.morphisms})
+    # Fun†(slice over s, flat F(t)) once per (s, t), enumerated whole, so
+    # that the Fun† cap bounds each functor category of lax_limit whole
+    # (the golden digest pins such cap hits at tight caps)
+    made: dict[tuple[str, str], FunHoms] = {}
+    fun = {}
     for f in tw.cat.objects:
         s, t = I.src(f), I.tgt(f)
-        funcats[f] = marked_functor_category(
-            slices[s].marked, flat_marking(F.fiber[t]), caps)
-
-    transitions: dict[str, Functor] = {}
-    for m in tw.cat.morphisms:
-        a, b = tw.legs[m.name]
-        f, f2 = m.src, m.tgt  # twisted arrow: f -> f2 in Tw(I)
-        s, s2 = I.src(f), I.src(f2)
-        pre = slice_transition(Im, slices[s], slices[s2], a)
-        post = F.transition[b]
-        transitions[m.name] = whisker_functor(funcats[f2], funcats[f], pre, post)
-
-    diagram = CatDiagram(
-        flat_marking(opposite_cat(tw.cat)),
-        {f: funcats[f].cat for f in tw.cat.objects},
-        transitions,
-    )
-    res = cat_limit(diagram, caps)
+        if (s, t) not in made:
+            made[s, t] = marked_functor_homs(
+                slices[s].marked, flat_marking(F.fiber[t]), caps)
+            made[s, t].every_hom()
+        fun[f] = made[s, t]
+    cat, obj_family, mor_family = end_limit(
+        pre, fun, {name: F.transition[b] for name, (_, b) in tw.legs.items()},
+        caps)
 
     projections = {}
     for i in I.objects:
         idf = I.identity[i]
-        ev = evaluation_functor(funcats[idf], idf, F.fiber[i])
-        projections[i] = compose_functors(ev, res.projections[idf])
-        projections[i].validate()
-    return LaxLimitResult(res.cat, projections)
+        H = fun[idf]
+        k = H.dom.objects.index(idf)
+        P = Functor(
+            cat, F.fiber[i],
+            {xid: H.functors[fam[idf]].obj(idf) for xid, fam in obj_family.items()},
+            {mid: H.hom_of[fam[idf]][3][k] for mid, fam in mor_family.items()},
+        )
+        P.validate()
+        projections[i] = P
+    return LaxLimitResult(cat, projections)
 
 
 def oplax_limit(F: CatDiagram, caps: SizeCaps = DEFAULT_CAPS) -> LaxLimitResult:

@@ -26,10 +26,12 @@ from .core import (
 )
 from .constructions import (
     DEFAULT_CAPS,
+    FunCat,
     SizeCaps,
     coslice_cat,
     functor_category,
     marked_functor_category,
+    marked_functor_homs,
     slice_transition,
     twisted_arrow,
 )
@@ -37,7 +39,7 @@ from .diagrams import CatDiagram, fiberwise_op
 from .equiv import is_equivalent, is_essentially_surjective, is_fully_faithful
 from .errors import InvariantViolation, MalformedTable, SizeBoundExceeded
 from .grothendieck import grothendieck_cart, grothendieck_cocart
-from .limits import cat_limit, whisker_functor
+from .limits import end_limit, whisker_functor
 
 
 @dataclass(frozen=True)
@@ -352,19 +354,30 @@ def check_localization_up(Cm: MarkedFinCat, L: LocalizationResult,
         raise ValueError("check_localization_up needs a successful localization")
     failures = []
     for name, D in probes.items():
-        top = functor_category(L.cat, D, caps)
-        bot = marked_functor_category(Cm, flat_marking(D), caps)
-        try:
-            P = whisker_functor(top, bot, L.quotient, identity_functor(D))
-        except KeyError:
-            failures.append((name, "precomposition leaves marked functors"))
-            continue
-        P.validate()  # no diagram checks P; a whiskering, it keeps composites
-        if not is_fully_faithful(P):
-            failures.append((name, "precomposition not fully faithful"))
-        elif not is_essentially_surjective(P):
-            failures.append((name, "precomposition not essentially surjective"))
+        reason = _up_failure(Cm, L, D, None, caps)
+        if reason is not None:
+            failures.append((name, reason))
     return ProbeVerdict(not failures, failures)
+
+
+def _up_failure(Cm: MarkedFinCat, L: LocalizationResult, D: FinCat,
+                bot: FunCat | None, caps: SizeCaps) -> str | None:
+    """Why precomposition with L's quotient is no equivalence
+    Fun(|L|, D) -> bot = Fun†(C, D♭), or None; bot is built here when None
+    is given."""
+    top = functor_category(L.cat, D, caps)
+    if bot is None:
+        bot = marked_functor_category(Cm, flat_marking(D), caps)
+    try:
+        P = whisker_functor(top, bot, L.quotient, identity_functor(D))
+    except KeyError:
+        return "precomposition leaves marked functors"
+    P.validate()  # no diagram checks P; a whiskering, it keeps composites
+    if not is_fully_faithful(P):
+        return "precomposition not fully faithful"
+    if not is_essentially_surjective(P):
+        return "precomposition not essentially surjective"
+    return None
 
 
 # -- lax and oplax colimits -------------------------------------------------------------
@@ -402,43 +415,49 @@ def probe_check_colimit_theorem(F, probes: dict[str, FinCat],
             {n: opposite_cat(D) for n, D in probes.items()},
             caps, cartesian=False)
 
+    E = grothendieck_cocart(F, caps)
+    failures = [(name, reason) for name, _, reason in _mapping_out(F, E, probes, caps)
+                if reason is not None]
+    return ProbeVerdict(not failures, failures)
+
+
+def _mapping_out(F, E: "FiberedCat", probes: dict[str, FinCat], caps: SizeCaps):
+    """For each probe D, in turn: its name, Fun†(E.total, D♭), and why it is
+    not equivalent to the end_limit side, or None.  E is
+    grothendieck_cocart(F)."""
     Im = F.base
     I = Im.cat
-    E = grothendieck_cocart(F, caps)
     tw = twisted_arrow(I, caps)
     coslices = {i: coslice_cat(Im, i) for i in I.objects}
 
-    # P(f: s -> t) = coslice(t) x flat(F(s)), covariant on Tw(I); mapping
-    # out is contravariant, so the limit diagram lives over opposite(Tw(I)).
+    # P(f: s -> t) = coslice(t) x flat(F(s)), covariant on Tw(I) through pre;
+    # mapping out is contravariant, so the limit lives over opposite(Tw(I)).
     # The products and the functors between them do not depend on the probe.
-    pcats = {f: product(coslices[I.tgt(f)].marked,
-                        flat_marking(F.fiber[I.src(f)]))
-             for f in tw.cat.objects}
+    pcats: dict[tuple[str, str], MarkedFinCat] = {}
+    for f in tw.cat.objects:
+        s, t = I.src(f), I.tgt(f)
+        if (s, t) not in pcats:
+            pcats[s, t] = product(coslices[t].marked, flat_marking(F.fiber[s]))
+    pcat = {f: pcats[I.src(f), I.tgt(f)] for f in tw.cat.objects}
     pre = {}
     for m in tw.cat.morphisms:
         a, b = tw.legs[m.name]
-        f, f2 = m.src, m.tgt
-        cos = slice_transition(Im, coslices[I.tgt(f)], coslices[I.tgt(f2)], b)
-        pre[m.name] = _product_functor(pcats[f], pcats[f2], cos, F.transition[a])
+        cos = slice_transition(Im, coslices[I.tgt(m.src)], coslices[I.tgt(m.tgt)], b)
+        pre[m.name] = _product_functor(pcat[m.src], pcat[m.tgt], cos, F.transition[a])
+    # a product of marked functors is marked
+    pre_diagram = CatDiagram(flat_marking(tw.cat),
+                             {f: P.cat for f, P in pcat.items()}, pre)
 
-    failures = []
     for name, D in probes.items():
         Dm = flat_marking(D)
         side_a = marked_functor_category(E.total, Dm, caps)
-        pfun = {f: marked_functor_category(pcats[f], Dm, caps)
-                for f in tw.cat.objects}
+        fun = {st: marked_functor_homs(P, Dm, caps) for st, P in pcats.items()}
         post = identity_functor(D)
-        transitions = {m.name: whisker_functor(pfun[m.tgt], pfun[m.src],
-                                               pre[m.name], post)
-                       for m in tw.cat.morphisms}
-        diagram = CatDiagram(
-            flat_marking(opposite_cat(tw.cat)),
-            {f: pfun[f].cat for f in tw.cat.objects},
-            transitions,
-        )
-        side_b = cat_limit(diagram, caps)
-        verdict = is_equivalent(side_a.cat, side_b.cat)
+        side_b = end_limit(pre_diagram,
+                           {f: fun[I.src(f), I.tgt(f)] for f in tw.cat.objects},
+                           {m.name: post for m in tw.cat.morphisms}, caps)[0]
+        verdict = is_equivalent(side_a.cat, side_b)
+        reason = None
         if verdict.verdict == "inequivalent":
-            failures.append((name, verdict.certificate or "inequivalent"))
-    return ProbeVerdict(not failures, failures)
-
+            reason = verdict.certificate or "inequivalent"
+        yield name, side_a, reason

@@ -54,6 +54,13 @@ def test_ghn_flat_passes_its_heaviest_stream():
     assert (r.passes, r.bound_exceeded, r.failures) == (1, 0, [])
 
 
+def test_colim_probe_stream_138_passes_at_the_shipped_caps():
+    # its largest Fun† fiber holds over 100,000 transformations, far past the
+    # 8192 cap, but the end formula reads only a few hundred of them
+    r = run_check("thm-lax-colim-probe", seed=138, count=1)
+    assert (r.passes, r.bound_exceeded, r.failures) == (1, 0, [])
+
+
 def test_parallel_run_matches_sequential():
     r1 = run_check("pullback-remark", seed=5, count=20)
     r2 = run_check("pullback-remark", seed=5, count=20, jobs=3)

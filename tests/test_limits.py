@@ -4,15 +4,25 @@ import pytest
 
 from laxcat import constructions, core, equiv, limits, localization
 from laxcat.checks import probe_suite
-from laxcat.constructions import SizeCaps, _assemble_funcat, marked_functor_category
+from laxcat.constructions import (
+    SizeCaps,
+    _assemble_funcat,
+    coslice_cat,
+    marked_functor_category,
+    slice_cat,
+    slice_transition,
+)
 from laxcat.core import (
     Functor,
+    _product_functor,
     chain_cat,
     compose_functors,
     discrete_cat,
     flat_marking,
     identity_functor,
     marked,
+    opposite_cat,
+    product,
     saturate_marking,
     sharp_marking,
     terminal_cat,
@@ -41,7 +51,7 @@ from laxcat.limits import (
     whisker_functor,
 )
 from laxcat.errors import InvariantViolation, MalformedTable
-from laxcat.localization import probe_check_colimit_theorem
+from laxcat.localization import check_localization_up, probe_check_colimit_theorem
 
 BIG = SizeCaps(max_objects=1024, max_morphisms=8192, max_candidates=10**6)
 
@@ -219,12 +229,33 @@ def _corrupt_first_identity(whisker, corrupted):
     return wrapped
 
 
-def test_lax_limit_still_validates_each_whiskered_transition(monkeypatch):
+def test_lax_limit_raises_on_a_corrupted_transport(monkeypatch):
+    # the fault the whiskered CatDiagram used to catch, injected where the end
+    # formula now transports transformations: one identity of a fiber goes to
+    # a parallel non-identity endomorphism of its image's hom
     F = constant_diagram(flat_marking(walking_arrow()), probe_suite()["nonposet5"])
-    lax_limit(F, BIG)  # the uncorrupted diagram is fine
-    corrupted = []
-    monkeypatch.setattr(limits, "whisker_functor",
-                        _corrupt_first_identity(limits.whisker_functor, corrupted))
+    lax_limit(F, BIG)  # the uncorrupted transport is fine
+    fibers, corrupted = [], []
+    real_homs, real_mor = limits.marked_functor_homs, limits._Whiskering.mor
+
+    def recorded(*args):
+        fibers.append(real_homs(*args))
+        return fibers[-1]
+
+    def corrupt(self, nid):
+        img = real_mor(self, nid)
+        if corrupted:
+            return corrupted[0][2] if corrupted[0][:2] == (self, nid) else img
+        H = next(H for H in fibers if img in H.hom_of)
+        _, s, t, _ = H.hom_of[img]
+        others = [n for n in H.hom(s, t) if n != img]
+        if H.is_identity(img) and others:
+            corrupted.append((self, nid, others[0]))
+            return others[0]
+        return img
+
+    monkeypatch.setattr(limits, "marked_functor_homs", recorded)
+    monkeypatch.setattr(limits._Whiskering, "mor", corrupt)
     with pytest.raises(MalformedTable):
         lax_limit(F, BIG)
     assert corrupted
@@ -287,8 +318,9 @@ def _probes():
 
 
 def _limits_and_whiskers():
-    """lax_limit and the probe check of each small diagram, and the maps of
-    every whiskering they made."""
+    """lax_limit and the probe check of each small diagram, the universal
+    property of its localized total where the localization completes, and
+    the maps of every whiskering they made."""
     made = []
     real = limits.whisker_functor
 
@@ -296,10 +328,16 @@ def _limits_and_whiskers():
         made.append(real(*args))
         return made[-1]
 
+    def up(F):
+        E = grothendieck_cocart(F, BIG)
+        r = localization.localize(E.total, localization.Bounds(word_length=4))
+        return r.ok and check_localization_up(E.total, r, _probes(), BIG)
+
     with pytest.MonkeyPatch.context() as mp:
         for module in (limits, localization):
             mp.setattr(module, "whisker_functor", recorded)
-        out = [(lax_limit(F, BIG), probe_check_colimit_theorem(F, _probes(), BIG))
+        out = [(lax_limit(F, BIG), probe_check_colimit_theorem(F, _probes(), BIG),
+                up(F))
                for F in _small_diagrams()]
     return out, made
 
@@ -309,18 +347,19 @@ def test_lazy_functor_categories_agree_with_full_tables_and_checks(monkeypatch):
     # the full path: every table filled and checked when built, every functor
     # validated on the generator pairs of its domain
     real = core.build_category
-    for module in (core, constructions):
+    for module in (core, constructions, limits):
         monkeypatch.setattr(module, "build_category",
                             lambda *args, check=True: real(*args, check=True))
     for module in (limits, equiv):
         monkeypatch.setattr(module, "_by_construction", lambda F: F)
     full, full_made = _limits_and_whiskers()
-    for (lax, verdict), (lax2, verdict2) in zip(lazy, full, strict=True):
+    for (lax, verdict, up), (lax2, verdict2, up2) in zip(lazy, full, strict=True):
         assert lax.cat.same_table(lax2.cat)
         assert all(P.same_maps(lax2.projections[i])
                    for i, P in lax.projections.items())
         assert verdict == verdict2
-    assert any(verdict.failures == [] for _, verdict in lazy)
+        assert up == up2
+    assert any(verdict.failures == [] for _, verdict, _ in lazy)
     assert len(lazy_made) == len(full_made) > 10
     for W, V in zip(lazy_made, full_made):
         assert W._proved and not V._proved
@@ -342,6 +381,13 @@ def test_no_functor_category_computes_its_generators(monkeypatch):
     F = constant_diagram(flat_marking(walking_arrow()), probe_suite()["nonposet5"])
     assert probe_check_colimit_theorem(F, _probes(), BIG).ok
     lax_limit(F, BIG)
+    # the end formula builds no functor category; the universal property of
+    # the localized total builds two per probe
+    assert len(built) == len(_probes())
+    E = grothendieck_cocart(F, BIG)
+    r = localization.localize(E.total)
+    probes = {n: D for n, D in probe_suite().items() if n != "nonposet5"}
+    assert check_localization_up(E.total, r, probes, BIG).ok
     assert len(built) > 10
     assert all(fc.cat._gen_cache is None for fc in built)
     assert any(fc.cat.comp._full is False for fc in built)
@@ -363,3 +409,139 @@ def test_a_hand_made_non_functor_out_of_a_functor_category_is_rejected():
         G.validate()
     with pytest.raises(TypeError):  # the mark is no constructor argument
         Functor(C, C, {}, {}, True)
+
+
+# -- the end formula, hom by hom ---------------------------------------------------
+
+
+def _whole_fiber_lax_limit(F, caps):
+    """lax_limit on whole fibers: every Fun† built, each transition a
+    whisker_functor, their CatDiagram's cat_limit, and the projection to F(i)
+    the component at id_i of the limit's projection at id_i."""
+    Im = F.base
+    I = Im.cat
+    tw = twisted_arrow(I, caps)
+    slices = {i: slice_cat(Im, i) for i in I.objects}
+    funcats = {f: marked_functor_category(slices[I.src(f)].marked,
+                                          flat_marking(F.fiber[I.tgt(f)]), caps)
+               for f in tw.cat.objects}
+    transitions = {}
+    for m in tw.cat.morphisms:
+        a, b = tw.legs[m.name]
+        pre = slice_transition(Im, slices[I.src(m.src)], slices[I.src(m.tgt)], a)
+        transitions[m.name] = whisker_functor(funcats[m.tgt], funcats[m.src],
+                                              pre, F.transition[b])
+    res = cat_limit(CatDiagram(flat_marking(opposite_cat(tw.cat)),
+                               {f: fc.cat for f, fc in funcats.items()},
+                               transitions), caps)
+    projections = {}
+    for i in I.objects:
+        idf = I.identity[i]
+        P, fc = res.projections[idf], funcats[idf]
+        projections[i] = Functor(
+            res.cat, F.fiber[i],
+            {x: fc.functors[P.obj(x)].obj(idf) for x in res.cat.objects},
+            {m.name: fc.transformations[P.mor(m.name)].at(idf)
+             for m in res.cat.morphisms})
+    return res.cat, projections
+
+
+def _whole_fiber_probe_sides(F, probes, caps):
+    """Per probe D, the two sides the probe check compares, on whole fibers:
+    Fun†(E.total, D♭), and cat_limit of the whiskered CatDiagram of the whole
+    Fun†(coslice(t) x flat F(s), D♭)."""
+    Im = F.base
+    I = Im.cat
+    E = grothendieck_cocart(F, caps)
+    tw = twisted_arrow(I, caps)
+    coslices = {i: coslice_cat(Im, i) for i in I.objects}
+    pcats = {f: product(coslices[I.tgt(f)].marked, flat_marking(F.fiber[I.src(f)]))
+             for f in tw.cat.objects}
+    pre = {}
+    for m in tw.cat.morphisms:
+        a, b = tw.legs[m.name]
+        cos = slice_transition(Im, coslices[I.tgt(m.src)], coslices[I.tgt(m.tgt)], b)
+        pre[m.name] = _product_functor(pcats[m.src], pcats[m.tgt], cos,
+                                       F.transition[a])
+    sides = {}
+    for name, D in probes.items():
+        Dm = flat_marking(D)
+        pfun = {f: marked_functor_category(P, Dm, caps) for f, P in pcats.items()}
+        post = identity_functor(D)
+        diagram = CatDiagram(
+            flat_marking(opposite_cat(tw.cat)), {f: fc.cat for f, fc in pfun.items()},
+            {m.name: whisker_functor(pfun[m.tgt], pfun[m.src], pre[m.name], post)
+             for m in tw.cat.morphisms})
+        sides[name] = (marked_functor_category(E.total, Dm, caps).cat,
+                       cat_limit(diagram, caps).cat)
+    return sides
+
+
+def test_the_end_read_hom_by_hom_matches_whole_fibers(monkeypatch):
+    ends = []
+    real = localization.end_limit
+
+    def recorded(*args):
+        ends.append(real(*args)[0])
+        return ends[-1], None, None
+
+    monkeypatch.setattr(localization, "end_limit", recorded)
+    compared = 0
+    for F in _small_diagrams():
+        cat, projections = _whole_fiber_lax_limit(F, BIG)
+        lax = lax_limit(F, BIG)
+        assert lax.cat.same_table(cat)
+        assert lax.projections.keys() == projections.keys()
+        assert all(P.same_maps(projections[i]) for i, P in lax.projections.items())
+        sides = _whole_fiber_probe_sides(F, _probes(), BIG)
+        ends.clear()
+        verdict = probe_check_colimit_theorem(F, _probes(), BIG)
+        assert len(ends) == len(sides)
+        failures = []
+        for (name, (side_a, side_b)), end in zip(sides.items(), ends):
+            assert end.same_table(side_b)
+            v = is_equivalent(side_a, side_b)
+            if v.verdict == "inequivalent":
+                failures.append((name, v.certificate or "inequivalent"))
+        assert verdict.failures == failures and verdict.ok == (not failures)
+        compared += cat.n_morphisms + sum(end.n_morphisms for end in ends)
+    assert compared > 100
+
+
+def test_the_probe_check_enumerates_only_the_homs_its_limit_reads(monkeypatch):
+    enumerated, ends = [], []
+    real_enumerate = constructions.FunHoms._enumerate
+    real_end = localization.end_limit
+
+    def counted(self, fid, gid):
+        enumerated.append((self, fid, gid))
+        return real_enumerate(self, fid, gid)
+
+    def recorded(pre, fun, post, caps):
+        out = real_end(pre, fun, post, caps)
+        ends.append((fun, list(out[1].values())))
+        return out
+
+    monkeypatch.setattr(constructions.FunHoms, "_enumerate", counted)
+    monkeypatch.setattr(localization, "end_limit", recorded)
+    p = GenParams(seed=18, max_objects=2, max_morphisms=5,
+                  fiber_max_objects=2, fiber_max_morphisms=4)
+    sparse = gen_diagram(gen_marking(gen_category(p), p), p)
+    dense = constant_diagram(flat_marking(walking_arrow()), probe_suite()["nonposet5"])
+    for F in (sparse, dense):
+        enumerated.clear()
+        ends.clear()
+        assert probe_check_colimit_theorem(F, _probes(), BIG).ok
+        # each hom enumerated once, and only the (b, X_b, Y_b) of families X, Y
+        read = {(id(fun[b]), X[b], Y[b]) for fun, families in ends
+                for X in families for Y in families for b in fun}
+        fibers = {id(H): H for fun, _ in ends for H in fun.values()}
+        mine = [(id(H), fid, gid) for H, fid, gid in enumerated if id(H) in fibers]
+        assert len(mine) == len(set(mine)) and set(mine) == read
+        # so the Fun† cap counts the transformations of those homs, no others
+        for key, H in fibers.items():
+            assert len(H.hom_of) == sum(len(H.hom(x, y))
+                                        for k, x, y in read if k == key)
+        if F is sparse:
+            part = sum(len(H.hom_of) for H in fibers.values())
+            assert 3 * part < sum(len(H.every_hom()) for H in fibers.values())

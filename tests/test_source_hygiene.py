@@ -35,10 +35,9 @@
   every ``same_table`` call.  A ``build_category`` table is filled on first
   read, and a whole-table read fills it all, so a new one must be a visible
   choice, not a slip that computes a functor category's every composite.
-- ``_by_construction`` is called only in ``whisker_functor``,
-  ``evaluation_functor``, ``skeleton`` and ``is_equivalent``, whose
-  docstrings prove that the functors they mark preserve composites; every
-  other functor is checked on generator pairs.
+- ``_by_construction`` is called only in ``whisker_functor``, ``skeleton``
+  and ``is_equivalent``, whose docstrings prove that the functors they mark
+  preserve composites; every other functor is checked on generator pairs.
 
 One rule covers the tests themselves:
 
@@ -254,7 +253,7 @@ WHOLE_TABLE_READERS = {
     ("equiv.py", "_morphism_order"): {"comp.items()"},
     ("generator.py", "gen_set_diagram"): {"comp.items()"},
     ("io_formats.py", "category_to_data"): {"comp.items()"},
-    ("limits.py", "_land_in"): {"same_table"},
+    ("limits.py", "_whiskerable"): {"same_table"},
     ("limits.py", "iso_comma"): {"same_table"},
     ("localization.py", "present"): {"comp.items()"},
 }
@@ -306,7 +305,6 @@ def test_every_whole_table_read_is_named(path):
 
 
 BY_CONSTRUCTION_CALLERS = {("limits.py", "whisker_functor"),
-                           ("limits.py", "evaluation_functor"),
                            ("equiv.py", "skeleton"), ("equiv.py", "is_equivalent")}
 
 
