@@ -171,25 +171,29 @@ def _check_thm_oplax_lim(p: GenParams, ctx: Ctx):
 
 
 def _colim_probe_ok(F: CatDiagram, ctx: Ctx, cartesian: bool) -> tuple[bool, str]:
-    """The probe check (probe_check_colimit_theorem) and, when the bounded
-    localization of the total category completes, its universal property
-    (check_localization_up), on one Grothendieck total.  The cartesian total
-    is the opposite of the cocartesian one of the fiberwise opposite.  In the
-    cocartesian case each probe's Fun†(E.total, D♭) serves both checks."""
+    """The probe check (probe_check_colimit_theorem: per probe, the comparison
+    functor from Fun†(E.total, D♭) to the end is fully faithful and
+    essentially surjective) and, when the bounded localization of the total
+    category completes, its universal property (check_localization_up), on
+    one Grothendieck total.  The cartesian total is the opposite of the
+    cocartesian one of the fiberwise opposite, so the oplax check decides
+    the same comparison there.  In the cocartesian case each probe's
+    Fun†(E.total, D♭) serves both checks."""
     caps = ctx.caps
     G, probes = F, ctx.probes
     if cartesian:
         G, probes = fiberwise_op(F), {n: opposite_cat(D) for n, D in probes.items()}
     E = grothendieck_cocart(G, caps)
     compared = list(_mapping_out(G, E, probes, caps))
-    failures = [(name, reason) for name, _, reason in compared if reason is not None]
+    failures = [(name, reason) for name, _, _, reason in compared
+                if reason is not None]
     if failures:
         return False, f"mapping-out comparison failed: {failures}"
     total = opposite(E.total) if cartesian else E.total
     r = localize(total, ctx.bounds)
     if r.ok:
         failures = []
-        for name, side_a, _ in compared:
+        for name, side_a, _, _ in compared:
             reason = _up_failure(total, r, ctx.probes[name],
                                  None if cartesian else side_a, caps)
             if reason is not None:

@@ -359,18 +359,22 @@ def is_equivalent(C: FinCat, D: FinCat,
 # -- functor-level checks -------------------------------------------------------
 
 
-def is_fully_faithful(F: Functor) -> bool:
+def unfaithful_pair(F: Functor) -> tuple[str, str] | None:
+    """The first pair (x, y) whose hom F does not map bijectively onto
+    hom(Fx, Fy), or None when F is fully faithful."""
     for x in F.dom.objects:
         for y in F.dom.objects:
             image = [F.mor(m) for m in F.dom.hom(x, y)]
             if len(set(image)) != len(image):
-                return False
+                return x, y
             if sorted(image) != sorted(F.cod.hom(F.obj(x), F.obj(y))):
-                return False
-    return True
+                return x, y
+    return None
 
 
-def is_essentially_surjective(F: Functor) -> bool:
+def unreached_object(F: Functor) -> str | None:
+    """The first object of F's codomain isomorphic to no image of F, or None
+    when F is essentially surjective."""
     hit = {F.obj(x) for x in F.dom.objects}
     for d in F.cod.objects:
         if d in hit:
@@ -378,5 +382,13 @@ def is_essentially_surjective(F: Functor) -> bool:
         if not any(
             is_iso(F.cod, m) for h in hit for m in F.cod.hom(h, d)
         ):
-            return False
-    return True
+            return d
+    return None
+
+
+def is_fully_faithful(F: Functor) -> bool:
+    return unfaithful_pair(F) is None
+
+
+def is_essentially_surjective(F: Functor) -> bool:
+    return unreached_object(F) is None

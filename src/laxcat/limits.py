@@ -108,11 +108,12 @@ def _family_mor_id(family: dict[str, str]) -> str:
 def _enumerate_families(B: FinCat, candidates, force):
     """All families (b -> value) with force(phi, value at src) == value at tgt.
 
-    candidates(b) lists values; force(phi, v) transports along phi.  Uses
-    forward constraint propagation: assigning b forces every target of a
-    morphism out of b.
+    candidates(b) lists values, read once per object; force(phi, v)
+    transports along phi.  Uses forward constraint propagation: assigning b
+    forces every target of a morphism out of b.
     """
-    objs = sorted(B.objects, key=lambda b: len(candidates(b)))
+    cands = {b: candidates(b) for b in B.objects}
+    objs = sorted(B.objects, key=lambda b: len(cands[b]))
     out_mor: dict[str, list] = {b: [] for b in B.objects}
     for m in B.morphisms:
         out_mor[m.src].append(m)
@@ -123,7 +124,7 @@ def _enumerate_families(B: FinCat, candidates, force):
             yield dict(assigned)
             return
         b = pending[0]
-        for v in candidates(b):
+        for v in cands[b]:
             new = {b: v}
             queue = [(b, v)]
             ok = True

@@ -15,19 +15,23 @@ from .core import (
     FinCat,
     Functor,
     MarkedFinCat,
+    _by_construction,
     _product_functor,
     build_category,
     flat_marking,
     identity_functor,
     is_iso,
     opposite_cat,
+    pair_id,
     product,
     short_id,
 )
 from .constructions import (
     DEFAULT_CAPS,
     FunCat,
+    FunHoms,
     SizeCaps,
+    SliceCat,
     coslice_cat,
     functor_category,
     marked_functor_category,
@@ -36,10 +40,13 @@ from .constructions import (
     twisted_arrow,
 )
 from .diagrams import CatDiagram, fiberwise_op
-from .equiv import is_equivalent, is_essentially_surjective, is_fully_faithful
+from .equiv import (is_essentially_surjective, is_fully_faithful, unfaithful_pair,
+                    unreached_object)
 from .errors import InvariantViolation, MalformedTable, SizeBoundExceeded
-from .grothendieck import grothendieck_cart, grothendieck_cocart
-from .limits import end_limit, whisker_functor
+from .grothendieck import (grothendieck_cart, grothendieck_cocart, total_mor_id,
+                           total_obj_id)
+from .limits import (_family_mor_id, _family_obj_id, _Whiskering, end_limit,
+                     whisker_functor)
 
 
 @dataclass(frozen=True)
@@ -402,10 +409,11 @@ def probe_check_colimit_theorem(F, probes: dict[str, FinCat],
                                 cartesian: bool = False) -> ProbeVerdict:
     """Mapping-out comparison for the colimit half of the main formula.
 
-    For each probe D, compares marked functors out of the Grothendieck total
-    against the limit, over the opposite twisted arrow category, of marked
-    functors out of (coslice at t) x (flat fiber at s).  No localization is
-    computed.
+    For each probe D, decides whether the canonical comparison functor from
+    the marked functors out of the Grothendieck total to the limit, over the
+    opposite twisted arrow category, of the marked functors out of
+    (coslice at t) x (flat fiber at s) is an equivalence: fully faithful and
+    essentially surjective (see _comparison).  No localization is computed.
     """
     if cartesian:
         # oplax side reduces to the lax side of the fiberwise-opposite diagram
@@ -416,14 +424,92 @@ def probe_check_colimit_theorem(F, probes: dict[str, FinCat],
             caps, cartesian=False)
 
     E = grothendieck_cocart(F, caps)
-    failures = [(name, reason) for name, _, reason in _mapping_out(F, E, probes, caps)
+    failures = [(name, reason) for name, _, _, reason in _mapping_out(F, E, probes, caps)
                 if reason is not None]
     return ProbeVerdict(not failures, failures)
 
 
+def _inclusion(F, E: "FiberedCat", co: SliceCat, P: MarkedFinCat,
+               f: str) -> Functor:
+    """iota_f: coslice(t) x F(s) -> E.total for f: s -> t, sending (c: t -> u, x)
+    to (u, F(c f) x) and (k: c -> c', phi) to (a, F(c' f) phi), where a is
+    k's witness, a c = c'.
+
+    The latter is a morphism (u, F(c f) x) -> (u', F(c' f) x') of E, as
+    F(a) F(c f) = F(c' f).  It preserves composites: for k': c' -> c'' with
+    witness a' and phi': x' -> x'', E composes (a', F(c'' f) phi') after
+    (a, F(c' f) phi) to (a' a, F(c'' f) phi' F(a') F(c' f) phi)
+    = (a' a, F(c'' f)(phi' phi)).  A marked (k, phi) has a marked and phi
+    invertible, so its image is marked.  Both are checked here all the same,
+    as for any functor built from its maps; P is the product the FunHoms at
+    f is over."""
+    I = F.base.cat
+    T = F.transition
+    after = {c: T[I.compose(c, f)] for c in co.cat.objects}
+    X = F.fiber[I.src(f)]
+    omap = {pair_id(c, x): total_obj_id(I.tgt(c), after[c].obj(x))
+            for c in co.cat.objects for x in X.objects}
+    mmap = {pair_id(k.name, phi.name):
+            total_mor_id(co.witness[k.name], after[k.tgt].mor(phi.name),
+                         after[k.src].obj(phi.src))
+            for k in co.cat.morphisms for phi in X.morphisms}
+    iota = Functor(P.cat, E.total.cat, omap, mmap)
+    iota.validate()
+    if not iota.is_marked(P.marked, E.total.marked):
+        raise InvariantViolation(f"inclusion at {f} is not a marked functor")
+    return iota
+
+
+def _comparison(side_a: FunCat, end: FinCat, fun: dict[str, FunHoms],
+                iota: dict[str, Functor], post: Functor) -> Functor:
+    """The comparison functor c: Fun†(E.total, D♭) -> end, where end is the
+    end_limit over opposite(Tw(I)) of f |-> fun[f] = Fun†(P(f), D♭):
+    G |-> (f |-> G iota_f), and a |-> (f |-> a iota_f), each component
+    whiskered by _Whiskering and each family named by _family_obj_id and
+    _family_mor_id, as end_limit names them.
+
+    The families are compatible: along m = (a, b): f -> f2 of Tw, with
+    b f2 a = f, iota_f2 pre(m) sends (c, x) to (u, F(c b f2) F(a) x)
+    = (u, F(c f) x), which is iota_f(c, x), and likewise on morphisms.
+    c is a functor by construction: whiskering and family composition are
+    componentwise, so c(b a) has at f the components b_{iota_f p} a_{iota_f p},
+    those of c(b)_f c(a)_f, and the end composes families componentwise.  So
+    validate checks only objects, endpoints and identities.  post is the
+    identity of D."""
+    table = side_a.cat.comp.hom
+    whisker = {f: _Whiskering(side_a.functors, table, H.functors, H.find,
+                              iota[f], post)
+               for f, H in fun.items()}
+    try:
+        omap = {gid: _family_obj_id({f: W.obj(gid) for f, W in whisker.items()})
+                for gid in side_a.functors}
+    except KeyError as out:
+        raise InvariantViolation(
+            f"comparison: {out.args[0]} is not a marked functor") from None
+    mmap = {nid: _family_mor_id({f: W.mor(nid) for f, W in whisker.items()})
+            for nid in table}
+    c = _by_construction(Functor(side_a.cat, end, omap, mmap))
+    c.validate()
+    return c
+
+
+def _comparison_failure(c: Functor) -> str | None:
+    """Why the comparison functor c is no equivalence, naming a witness, or
+    None: it is one when fully faithful and essentially surjective (Mac Lane,
+    Categories for the Working Mathematician, IV.4)."""
+    pair = unfaithful_pair(c)
+    if pair is not None:
+        return "comparison not fully faithful on hom(%s, %s)" % pair
+    d = unreached_object(c)
+    if d is not None:
+        return f"comparison not essentially surjective: no image reaches {d}"
+    return None
+
+
 def _mapping_out(F, E: "FiberedCat", probes: dict[str, FinCat], caps: SizeCaps):
-    """For each probe D, in turn: its name, Fun†(E.total, D♭), and why it is
-    not equivalent to the end_limit side, or None.  E is
+    """For each probe D, in turn: its name, Fun†(E.total, D♭), the end_limit
+    side (its category and its object and morphism families), and why the
+    comparison functor between them is no equivalence, or None.  E is
     grothendieck_cocart(F)."""
     Im = F.base
     I = Im.cat
@@ -432,7 +518,8 @@ def _mapping_out(F, E: "FiberedCat", probes: dict[str, FinCat], caps: SizeCaps):
 
     # P(f: s -> t) = coslice(t) x flat(F(s)), covariant on Tw(I) through pre;
     # mapping out is contravariant, so the limit lives over opposite(Tw(I)).
-    # The products and the functors between them do not depend on the probe.
+    # The products, the functors between them and the inclusions into the
+    # total do not depend on the probe.
     pcats: dict[tuple[str, str], MarkedFinCat] = {}
     for f in tw.cat.objects:
         s, t = I.src(f), I.tgt(f)
@@ -447,17 +534,15 @@ def _mapping_out(F, E: "FiberedCat", probes: dict[str, FinCat], caps: SizeCaps):
     # a product of marked functors is marked
     pre_diagram = CatDiagram(flat_marking(tw.cat),
                              {f: P.cat for f, P in pcat.items()}, pre)
+    iota = {f: _inclusion(F, E, coslices[I.tgt(f)], P, f) for f, P in pcat.items()}
 
     for name, D in probes.items():
         Dm = flat_marking(D)
         side_a = marked_functor_category(E.total, Dm, caps)
         fun = {st: marked_functor_homs(P, Dm, caps) for st, P in pcats.items()}
         post = identity_functor(D)
-        side_b = end_limit(pre_diagram,
-                           {f: fun[I.src(f), I.tgt(f)] for f in tw.cat.objects},
-                           {m.name: post for m in tw.cat.morphisms}, caps)[0]
-        verdict = is_equivalent(side_a.cat, side_b)
-        reason = None
-        if verdict.verdict == "inequivalent":
-            reason = verdict.certificate or "inequivalent"
-        yield name, side_a, reason
+        fun_at = {f: fun[I.src(f), I.tgt(f)] for f in tw.cat.objects}
+        end = end_limit(pre_diagram, fun_at,
+                        {m.name: post for m in tw.cat.morphisms}, caps)
+        c = _comparison(side_a, end[0], fun_at, iota, post)
+        yield name, side_a, end, _comparison_failure(c)

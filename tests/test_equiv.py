@@ -2,11 +2,14 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
+import laxcat
 import laxcat.equiv as equiv
-from laxcat.checks import run_check
+from laxcat import checks, cli, localization
+from laxcat.checks import _gen_instance, instance_seed, run_check, theorem_defaults
 from laxcat.core import (
     FinCat,
     Functor,
@@ -31,6 +34,8 @@ from laxcat.equiv import (
 )
 from laxcat.errors import InvariantViolation, MalformedTable
 from laxcat.generator import GenParams, gen_category
+from laxcat.grothendieck import grothendieck_cocart
+from laxcat.localization import _mapping_out
 
 
 def test_skeleton_examples():
@@ -172,19 +177,60 @@ def test_colimit_probe_stream_136_passes():
     assert run_check("thm-lax-colim-probe", seed=136, count=1).passes == 1
 
 
+def _stream_136_sides():
+    """Per probe, the two sides the probe check of stream 136 compares:
+    Fun†(E.total, D♭) and the end_limit category."""
+    params, ctx = theorem_defaults("thm-lax-colim-probe")
+    F = _gen_instance(replace(params, seed=instance_seed(136, 0)))
+    E = grothendieck_cocart(F, ctx.caps)
+    return [(side_a.cat, end[0], reason) for _, side_a, end, reason
+            in _mapping_out(F, E, ctx.probes, ctx.caps)]
+
+
 def test_colimit_probe_stream_136_pairs_decided_in_small_budget(monkeypatch):
+    # the probe check decides the comparison functor; is_equivalent, its
+    # independent oracle, must still decide these sides in a small budget
     decided = []
     real = equiv.is_isomorphic
 
-    def small_budget(C, D, budget=equiv.DEFAULT_BUDGET):
-        v = real(C, D, budget=10_000)
+    def recorded(C, D, budget=equiv.DEFAULT_BUDGET):
+        v = real(C, D, budget=budget)
         decided.append((C.n_objects, C.n_morphisms, v.verdict))
         return v
 
-    monkeypatch.setattr(equiv, "is_isomorphic", small_budget)
-    assert run_check("thm-lax-colim-probe", seed=136, count=1).passes == 1
+    monkeypatch.setattr(equiv, "is_isomorphic", recorded)
+    for side_a, side_b, reason in _stream_136_sides():
+        assert reason is None
+        assert is_equivalent(side_a, side_b, budget=10_000)
     assert (8, 64, "isomorphic") in decided  # parallel^3
     assert (8, 125, "isomorphic") in decided  # nonposet5^3
+
+
+def test_the_probe_check_runs_no_skeleton_or_isomorphism_search(monkeypatch):
+    # nor does it compute the generators of a Fun† category or of the end:
+    # the comparison functor is a functor by construction
+    calls, made = [], []
+    for name, cat_of in (("marked_functor_category", lambda fc: fc.cat),
+                         ("end_limit", lambda end: end[0])):
+        def recorded(*args, _real=getattr(localization, name), _cat_of=cat_of):
+            out = _real(*args)
+            made.append(_cat_of(out))
+            return out
+
+        monkeypatch.setattr(localization, name, recorded)
+    for name in ("skeleton", "is_isomorphic", "is_equivalent"):
+        real = getattr(equiv, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        for module in (laxcat, checks, cli, equiv, localization):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    assert run_check("thm-lax-colim-probe", seed=136, count=1).passes == 1
+    assert calls == []
+    assert made and all(C._gen_cache is None for C in made)
 
 
 def test_witness_check_raises_on_program_bugs(monkeypatch):

@@ -25,6 +25,7 @@ from laxcat.core import (
     product,
     saturate_marking,
     sharp_marking,
+    subcategory,
     terminal_cat,
     walking_arrow,
 )
@@ -34,6 +35,7 @@ from laxcat.diagrams import (
     MarkedCatDiagram,
     SetDiagram,
     constant_diagram,
+    fiberwise_op,
     restrict_set_diagram,
 )
 from laxcat.equiv import is_equivalent, is_fully_faithful, is_isomorphic
@@ -478,12 +480,15 @@ def _whole_fiber_probe_sides(F, probes, caps):
 
 
 def test_the_end_read_hom_by_hom_matches_whole_fibers(monkeypatch):
+    # the end is read hom by hom, and the comparison functor's verdict agrees
+    # with is_equivalent, the independent oracle, on every diagram and probe,
+    # lax and oplax
     ends = []
     real = localization.end_limit
 
     def recorded(*args):
-        ends.append(real(*args)[0])
-        return ends[-1], None, None
+        ends.append(real(*args))
+        return ends[-1]
 
     monkeypatch.setattr(localization, "end_limit", recorded)
     compared = 0
@@ -493,19 +498,68 @@ def test_the_end_read_hom_by_hom_matches_whole_fibers(monkeypatch):
         assert lax.cat.same_table(cat)
         assert lax.projections.keys() == projections.keys()
         assert all(P.same_maps(projections[i]) for i, P in lax.projections.items())
-        sides = _whole_fiber_probe_sides(F, _probes(), BIG)
-        ends.clear()
-        verdict = probe_check_colimit_theorem(F, _probes(), BIG)
-        assert len(ends) == len(sides)
-        failures = []
-        for (name, (side_a, side_b)), end in zip(sides.items(), ends):
-            assert end.same_table(side_b)
-            v = is_equivalent(side_a, side_b)
-            if v.verdict == "inequivalent":
-                failures.append((name, v.certificate or "inequivalent"))
-        assert verdict.failures == failures and verdict.ok == (not failures)
-        compared += cat.n_morphisms + sum(end.n_morphisms for end in ends)
+        for G, probes, cartesian in (
+                (F, _probes(), False),
+                (fiberwise_op(F), {n: opposite_cat(D) for n, D in _probes().items()},
+                 True)):
+            sides = _whole_fiber_probe_sides(G, probes, BIG)
+            ends.clear()
+            verdict = probe_check_colimit_theorem(F, _probes(), BIG, cartesian)
+            assert len(ends) == len(sides)
+            inequivalent = []
+            for (name, (side_a, side_b)), (end, _, _) in zip(sides.items(), ends):
+                assert end.same_table(side_b)
+                if not is_equivalent(side_a, side_b):
+                    inequivalent.append(name)
+            assert [name for name, _ in verdict.failures] == inequivalent
+            assert verdict.ok == (not inequivalent)
+            compared += sum(end.n_morphisms for end, _, _ in ends)
+        compared += cat.n_morphisms
     assert compared > 100
+
+
+def test_a_wrong_comparison_is_rejected_where_the_sides_are_equivalent(monkeypatch):
+    # a constant functor onto one family of the end is no equivalence, though
+    # the two sides it connects are equivalent; only the comparison check sees it
+    F = constant_diagram(flat_marking(walking_arrow()), chain_cat(1))
+    probes = {"arrow": walking_arrow()}
+    E = grothendieck_cocart(F, BIG)
+    [(_, side_a, (end, _, _), reason)] = localization._mapping_out(F, E, probes, BIG)
+    assert reason is None and is_equivalent(side_a.cat, end)
+    real = localization._comparison
+
+    def constant(side_a, end, fun, iota, post):
+        c = real(side_a, end, fun, iota, post)
+        x = c.obj(side_a.cat.objects[0])
+        return Functor(c.dom, c.cod, dict.fromkeys(c.dom.objects, x),
+                       dict.fromkeys(c.morphism_map, c.cod.identity[x]))
+
+    monkeypatch.setattr(localization, "_comparison", constant)
+    verdict = probe_check_colimit_theorem(F, probes, BIG)
+    assert not verdict.ok
+    [(name, reason)] = verdict.failures
+    assert name == "arrow" and reason.startswith("comparison not fully faithful")
+
+
+def test_a_comparison_missing_an_object_is_rejected(monkeypatch):
+    # restricted to one functor, the comparison is fully faithful but reaches
+    # no object of the end outside one isomorphism class
+    F = constant_diagram(flat_marking(walking_arrow()), chain_cat(1))
+    probes = {"arrow": walking_arrow()}
+    real = localization._comparison
+
+    def restricted(side_a, end, fun, iota, post):
+        c = real(side_a, end, fun, iota, post)
+        x = side_a.cat.objects[0]
+        one = subcategory(side_a.cat, [x],
+                          [side_a.cat.mor(m) for m in side_a.cat.hom(x, x)])
+        return Functor(one, c.cod, {x: c.obj(x)},
+                       {m: c.mor(m) for m in side_a.cat.hom(x, x)})
+
+    monkeypatch.setattr(localization, "_comparison", restricted)
+    [(name, reason)] = probe_check_colimit_theorem(F, probes, BIG).failures
+    assert name == "arrow"
+    assert reason.startswith("comparison not essentially surjective: no image reaches")
 
 
 def test_the_probe_check_enumerates_only_the_homs_its_limit_reads(monkeypatch):

@@ -35,9 +35,13 @@
   every ``same_table`` call.  A ``build_category`` table is filled on first
   read, and a whole-table read fills it all, so a new one must be a visible
   choice, not a slip that computes a functor category's every composite.
-- ``_by_construction`` is called only in ``whisker_functor``, ``skeleton``
-  and ``is_equivalent``, whose docstrings prove that the functors they mark
-  preserve composites; every other functor is checked on generator pairs.
+- ``_by_construction`` is called only in ``whisker_functor``, ``skeleton``,
+  ``is_equivalent`` and ``localization._comparison``, whose docstrings prove
+  that the functors they mark preserve composites; every other functor is
+  checked on generator pairs.
+- ``localization.py`` imports none of ``is_equivalent``, ``is_isomorphic``
+  and ``skeleton``: the probe check decides the comparison functor the paper
+  names, and the skeleton-isomorphism search stays off its path.
 
 One rule covers the tests themselves:
 
@@ -305,7 +309,8 @@ def test_every_whole_table_read_is_named(path):
 
 
 BY_CONSTRUCTION_CALLERS = {("limits.py", "whisker_functor"),
-                           ("equiv.py", "skeleton"), ("equiv.py", "is_equivalent")}
+                           ("equiv.py", "skeleton"), ("equiv.py", "is_equivalent"),
+                           ("localization.py", "_comparison")}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -323,3 +328,10 @@ def test_by_construction_is_called_only_by_the_proved_makers(path):
 
     visit(tree, "module level")
     assert found == {c for c in BY_CONSTRUCTION_CALLERS if c[0] == path.name}
+
+
+def test_the_probe_check_imports_no_isomorphism_search():
+    tree = ast.parse((SRC / "localization.py").read_text())
+    found = set(_imported_names(tree)) & {"is_equivalent", "is_isomorphic",
+                                          "skeleton"}
+    assert not found, f"localization.py imports {sorted(found)}"
