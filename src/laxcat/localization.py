@@ -174,17 +174,18 @@ class _Words:
 
     Call a word of length <= cap a node.  The partition is the least
     equivalence on nodes that joins the two sides of each relation and is
-    closed under context (u ~ v gives a·u·b ~ a·v·b when both are nodes).
-    - Each relation whose sides are both nodes is seeded once, joining
-      (src, lhs) with (src, rhs).  An occurrence a·l·b ~ a·r·b inside a
-      longer word follows from its seed by context, so no pattern is matched.
-    - Closure under context replaces each subword u of each node by the
-      representative of u's class, joining the two, until nothing changes.
-      The result is a node: the representative is no longer than u, and
-      since every relation is well-typed (``PresentedCat`` checks it) every
-      class has one source and one target.
-    A representative is the shortlex-least member of its class, so it
-    depends on the partition alone, not on the order of the joins.
+    closed under context (u ~ v gives x·u·y ~ x·v·y when both are nodes).
+    Each relation whose sides are both nodes is seeded once (an occurrence
+    in a longer word follows by context).  Then passes over the nodes
+    w = p·a = b·q join w with rep(p)·a and b·rep(q) until one joins nothing.
+    Each join is sound: p ~ rep(p) gives p·a ~ rep(p)·a by context, and
+    rep(p)·a is a node, no longer than p·a and a path, since each class of
+    a well-typed presentation (``PresentedCat`` checks it) has one source
+    and one target.  The fixpoint is closed under one-letter extension on
+    both sides (p ~ p' puts p·a and p'·a with rep(p)·a), hence under every
+    context x·u·y in the window, every subword of a node being a node: it
+    is the least congruence.  Representatives are shortlex-least, so they
+    depend on the partition alone, not on the order of the joins.
     """
 
     def __init__(self, pres: PresentedCat, cap: int, max_words: int):
@@ -206,8 +207,9 @@ class _Words:
         if ra == rb:
             return False
         # shortlex-least representative wins
-        lo, hi = sorted((ra, rb), key=lambda nd: (len(nd[1]), nd[1], nd[0]))
-        self.parent[hi] = lo
+        if (len(rb[1]), rb[1], rb[0]) < (len(ra[1]), ra[1], ra[0]):
+            ra, rb = rb, ra
+        self.parent[rb] = ra
         return True
 
     def _close(self) -> None:
@@ -218,18 +220,14 @@ class _Words:
         changed = True
         while changed:
             changed = False
-            for nd in list(self.endpoints):
+            for nd in self.endpoints:
                 s, w = nd
-                obj = s
-                for i in range(len(w)):
-                    o = obj
-                    for j in range(i + 1, len(w) + 1):
-                        rw = self.find((o, w[i:j]))[1]
-                        if rw != w[i:j]:
-                            nd2 = (s, w[:i] + rw + w[j:])
-                            if nd2 in self.endpoints and self.union(nd, nd2):
-                                changed = True
-                    obj = self.arrow_tgt[w[i]]
+                if w:
+                    rp = self.find((s, w[:-1]))[1]
+                    rq = self.find((self.arrow_tgt[w[0]], w[1:]))[1]
+                    for nd2 in ((s, rp + w[-1:]), (s, w[:1] + rq)):
+                        if nd2 != nd:
+                            changed |= self.union(nd, nd2)
 
     def classes(self, max_len: int) -> dict[_Node, list[_Node]]:
         """Representative node -> all nodes of length <= max_len in the class."""

@@ -130,6 +130,19 @@ def test_cli_localize_marked_category(tmp_path, capsys):
         out["category"]["identities"]) == 4
 
 
+def test_cli_oplaxcolim_stops_at_max_words_at_default_bounds(tmp_path, capsys):
+    # the localize benchmark's stream-4 diagram outgrows the word window at
+    # the CLI's default bounds; the closure must reach that bound quickly
+    p = GenParams(seed=4)
+    F = gen_diagram(gen_marking(gen_category(p), p), p)
+    f = _write(tmp_path, "stream4.json", diagram_to_data(F))
+    assert main(["oplaxcolim", f]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "size-bound"
+    assert out["bound"] == {"which": "max_words", "cap": 200000, "at": 200001,
+                            "word_length": 14}
+
+
 def test_cli_invalid_input_exits_3(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -325,14 +325,41 @@ def test_localize_widens_only_on_malformed_tables(monkeypatch):
         localize(sharp_marking(walking_arrow()), Bounds(word_length=2))
 
 
-# -- the closure: seeded relations plus the subword pass -----------------------------
+# -- the closure: seeded relations plus the one-letter extension pass ---------------
+
+
+class _SubwordWords(_Words):
+    """The seeded closure with the pass it had before the one-letter pass:
+    each subword of each node is replaced by the representative of its
+    class, until nothing changes.  Kept as a second reference."""
+
+    def _close(self):
+        for r in self.pres.relations:
+            lhs, rhs = (r.src, r.lhs), (r.src, r.rhs)
+            if lhs in self.endpoints and rhs in self.endpoints:
+                self.union(lhs, rhs)
+        changed = True
+        while changed:
+            changed = False
+            for nd in list(self.endpoints):
+                s, w = nd
+                obj = s
+                for i in range(len(w)):
+                    o = obj
+                    for j in range(i + 1, len(w) + 1):
+                        rw = self.find((o, w[i:j]))[1]
+                        if rw != w[i:j]:
+                            nd2 = (s, w[:i] + rw + w[j:])
+                            if nd2 in self.endpoints and self.union(nd, nd2):
+                                changed = True
+                    obj = self.arrow_tgt[w[i]]
 
 
 class _RewritingWords(_Words):
     """The closure as it was before relations were seeded: every relation is
     matched in both directions at every position of every word (an empty
     side anchored at the relation's object), beside the subword pass.  Kept
-    as an independent reference for the seeded closure."""
+    as an independent reference for the shipped closure."""
 
     def _object_at(self, nd, i):
         s, w = nd
@@ -416,20 +443,67 @@ def _differential_presentations():
         yield f"random{s}", _random_presentation(s)
 
 
+def _localize_stream_total(seed: int) -> PresentedCat:
+    """The presentation the localize benchmark's lax colimit of stream
+    ``seed`` closes: the marked cocartesian total of its default diagram."""
+    p = GenParams(seed=seed)
+    F = gen_diagram(gen_marking(gen_category(p), p), p)
+    return present(grothendieck_cocart(F).total)
+
+
+def _partition(words: _Words) -> dict:
+    return {nd: words.find(nd) for nd in words.endpoints}
+
+
 def test_seeded_closure_matches_the_rewriting_closure():
     compared = 0
     for label, pres in _differential_presentations():
         for cap in range(2, 7):
             try:
-                seeded = _Words(pres, cap, 4000)
+                shipped = _partition(_Words(pres, cap, 4000))
             except SizeBoundExceeded:
                 break
-            reference = _RewritingWords(pres, cap, 4000)
-            assert {nd: seeded.find(nd) for nd in seeded.endpoints} == \
-                {nd: reference.find(nd) for nd in reference.endpoints}, \
-                (label, cap)
+            for reference in (_SubwordWords, _RewritingWords):
+                assert shipped == _partition(reference(pres, cap, 4000)), \
+                    (label, cap, reference.__name__)
             compared += 1
     assert compared >= 300
+    # a window of the localize benchmark, against the faster reference alone
+    pres = _localize_stream_total(12)
+    shipped = _Words(pres, 6, 10_000)
+    assert len(shipped.endpoints) == 9168
+    assert _partition(shipped) == _partition(_SubwordWords(pres, 6, 10_000))
+
+
+def test_closure_does_not_depend_on_the_order_of_the_relations():
+    for label, pres in _differential_presentations():
+        rng = random.Random(label)
+        relations = list(pres.relations)
+        rng.shuffle(relations)
+        shuffled = PresentedCat(pres.objects, pres.arrows, tuple(relations))
+        for cap in range(2, 7):
+            try:
+                words = _Words(pres, cap, 4000)
+            except SizeBoundExceeded:
+                break
+            assert _partition(words) == _partition(_Words(shuffled, cap, 4000)), \
+                (label, cap)
+
+
+def test_closure_makes_a_bounded_number_of_finds_per_word(monkeypatch):
+    # the subword pass made 86 finds per word on this window; the one-letter
+    # pass makes fewer than 18, and a quadratic pass would exceed 20 again
+    pres = _localize_stream_total(12)
+    calls = [0]
+    find = _Words.find
+
+    def counted(self, nd):
+        calls[0] += 1
+        return find(self, nd)
+
+    monkeypatch.setattr(_Words, "find", counted)
+    words = _Words(pres, 6, 10_000)
+    assert calls[0] <= 20 * len(words.endpoints)
 
 
 def test_cyclic_group_of_order_three():
