@@ -174,11 +174,11 @@ def _colim_probe_ok(F: CatDiagram, ctx: Ctx, cartesian: bool) -> tuple[bool, str
     """The probe check (probe_check_colimit_theorem: per probe, the comparison
     functor from Fun†(E.total, D♭) to the end is fully faithful and
     essentially surjective) and, when the bounded localization of the total
-    category completes, its universal property (check_localization_up), on
-    one Grothendieck total.  The cartesian total is the opposite of the
+    category completes, its universal property (_up_failure), on one
+    Grothendieck total.  The cartesian total is the opposite of the
     cocartesian one of the fiberwise opposite, so the oplax check decides
-    the same comparison there.  In the cocartesian case each probe's
-    Fun†(E.total, D♭) serves both checks."""
+    the same comparison there.  Each probe's Fun† serves both checks; in the
+    oplax case its functors have the maps of those opposite(E.total) -> D♭."""
     caps = ctx.caps
     G, probes = F, ctx.probes
     if cartesian:
@@ -194,8 +194,7 @@ def _colim_probe_ok(F: CatDiagram, ctx: Ctx, cartesian: bool) -> tuple[bool, str
     if r.ok:
         failures = []
         for name, side_a, _, _ in compared:
-            reason = _up_failure(total, r, ctx.probes[name],
-                                 None if cartesian else side_a, caps)
+            reason = _up_failure(total, r, ctx.probes[name], side_a.functors.values())
             if reason is not None:
                 failures.append((name, reason))
         if failures:
@@ -730,9 +729,8 @@ def run_check(theorem: str, seed: int = 0, count: int = 50,
                 fh.write(canonical_json({
                     "theorem": theorem, "seed": p.seed,
                     "kind": failure.kind, "reason": failure.reason,
-                    "params": {"seed": p.seed,
-                               "max_objects": p.max_objects,
-                               "max_morphisms": p.max_morphisms},
+                    "params": asdict(p), "caps": asdict(ctx.caps),
+                    "bounds": asdict(ctx.bounds), "probes": list(ctx.probes),
                     "instance": data,
                 }))
             entry["path"] = path

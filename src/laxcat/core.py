@@ -206,21 +206,20 @@ class FinCat:
     def iso_set(self) -> frozenset[str]:
         if self._iso_cache is None:
             self._iso_cache = frozenset(
-                m.name for m in self.morphisms if self._is_iso(m.name)
+                m.name for m in self.morphisms if self.inverse(m.name) is not None
             )
         return self._iso_cache
 
-    def _is_iso(self, f: str) -> bool:
+    def inverse(self, f: str) -> str | None:
+        """f's two-sided inverse (unique if any) in Hom(tgt f, src f), or None."""
         m = self.mor(f)
-        if self.is_identity(f):
-            return True
         for g in self.hom(m.tgt, m.src):
             if (
                 self.compose(g, f) == self.identity[m.src]
                 and self.compose(f, g) == self.identity[m.tgt]
             ):
-                return True
-        return False
+                return g
+        return None
 
 
 def is_iso(C: FinCat, f: str) -> bool:

@@ -90,11 +90,7 @@ def skeleton(C: FinCat) -> SkeletonResult:
         else:
             u = min(m for m in C.hom(x, r) if is_iso(C, m))
             rho[x] = u
-            rho_inv[x] = min(
-                v for v in C.hom(r, x)
-                if C.compose(v, u) == C.identity[x]
-                and C.compose(u, v) == C.identity[r]
-            )
+            rho_inv[x] = C.inverse(u)
     retraction = _by_construction(Functor(
         C, skel,
         {x: reps[x] for x in C.objects},

@@ -21,7 +21,6 @@ from .core import (
     FinCat,
     Functor,
     MarkedFinCat,
-    _by_construction,
     build_category,
     flat_marking,
     is_iso,
@@ -31,7 +30,6 @@ from .core import (
 )
 from .constructions import (
     DEFAULT_CAPS,
-    FunCat,
     FunHoms,
     SizeCaps,
     marked_functor_homs,
@@ -302,29 +300,6 @@ class _Whiskering:
         return h
 
 
-def whisker_functor(src_fc: FunCat, dst_fc: FunCat,
-                    pre: Functor, post: Functor) -> Functor:
-    """Fun(A', B') -> Fun(A, B) by G |-> post . G . pre, for pre: A -> A' and
-    a functor post: B' -> B.
-
-    A transformation a goes to the one between the endpoint images with the
-    components post(a_{pre x}), computed from a's component tuple and looked
-    up by endpoints and components in dst_fc's table (see _Whiskering).  An
-    object image outside dst_fc raises KeyError; a missing transformation
-    raises InvariantViolation.
-
-    A functor by construction, as composition in a functor category is
-    componentwise: the image of b a has the components
-    post(b_{pre x} a_{pre x}) = post(b_{pre x}) post(a_{pre x}), those of the
-    composite of the images.  So validate checks only objects, endpoints and
-    identities; a caller other than a CatDiagram constructor must call it."""
-    W = _Whiskering(src_fc.functors, src_fc.cat.comp.hom, dst_fc.functors,
-                    dst_fc.cat.comp.index.__getitem__, pre, post)
-    omap = {gid: W.obj(gid) for gid in src_fc.functors}
-    mmap = {nid: W.mor(nid) for nid in src_fc.cat.comp.hom}
-    return _by_construction(Functor(src_fc.cat, dst_fc.cat, omap, mmap))
-
-
 # -- the end formula -------------------------------------------------------------------
 
 
@@ -343,9 +318,9 @@ def end_limit(pre: CatDiagram, fun: dict[str, FunHoms],
     is computed on its first request.
 
     The transitions form a diagram, so nothing checks them beyond pre, a
-    CatDiagram checked when made.  Each is a functor, as whisker_functor's
-    proof shows, and lands in Fun† when pre(m) is marked and post(m) sends
-    isomorphisms to isomorphisms; an image outside fun[f] raises
+    CatDiagram checked when made.  Each is a functor, transformations
+    composing componentwise, and lands in Fun† when pre(m) is marked and
+    post(m) sends isomorphisms to isomorphisms; an image outside fun[f] raises
     InvariantViolation.  At an identity m, pre(m) and post(m) are
     identities, so the transition is one.  Along m2 m1 the transition sends
     G to post(m1) post(m2) G pre(m2) pre(m1), the composite of the

@@ -9,7 +9,7 @@ truncating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .core import (
     FinCat,
@@ -33,20 +33,17 @@ from .constructions import (
     SizeCaps,
     SliceCat,
     coslice_cat,
-    functor_category,
     marked_functor_category,
     marked_functor_homs,
     slice_transition,
     twisted_arrow,
 )
 from .diagrams import CatDiagram, fiberwise_op
-from .equiv import (is_essentially_surjective, is_fully_faithful, unfaithful_pair,
-                    unreached_object)
+from .equiv import unfaithful_pair, unreached_object
 from .errors import InvariantViolation, MalformedTable, SizeBoundExceeded
 from .grothendieck import (grothendieck_cart, grothendieck_cocart, total_mor_id,
                            total_obj_id)
-from .limits import (_family_mor_id, _family_obj_id, _Whiskering, end_limit,
-                     whisker_functor)
+from .limits import _family_mor_id, _family_obj_id, _Whiskering, end_limit
 
 
 @dataclass(frozen=True)
@@ -353,35 +350,70 @@ class ProbeVerdict:
 def check_localization_up(Cm: MarkedFinCat, L: LocalizationResult,
                           probes: dict[str, FinCat],
                           caps: SizeCaps = DEFAULT_CAPS) -> ProbeVerdict:
-    """For every probe D: precomposition with the quotient functor must be an
-    equivalence Fun(|C|, D) -> Fun†(C†, D♭)."""
+    """For every probe D: precomposition with the quotient q must be an
+    equivalence Fun(|L|, D) -> Fun†(C†, D♭).  Decided (_up_failure) on what
+    ``localize`` returns: q is the identity on objects and L is generated by
+    the q(m) and the inverses of the marked q(m); else raises ValueError."""
     if not (L.ok and L.cat is not None and L.quotient is not None):
         raise ValueError("check_localization_up needs a successful localization")
     failures = []
     for name, D in probes.items():
-        reason = _up_failure(Cm, L, D, None, caps)
+        functors = marked_functor_homs(Cm, flat_marking(D), caps).functors
+        reason = _up_failure(Cm, L, D, functors.values())
         if reason is not None:
             failures.append((name, reason))
     return ProbeVerdict(not failures, failures)
 
 
 def _up_failure(Cm: MarkedFinCat, L: LocalizationResult, D: FinCat,
-                bot: FunCat | None, caps: SizeCaps) -> str | None:
-    """Why precomposition with L's quotient is no equivalence
-    Fun(|L|, D) -> bot = Fun†(C, D♭), or None; bot is built here when None
-    is given."""
-    top = functor_category(L.cat, D, caps)
-    if bot is None:
-        bot = marked_functor_category(Cm, flat_marking(D), caps)
-    try:
-        P = whisker_functor(top, bot, L.quotient, identity_functor(D))
-    except KeyError:
-        return "precomposition leaves marked functors"
-    P.validate()  # no diagram checks P; a whiskering, it keeps composites
-    if not is_fully_faithful(P):
-        return "precomposition not fully faithful"
-    if not is_essentially_surjective(P):
-        return "precomposition not essentially surjective"
+                functors: Iterable[Functor]) -> str | None:
+    """Why precomposition with L's quotient q is no equivalence
+    Fun(|L|, D) -> Fun†(C, D♭), or None: the first of ``functors`` (all marked
+    G: C -> D♭; only maps are read, so C -> D^op♭ stands for opposite(C) -> D♭)
+    that does not extend along q, and where.  Raises ValueError off the domain
+    of check_localization_up, where every morphism of L is a word in the
+    letters q(m) and q(m)^-1 for marked m (``_quotient``).  There a functor out
+    of L is determined by its restriction, and a transformation between
+    restrictions is natural on every letter (on q(m)^-1 invert the square),
+    hence on L: precomposition is injective on objects and fully faithful.  It
+    is essentially surjective iff every G extends strictly, as a^-1 H a
+    extends G if a: G ≅ H q.  An extension is forced on the letters,
+    q(m)^-1 |-> G(m)^-1, so G extends iff the forced H, one composite in D per
+    morphism along a breadth-first pass, is a functor with H q = G."""
+    C, cat, q = Cm.cat, L.cat, L.quotient
+    if cat.objects != C.objects or any(q.obj(x) != x for x in C.objects):
+        raise ValueError("the quotient is not the identity on objects")
+    letters = {q.mor(m): (m, False) for m in C.nonidentity()}
+    for m in sorted(Cm.marked):
+        inv = cat.inverse(q.mor(m))
+        if inv is None:
+            raise ValueError(f"the quotient does not invert marked {m}")
+        letters.setdefault(inv, (m, True))
+    out_of = {x: [h for h in letters if cat.src(h) == x] for x in cat.objects}
+    order = [cat.identity[x] for x in cat.objects]
+    reached, prev = set(order), {}
+    for h in order:  # grows as the pass reaches morphisms
+        for letter in out_of[cat.tgt(h)]:
+            k = cat.compose(letter, h)
+            if k not in reached:
+                reached.add(k)
+                prev[k] = (h, letter)
+                order.append(k)
+    if len(reached) != cat.n_morphisms:
+        raise ValueError("the letters do not generate the localization")
+    for G in functors:
+        image = {h: D.inverse(G.mor(m)) if inv else G.mor(m)
+                 for h, (m, inv) in letters.items()}
+        hmap = {cat.identity[x]: D.identity[G.obj(x)] for x in cat.objects}
+        for k, (h, letter) in prev.items():  # in the order they were reached
+            hmap[k] = D.compose(image[letter], hmap[h])
+        try:
+            Functor(cat, D, G.object_map, hmap).validate()
+        except MalformedTable as e:
+            return f"{G.key()} does not extend along the quotient: {e}"
+        for m in C.nonidentity():
+            if hmap[q.mor(m)] != G.mor(m):
+                return f"{G.key()} does not extend along the quotient at {m}"
     return None
 
 

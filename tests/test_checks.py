@@ -17,10 +17,12 @@ from laxcat.checks import (
     run_check,
     theorem_defaults,
 )
+from laxcat.constructions import SizeCaps
 from laxcat.core import Functor
 from laxcat.errors import InvalidDiagram, InvariantViolation, MalformedTable
 from laxcat.generator import GenParams, gen_category, gen_diagram, gen_marking
 from laxcat.io_formats import canonical_json, diagram_to_data
+from laxcat.localization import Bounds
 
 
 def test_probe_suite_is_versioned():
@@ -67,6 +69,76 @@ def test_parallel_run_matches_sequential():
     assert r1.canonical() == r2.canonical()
 
 
+@pytest.mark.parametrize("theorem", ["thm-lax-colim-probe", "thm-oplax-colim-probe"])
+def test_probe_reports_do_not_depend_on_jobs(theorem):
+    r1 = run_check(theorem, seed=0, count=20)
+    r2 = run_check(theorem, seed=0, count=20, jobs=2)
+    assert r1.passes >= 15
+    assert r1.canonical() == r2.canonical()
+
+
+def _record_probe_work(monkeypatch):
+    """Record the domain of every FunHoms built, and every localization the
+    probe check computes."""
+    from laxcat import constructions
+
+    doms, localized = [], []
+    real_init, real_localize = constructions.FunHoms.__init__, checks.localize
+
+    def init(self, C, *args, **kwargs):
+        doms.append(C)
+        real_init(self, C, *args, **kwargs)
+
+    def localize(*args, **kwargs):
+        localized.append(real_localize(*args, **kwargs))
+        return localized[-1]
+
+    monkeypatch.setattr(constructions.FunHoms, "__init__", init)
+    monkeypatch.setattr(checks, "localize", localize)
+    return doms, localized
+
+
+@pytest.mark.parametrize("theorem", ["thm-lax-colim-probe", "thm-oplax-colim-probe"])
+def test_the_probe_check_builds_one_fun_dagger_per_probe(monkeypatch, theorem):
+    # one Fun† out of the Grothendieck total per probe serves the comparison
+    # and the universal property of the localized total, in both flavours;
+    # and no functor category out of the localization is built
+    doms, localized = _record_probe_work(monkeypatch)
+    _, ctx = theorem_defaults(theorem)
+    for stream in range(6):
+        doms.clear()
+        localized.clear()
+        r = run_check(theorem, seed=stream, count=1)
+        assert r.passes == 1
+        [L] = localized
+        assert L.ok
+        objects = set(L.cat.objects)  # those of the total
+        out_of_total = [C for C in doms if set(C.objects) == objects]
+        assert len(out_of_total) == len(ctx.probes), stream
+        assert not any(C is L.cat for C in doms)
+
+
+def test_check_localization_up_builds_no_functor_category_out_of_the_localization(
+        monkeypatch):
+    from laxcat.grothendieck import grothendieck_cocart
+    from laxcat.localization import check_localization_up, localize
+
+    doms, _ = _record_probe_work(monkeypatch)
+    params, ctx = theorem_defaults("thm-lax-colim-probe")
+    checked = 0
+    for s in range(10):
+        F = checks._gen_instance(replace(params, seed=s))
+        E = grothendieck_cocart(F, ctx.caps)
+        L = localize(E.total, ctx.bounds)
+        if L.ok:
+            doms.clear()
+            assert check_localization_up(E.total, L, ctx.probes, ctx.caps).ok
+            assert len(doms) == len(ctx.probes)
+            assert all(C is E.total.cat for C in doms)
+            checked += 1
+    assert checked >= 8
+
+
 def test_instance_seeds_injective():
     seen = {instance_seed(s, k) for s in range(10) for k in range(200)}
     assert len(seen) == 2000
@@ -108,6 +180,13 @@ def test_failure_dump_replays(tmp_path):
             replay = diagram_from_data(dump["instance"])
             replay.validate()
             assert dump["seed"] == entry["seed"]
+            # the dump records the whole configuration of its run
+            params, ctx = theorem_defaults("always-fails")
+            assert GenParams(**dump["params"]) == replace(params,
+                                                          seed=entry["seed"])
+            assert SizeCaps(**dump["caps"]) == ctx.caps
+            assert Bounds(**dump["bounds"]) == ctx.bounds
+            assert dump["probes"] == list(ctx.probes)
     finally:
         del checks.CHECKS["always-fails"]
 

@@ -96,6 +96,35 @@ def test_is_iso():
         is_iso(A, "nope")
 
 
+def _two_sided_inverses(C, f):
+    """The search FinCat.inverse replaced: every g with g f and f g
+    identities."""
+    m = C.mor(f)
+    return [g for g in C.hom(m.tgt, m.src)
+            if C.compose(g, f) == C.identity[m.src]
+            and C.compose(f, g) == C.identity[m.tgt]]
+
+
+def test_inverse_agrees_with_the_two_sided_search():
+    from laxcat.checks import probe_suite
+    from laxcat.generator import GenParams, gen_category
+
+    cats = [*probe_suite().values(),
+            *(gen_category(GenParams(seed=s)) for s in range(200))]
+    nontrivial = 0
+    for C in cats:
+        for m in C.morphisms:
+            found = _two_sided_inverses(C, m.name)
+            assert len(found) <= 1
+            inv = C.inverse(m.name)
+            assert inv == (found[0] if found else None)
+            assert (inv is None) == (m.name not in C.iso_set())
+            nontrivial += inv is not None and not C.is_identity(m.name)
+    assert nontrivial >= 10
+    with pytest.raises(UnknownMorphism):
+        walking_arrow().inverse("nope")
+
+
 def test_saturate_marking_examples():
     A = walking_arrow()
     assert saturate_marking(A, []) == frozenset({"id_0", "id_1"})

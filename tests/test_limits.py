@@ -5,6 +5,7 @@ import pytest
 from laxcat import constructions, core, equiv, limits, localization
 from laxcat.checks import probe_suite
 from laxcat.constructions import (
+    FunCat,
     SizeCaps,
     _assemble_funcat,
     coslice_cat,
@@ -14,6 +15,7 @@ from laxcat.constructions import (
 )
 from laxcat.core import (
     Functor,
+    _by_construction,
     _product_functor,
     chain_cat,
     compose_functors,
@@ -42,6 +44,7 @@ from laxcat.equiv import is_equivalent, is_fully_faithful, is_isomorphic
 from laxcat.generator import GenParams, gen_category, gen_diagram, gen_marking
 from laxcat.grothendieck import all_sections, grothendieck_cocart, marked_sections
 from laxcat.limits import (
+    _Whiskering,
     cat_limit,
     cat_limit_map,
     iso_comma,
@@ -50,7 +53,6 @@ from laxcat.limits import (
     oplax_limit,
     set_colimit,
     set_limit,
-    whisker_functor,
 )
 from laxcat.errors import InvariantViolation, MalformedTable
 from laxcat.localization import check_localization_up, probe_check_colimit_theorem
@@ -209,28 +211,6 @@ def test_cat_limit_map_of_inclusions_is_fully_faithful():
         assert _ff_lemma_ok(GenParams(seed=s), Ctx())
 
 
-def _corrupt_first_identity(whisker, corrupted):
-    """Wrap whisker_functor: in the first result with room for it, send an
-    identity to a parallel non-identity endomorphism.  Endpoints stay right,
-    so only the identity check of a full validation can notice."""
-
-    def wrapped(*args):
-        T = whisker(*args)
-        if corrupted:
-            return T
-        for x in T.dom.objects:
-            img = T.mor(T.dom.identity[x])
-            others = [n for n in T.cod.hom(T.obj(x), T.obj(x)) if n != img]
-            if others:
-                corrupted.append(x)
-                mmap = dict(T.morphism_map)
-                mmap[T.dom.identity[x]] = others[0]
-                return Functor(T.dom, T.cod, T.object_map, mmap)
-        return T
-
-    return wrapped
-
-
 def test_lax_limit_raises_on_a_corrupted_transport(monkeypatch):
     # the fault the whiskered CatDiagram used to catch, injected where the end
     # formula now transports transformations: one identity of a fiber goes to
@@ -261,6 +241,32 @@ def test_lax_limit_raises_on_a_corrupted_transport(monkeypatch):
     with pytest.raises(MalformedTable):
         lax_limit(F, BIG)
     assert corrupted
+
+
+# -- whiskering whole functor categories: the reference transport -------------------
+
+
+def whisker_functor(src_fc: FunCat, dst_fc: FunCat,
+                    pre: Functor, post: Functor) -> Functor:
+    """Fun(A', B') -> Fun(A, B) by G |-> post . G . pre, for pre: A -> A' and
+    a functor post: B' -> B.
+
+    A transformation a goes to the one between the endpoint images with the
+    components post(a_{pre x}), computed from a's component tuple and looked
+    up by endpoints and components in dst_fc's table (see _Whiskering).  An
+    object image outside dst_fc raises KeyError; a missing transformation
+    raises InvariantViolation.
+
+    A functor by construction, as composition in a functor category is
+    componentwise: the image of b a has the components
+    post(b_{pre x} a_{pre x}) = post(b_{pre x}) post(a_{pre x}), those of the
+    composite of the images.  So validate checks only objects, endpoints and
+    identities; a caller other than a CatDiagram constructor must call it."""
+    W = _Whiskering(src_fc.functors, src_fc.cat.comp.hom, dst_fc.functors,
+                    dst_fc.cat.comp.index.__getitem__, pre, post)
+    omap = {gid: W.obj(gid) for gid in src_fc.functors}
+    mmap = {nid: W.mor(nid) for nid in src_fc.cat.comp.hom}
+    return _by_construction(Functor(src_fc.cat, dst_fc.cat, omap, mmap))
 
 
 def _whisker_pair():
@@ -319,12 +325,12 @@ def _probes():
     return {n: probe_suite()[n] for n in ("arrow", "iso", "parallel")}
 
 
-def _limits_and_whiskers():
+def _limits_and_comparisons():
     """lax_limit and the probe check of each small diagram, the universal
     property of its localized total where the localization completes, and
-    the maps of every whiskering they made."""
+    the maps of every comparison functor the probe check made."""
     made = []
-    real = limits.whisker_functor
+    real = localization._comparison
 
     def recorded(*args):
         made.append(real(*args))
@@ -336,8 +342,7 @@ def _limits_and_whiskers():
         return r.ok and check_localization_up(E.total, r, _probes(), BIG)
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (limits, localization):
-            mp.setattr(module, "whisker_functor", recorded)
+        mp.setattr(localization, "_comparison", recorded)
         out = [(lax_limit(F, BIG), probe_check_colimit_theorem(F, _probes(), BIG),
                 up(F))
                for F in _small_diagrams()]
@@ -345,16 +350,16 @@ def _limits_and_whiskers():
 
 
 def test_lazy_functor_categories_agree_with_full_tables_and_checks(monkeypatch):
-    lazy, lazy_made = _limits_and_whiskers()
+    lazy, lazy_made = _limits_and_comparisons()
     # the full path: every table filled and checked when built, every functor
     # validated on the generator pairs of its domain
     real = core.build_category
     for module in (core, constructions, limits):
         monkeypatch.setattr(module, "build_category",
                             lambda *args, check=True: real(*args, check=True))
-    for module in (limits, equiv):
+    for module in (equiv, localization):
         monkeypatch.setattr(module, "_by_construction", lambda F: F)
-    full, full_made = _limits_and_whiskers()
+    full, full_made = _limits_and_comparisons()
     for (lax, verdict, up), (lax2, verdict2, up2) in zip(lazy, full, strict=True):
         assert lax.cat.same_table(lax2.cat)
         assert all(P.same_maps(lax2.projections[i])
@@ -383,13 +388,15 @@ def test_no_functor_category_computes_its_generators(monkeypatch):
     F = constant_diagram(flat_marking(walking_arrow()), probe_suite()["nonposet5"])
     assert probe_check_colimit_theorem(F, _probes(), BIG).ok
     lax_limit(F, BIG)
-    # the end formula builds no functor category; the universal property of
-    # the localized total builds two per probe
-    assert len(built) == len(_probes())
     E = grothendieck_cocart(F, BIG)
     r = localization.localize(E.total)
     probes = {n: D for n, D in probe_suite().items() if n != "nonposet5"}
     assert check_localization_up(E.total, r, probes, BIG).ok
+    # the end formula and the universal property of the localized total
+    # build no functor category; the probe check builds one per probe
+    assert len(built) == len(_probes())
+    for cartesian in (False, True):
+        assert probe_check_colimit_theorem(F, probes, BIG, cartesian).ok
     assert len(built) > 10
     assert all(fc.cat._gen_cache is None for fc in built)
     assert any(fc.cat.comp._full is False for fc in built)

@@ -19,9 +19,13 @@ from laxcat.core import (
     walking_arrow,
     walking_iso,
 )
-from laxcat.constructions import SizeCaps
+from laxcat.constructions import (
+    SizeCaps,
+    functor_category,
+    marked_functor_category,
+)
 from laxcat.diagrams import CatDiagram, constant_diagram
-from laxcat.equiv import is_equivalent
+from laxcat.equiv import is_equivalent, is_essentially_surjective, is_fully_faithful
 from laxcat.errors import MalformedTable, SizeBoundExceeded
 from laxcat.generator import GenParams, gen_category, gen_diagram, gen_marking
 from laxcat.grothendieck import grothendieck_cocart
@@ -40,6 +44,7 @@ from laxcat.localization import (
     present,
     probe_check_colimit_theorem,
 )
+from test_limits import whisker_functor
 
 CAPS = SizeCaps(max_objects=1024, max_morphisms=8192, max_candidates=10**6)
 PROBES = {
@@ -47,6 +52,26 @@ PROBES = {
     "arrow": walking_arrow(),
     "iso": walking_iso(),
 }
+
+
+def _whole_category_up_failure(Cm, L, D, bot, caps):
+    """The decision the extension check replaced, kept as its oracle: build
+    Fun(|L|, D) whole, whisker it by the quotient into bot = Fun†(C, D♭)
+    (built here when None is given), and decide the whiskered functor's full
+    faithfulness and essential surjectivity."""
+    top = functor_category(L.cat, D, caps)
+    if bot is None:
+        bot = marked_functor_category(Cm, flat_marking(D), caps)
+    try:
+        P = whisker_functor(top, bot, L.quotient, identity_functor(D))
+    except KeyError:
+        return "precomposition leaves marked functors"
+    P.validate()  # no diagram checks P; a whiskering, it keeps composites
+    if not is_fully_faithful(P):
+        return "precomposition not fully faithful"
+    if not is_essentially_surjective(P):
+        return "precomposition not essentially surjective"
+    return None
 
 
 def test_present_flat():
@@ -145,29 +170,37 @@ def test_check_localization_up_examples():
 
 
 def test_check_localization_up_rejects_wrong_candidate():
-    # wrong candidate: claim [1] itself (u never inverted) is the localization
+    # wrong candidate: claim [1] itself (u never inverted) is the localization;
+    # its quotient inverts no marked morphism, so it is outside the domain
     A = walking_arrow()
     Am = marked(A, saturate_marking(A, ["a01"]))
     good = localize(Am)
     from laxcat.localization import LocalizationResult
     wrong = LocalizationResult(status="ok", cat=A,
                                quotient=identity_functor(A))
-    v = check_localization_up(Am, wrong, {"arrow": walking_arrow()}, CAPS)
-    assert not v.ok
-    assert v.failures == [("arrow", "precomposition leaves marked functors")]
-    # a candidate equivalent to the true localization is accepted; collapsing
-    # [1] onto the terminal category is fine because lim [1] marked is a point
+    with pytest.raises(ValueError, match="does not invert marked a01"):
+        check_localization_up(Am, wrong, {"arrow": walking_arrow()}, CAPS)
+    assert _whole_category_up_failure(Am, wrong, walking_arrow(), None, CAPS) \
+        == "precomposition leaves marked functors"
+    # collapsing [1] onto the terminal category gives a candidate equivalent
+    # to the true localization, as lim [1] marked is a point; the oracle
+    # accepts it, and the extension check, whose quotients are the identity
+    # on objects, refuses to decide it
     t = terminal_cat()
     collapse = Functor(A, t, {"0": "*", "1": "*"},
                        {"id_0": "id_*", "id_1": "id_*", "a01": "id_*"})
     ok_alt = LocalizationResult(status="ok", cat=t, quotient=collapse)
-    assert check_localization_up(Am, ok_alt, {"arrow": walking_arrow()}, CAPS).ok
+    with pytest.raises(ValueError, match="identity on objects"):
+        check_localization_up(Am, ok_alt, {"arrow": walking_arrow()}, CAPS)
+    assert _whole_category_up_failure(Am, ok_alt, walking_arrow(), None,
+                                      CAPS) is None
     assert check_localization_up(Am, good, {"arrow": walking_arrow()}, CAPS).ok
 
 
 def test_check_localization_up_detects_one_sided_inverse():
-    # candidate with only a one-sided inverse relation imposed; a probe shaped
-    # like the candidate itself distinguishes it from the true localization
+    # candidate with only a one-sided inverse relation imposed: u is not
+    # inverted, so the extension check refuses it; the oracle, on a probe
+    # shaped like the candidate itself, tells it from the true localization
     from laxcat.core import Mor, fincat
     from laxcat.localization import LocalizationResult
     A = walking_arrow()
@@ -184,10 +217,99 @@ def test_check_localization_up_detects_one_sided_inverse():
     q = Functor(A, onesided, {"0": "0", "1": "1"},
                 {"id_0": "id_0", "id_1": "id_1", "a01": "u"})
     wrong = LocalizationResult(status="ok", cat=onesided, quotient=q)
-    v = check_localization_up(Am, wrong, {"own-shape": onesided}, CAPS)
-    assert not v.ok
+    with pytest.raises(ValueError, match="does not invert marked a01"):
+        check_localization_up(Am, wrong, {"own-shape": onesided}, CAPS)
+    assert _whole_category_up_failure(Am, wrong, onesided, None, CAPS) \
+        is not None
     good = localize(Am)
     assert check_localization_up(Am, good, {"own-shape": onesided}, CAPS).ok
+    assert _whole_category_up_failure(Am, good, onesided, None, CAPS) is None
+
+
+def _collapsed_parallel_pair():
+    """parallel_pair with nothing marked, and a wrong candidate inside the
+    extension check's domain: one arrow a -w-> b, with u, v |-> w."""
+    from laxcat.core import Mor, fincat, parallel_pair
+    from laxcat.localization import LocalizationResult
+    P = parallel_pair()
+    arrow = fincat(["a", "b"], [Mor("id_a", "a", "a"), Mor("id_b", "b", "b"),
+                                Mor("w", "a", "b")],
+                   {"a": "id_a", "b": "id_b"},
+                   {("id_a", "id_a"): "id_a", ("id_b", "id_b"): "id_b",
+                    ("w", "id_a"): "w", ("id_b", "w"): "w"})
+    q = Functor(P, arrow, {"a": "a", "b": "b"},
+                {"id_a": "id_a", "id_b": "id_b", "u": "w", "v": "w"})
+    return flat_marking(P), LocalizationResult("ok", cat=arrow, quotient=q)
+
+
+def test_check_localization_up_rejects_an_in_domain_wrong_candidate():
+    from laxcat.checks import probe_suite
+    from laxcat.constructions import marked_functor_homs
+
+    Pm, wrong = _collapsed_parallel_pair()
+    D = probe_suite()["parallel"]
+    v = check_localization_up(Pm, wrong, {"parallel": D}, CAPS)
+    assert not v.ok
+    [(name, reason)] = v.failures
+    assert name == "parallel"
+    # the reason names the marked functor that does not extend, and the
+    # morphism where its forced extension breaks
+    functors = marked_functor_homs(Pm, flat_marking(D), CAPS).functors
+    named = [gid for gid in functors if reason.startswith(gid + " ")]
+    assert len(named) == 1
+    G = functors[named[0]]
+    assert G.mor("u") != G.mor("v")
+    assert reason in (f"{named[0]} does not extend along the quotient at u",
+                      f"{named[0]} does not extend along the quotient at v")
+    assert _whole_category_up_failure(Pm, wrong, D, None, CAPS) \
+        == "precomposition not essentially surjective"
+    # the terminal probe cannot tell the candidate from the localization
+    T = {"terminal": terminal_cat()}
+    assert check_localization_up(Pm, wrong, T, CAPS).ok
+    assert _whole_category_up_failure(Pm, wrong, terminal_cat(), None,
+                                      CAPS) is None
+
+
+def _generated_localizations(count):
+    """The localized cocartesian and cartesian totals of the first ``count``
+    probe-size instances, where the probe check's localization completes."""
+    from dataclasses import replace
+
+    from laxcat.checks import _gen_instance, theorem_defaults
+    from laxcat.grothendieck import grothendieck_cart
+
+    params, ctx = theorem_defaults("thm-lax-colim-probe")
+    for s in range(count):
+        F = _gen_instance(replace(params, seed=s))
+        for build in (grothendieck_cocart, grothendieck_cart):
+            total = build(F, ctx.caps).total
+            r = localize(total, ctx.bounds)
+            if r.ok:
+                yield total, r
+
+
+def test_extension_check_agrees_with_the_whole_category_decision():
+    # both decide the same universal property; the oracle builds Fun(|L|, D)
+    # whole, so at these caps it stops on some cases the extension decides
+    from laxcat.checks import probe_suite
+
+    caps = SizeCaps(max_objects=512, max_morphisms=512, max_candidates=10**6)
+    localized = decided = only_oracle_capped = 0
+    for total, r in _generated_localizations(100):
+        localized += 1
+        for name, D in probe_suite().items():
+            shipped = check_localization_up(total, r, {name: D}, caps)
+            try:
+                oracle = _whole_category_up_failure(total, r, D, None, caps)
+            except SizeBoundExceeded:
+                assert shipped.ok, (localized, name)
+                only_oracle_capped += 1
+                continue
+            assert shipped.ok == (oracle is None), (localized, name, oracle)
+            decided += 1
+    assert localized >= 190
+    assert decided >= 1300
+    assert only_oracle_capped >= 10
 
 
 def test_lax_colimit_flat_returns_total_category():
@@ -271,21 +393,32 @@ def test_triangle_consistency_probe_vs_completed_localization():
 
 
 def test_check_localization_up_validates_the_precomposition(monkeypatch):
-    from laxcat import localization
-    from laxcat.checks import probe_suite
-    from laxcat.errors import MalformedTable
-    from test_limits import _corrupt_first_identity
+    # the forced extension is validated as a functor: with a wrong inverse
+    # in the probe it is none, which is reported, never passed
+    from laxcat.core import FinCat
 
     Cm = sharp_marking(walking_arrow())
     r = localize(Cm)
-    probes = {"nonposet5": probe_suite()["nonposet5"]}
-    assert check_localization_up(Cm, r, probes, CAPS).ok
+    z3 = localize_presentation(PresentedCat(
+        ("x",), (Arrow("a", "x", "x"),),
+        (Relation("x", "x", ("a", "a", "a"), ()),))).cat
+    assert check_localization_up(Cm, r, {"z3": z3}, CAPS).ok
+    real = FinCat.inverse
     corrupted = []
-    monkeypatch.setattr(localization, "whisker_functor", _corrupt_first_identity(
-        localization.whisker_functor, corrupted))
-    with pytest.raises(MalformedTable):
-        check_localization_up(Cm, r, probes, CAPS)
+
+    def wrong(self, f):
+        g = real(self, f)
+        if self is z3 and g is not None and g != f:
+            g = next(h for h in self.hom(self.tgt(f), self.src(f)) if h != g)
+            corrupted.append((f, g))
+        return g
+
+    monkeypatch.setattr(FinCat, "inverse", wrong)
+    v = check_localization_up(Cm, r, {"z3": z3}, CAPS)
     assert corrupted
+    assert not v.ok
+    [(name, reason)] = v.failures
+    assert name == "z3" and "does not extend along the quotient" in reason
 
 
 def test_check_localization_up_rejects_a_failed_localization():

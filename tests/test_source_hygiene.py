@@ -35,13 +35,18 @@
   every ``same_table`` call.  A ``build_category`` table is filled on first
   read, and a whole-table read fills it all, so a new one must be a visible
   choice, not a slip that computes a functor category's every composite.
-- ``_by_construction`` is called only in ``whisker_functor``, ``skeleton``,
-  ``is_equivalent`` and ``localization._comparison``, whose docstrings prove
-  that the functors they mark preserve composites; every other functor is
-  checked on generator pairs.
+- ``_by_construction`` is called only in ``skeleton``, ``is_equivalent`` and
+  ``localization._comparison``, whose docstrings prove that the functors
+  they mark preserve composites; every other functor is checked on
+  generator pairs.  (``limits.whisker_functor`` was deleted; its tests keep
+  a reference copy.)
 - ``localization.py`` imports none of ``is_equivalent``, ``is_isomorphic``
   and ``skeleton``: the probe check decides the comparison functor the paper
-  names, and the skeleton-isomorphism search stays off its path.
+  names, and the skeleton-isomorphism search stays off its path.  Nor does
+  it import ``functor_category``, ``whisker_functor``, ``is_fully_faithful``
+  or ``is_essentially_surjective``: the localization's universal property
+  is decided by extending each marked functor along the quotient, and no
+  functor category out of the localization is built or searched.
 
 One rule covers the tests themselves:
 
@@ -308,8 +313,7 @@ def test_every_whole_table_read_is_named(path):
         f"{path.name}: whole-table reads differ from WHOLE_TABLE_READERS")
 
 
-BY_CONSTRUCTION_CALLERS = {("limits.py", "whisker_functor"),
-                           ("equiv.py", "skeleton"), ("equiv.py", "is_equivalent"),
+BY_CONSTRUCTION_CALLERS = {("equiv.py", "skeleton"), ("equiv.py", "is_equivalent"),
                            ("localization.py", "_comparison")}
 
 
@@ -332,6 +336,8 @@ def test_by_construction_is_called_only_by_the_proved_makers(path):
 
 def test_the_probe_check_imports_no_isomorphism_search():
     tree = ast.parse((SRC / "localization.py").read_text())
-    found = set(_imported_names(tree)) & {"is_equivalent", "is_isomorphic",
-                                          "skeleton"}
+    found = set(_imported_names(tree)) & {
+        "is_equivalent", "is_isomorphic", "skeleton",
+        "functor_category", "whisker_functor", "is_fully_faithful",
+        "is_essentially_surjective"}
     assert not found, f"localization.py imports {sorted(found)}"
