@@ -177,7 +177,8 @@ def _colim_probe_ok(F: CatDiagram, ctx: Ctx, cartesian: bool) -> tuple[bool, str
     category completes, its universal property (_up_failure), on one
     Grothendieck total.  The cartesian total is the opposite of the
     cocartesian one of the fiberwise opposite, so the oplax check decides
-    the same comparison there.  Each probe's Fun† serves both checks; in the
+    the same comparison there.  Each probe's list of marked functors out of
+    the total serves both checks, and no hom between them is read; in the
     oplax case its functors have the maps of those opposite(E.total) -> D♭."""
     caps = ctx.caps
     G, probes = F, ctx.probes
@@ -185,7 +186,7 @@ def _colim_probe_ok(F: CatDiagram, ctx: Ctx, cartesian: bool) -> tuple[bool, str
         G, probes = fiberwise_op(F), {n: opposite_cat(D) for n, D in probes.items()}
     E = grothendieck_cocart(G, caps)
     compared = list(_mapping_out(G, E, probes, caps))
-    failures = [(name, reason) for name, _, _, reason in compared
+    failures = [(name, reason) for name, _, reason in compared
                 if reason is not None]
     if failures:
         return False, f"mapping-out comparison failed: {failures}"
@@ -193,7 +194,7 @@ def _colim_probe_ok(F: CatDiagram, ctx: Ctx, cartesian: bool) -> tuple[bool, str
     r = localize(total, ctx.bounds)
     if r.ok:
         failures = []
-        for name, side_a, _, _ in compared:
+        for name, side_a, _ in compared:
             reason = _up_failure(total, r, ctx.probes[name], side_a.functors.values())
             if reason is not None:
                 failures.append((name, reason))

@@ -315,6 +315,17 @@ class FunHoms:
                 check(what, len(hom_of))
         return found
 
+    def is_natural(self, fid: str, gid: str, comps) -> bool:
+        """Whether the components comps, one per object of C in order, each
+        in hom(Fx, Gx), make a transformation F => G: whether its generator
+        squares commute, which decides naturality (see above).  No hom is
+        enumerated."""
+        compose = self.cod.compose
+        fgen, ggen = self._images[fid][1], self._images[gid][1]
+        return all(compose(comps[t], fg) == compose(gg, comps[s])
+                   for level, fl, gl in zip(self._schedule, fgen, ggen)
+                   for (s, t, _), fg, gg in zip(level, fl, gl))
+
     def find(self, key: tuple[str, str, tuple[str, ...]]) -> str:
         """The transformation with these endpoints and components, its hom
         enumerated first; KeyError if there is none."""

@@ -3,12 +3,15 @@
 Lax limits are computed by the end formula: a limit over the opposite of the
 twisted arrow category of the diagram sending an arrow f: s -> t to the
 category of marked functors from the marked slice over s into the flat-marked
-fiber at t.  One core (``_limit``) computes every strict limit family by
-family, and it reads a fiber's homs only between the components of two
-families, so the end formula (``end_limit``) enumerates only those homs of
-its functor categories.  The oplax variant is obtained from the lax one by
-fiberwise opposites, so a single implementation carries the correctness
-burden.
+fiber at t.  One core (``LimitReader`` and ``limit_hom``) computes every
+strict limit family by family: the object families when the reader is made,
+and the morphism families one hom at a time, reading a fiber's homs only
+between the components of two families, so the end formula enumerates only
+those homs of its functor categories.  ``_assemble`` builds the limit
+category from the reader (``cat_limit``, ``end_limit``); the probe check
+reads the end (``end_reader``) hom by hom and assembles no category.  The
+oplax variant is obtained from the lax one by fiberwise opposites, so a
+single implementation carries the correctness burden.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 from .core import (
     FinCat,
@@ -106,11 +110,16 @@ def _family_mor_id(family: dict[str, str]) -> str:
 def _enumerate_families(B: FinCat, candidates, force):
     """All families (b -> value) with force(phi, value at src) == value at tgt.
 
-    candidates(b) lists values, read once per object; force(phi, v)
+    candidates(b) lists values, read once per object in B's object order
+    and not past the first empty list, which admits no family; force(phi, v)
     transports along phi.  Uses forward constraint propagation: assigning b
     forces every target of a morphism out of b.
     """
-    cands = {b: candidates(b) for b in B.objects}
+    cands = {}
+    for b in B.objects:
+        cands[b] = candidates(b)
+        if not cands[b]:  # no value at b, so no family
+            return
     objs = sorted(B.objects, key=lambda b: len(cands[b]))
     out_mor: dict[str, list] = {b: [] for b in B.objects}
     for m in B.morphisms:
@@ -172,52 +181,72 @@ class CatLimitResult:
         return out
 
 
-def _limit(B: FinCat, fiber, obj, mor, caps: SizeCaps, check: bool = True):
-    """The category of strictly compatible families over B, componentwise,
-    with its object and morphism families.
+class LimitReader:
+    """The strict limit over B of the fibers, read one hom at a time: the
+    object families are found when it is made, and ``limit_hom`` enumerates
+    the morphism families between two of them.
 
-    fiber[b] is a FinCat or a FunHoms; of it the limit reads ``objects``,
-    ``hom(x, y)``, ``comp[g, f]`` and ``is_identity``.  obj(phi, x) and
-    mor(phi, m) transport along the transition at phi.  A hom is read only
-    as hom(X_b, Y_b) for object families X and Y, so a FunHoms enumerates
-    no other hom.  check is build_category's.
-    """
-    obj_families = list(_enumerate_families(
-        B, lambda b: list(fiber[b].objects), obj))
-    caps.check_objects("cat limit", len(obj_families))
-    obj_family = {_family_obj_id(fam): fam for fam in obj_families}
-    ids = sorted(obj_family)
+    fiber[b] is a FinCat or a FunHoms; of it the reader reads ``objects``
+    and ``hom(x, y)``.  obj(phi, x) and mor(phi, m) transport along the
+    transition at phi.  A hom is read only as hom(X_b, Y_b) for object
+    families X and Y, so a FunHoms enumerates no other hom.  ``objects``
+    lists the family ids in order, and ``read`` counts the morphism families
+    read so far, which the ``cat limit`` morphism cap bounds."""
 
+    def __init__(self, B: FinCat, fiber, obj, mor, caps: SizeCaps):
+        families = list(_enumerate_families(
+            B, lambda b: list(fiber[b].objects), obj))
+        caps.check_objects("cat limit", len(families))
+        self.base, self.fiber, self.mor, self.caps = B, fiber, mor, caps
+        self.obj_family = {_family_obj_id(fam): fam for fam in families}
+        self.objects = sorted(self.obj_family)
+        self.read = 0
+
+
+def limit_hom(lim: LimitReader, xid: str, yid: str) -> Iterator[dict[str, str]]:
+    """The morphism families from the object family xid to yid, enumerated
+    afresh on each call; each one read counts against the morphism cap."""
+    X, Y = lim.obj_family[xid], lim.obj_family[yid]
+    fiber = lim.fiber
+    for fam in _enumerate_families(
+            lim.base, lambda b: fiber[b].hom(X[b], Y[b]), lim.mor):
+        lim.read += 1
+        lim.caps.check_morphisms("cat limit", lim.read)
+        yield fam
+
+
+def _assemble(lim: LimitReader, check: bool = True):
+    """The limit category, hom by hom in the order of ``lim.objects``, with
+    its object and morphism families.  Its composites are componentwise (the
+    fibers' ``comp[g, f]``) and its identities the families of identities
+    (``is_identity``); check is build_category's."""
+    B, ids = lim.base, lim.objects
     # a hom's payload is its family as a tuple over B.objects
     homs = []
     mor_family: dict[str, dict[str, str]] = {}
     for xid in ids:
-        X = obj_family[xid]
         for yid in ids:
-            Y = obj_family[yid]
-            for fam in _enumerate_families(
-                    B, lambda b: fiber[b].hom(X[b], Y[b]), mor):
+            for fam in limit_hom(lim, xid, yid):
                 mid = _family_mor_id(fam)
                 homs.append((mid, xid, yid, tuple(fam[b] for b in B.objects)))
                 mor_family[mid] = fam
-                caps.check_morphisms("cat limit", len(homs))
-    fibers = [fiber[b] for b in B.objects]
+    fibers = [lim.fiber[b] for b in B.objects]
     tables = [C.comp for C in fibers]
     cat = build_category(
         ids, homs,
         lambda t2, t1: tuple(map(dict.__getitem__, tables, zip(t2, t1))),
         lambda t: all(C.is_identity(x) for C, x in zip(fibers, t)),
         check=check)
-    return cat, obj_family, mor_family
+    return cat, lim.obj_family, mor_family
 
 
 def cat_limit(F: CatDiagram, caps: SizeCaps = DEFAULT_CAPS) -> CatLimitResult:
     """Strictly compatible families of objects and morphisms, componentwise."""
     B = F.base.cat
     T = F.transition
-    cat, obj_family, mor_family = _limit(
+    cat, obj_family, mor_family = _assemble(LimitReader(
         B, F.fiber, lambda phi, x: T[phi].obj(x), lambda phi, m: T[phi].mor(m),
-        caps)
+        caps))
     return CatLimitResult(cat, obj_family, mor_family,
                           {b: F.fiber[b] for b in B.objects})
 
@@ -252,10 +281,11 @@ def _whiskerable(src: dict[str, Functor], dst: dict[str, Functor],
 class _Whiskering:
     """G |-> post . G . pre from the functors src to the functors dst, and a
     transformation a of src (hom: id -> (id, source, target, components)) to
-    the one with the components post(a_{pre x}), found by lookup on
-    (endpoints, components).  Each image is computed on its first request.
-    An object image outside dst raises KeyError; a missing transformation,
-    which a full functor category cannot lack, raises InvariantViolation."""
+    the one with the components post(a_{pre x}) (``components``), found by
+    lookup on (endpoints, components).  Each image is computed on its first
+    request.  An object image outside dst raises KeyError; a missing
+    transformation, which a full functor category cannot lack, raises
+    InvariantViolation."""
 
     def __init__(self, src: dict[str, Functor], hom, dst: dict[str, Functor],
                  lookup, pre: Functor, post: Functor):
@@ -285,14 +315,19 @@ class _Whiskering:
         self.omap[gid] = hid
         return hid
 
+    def components(self, comps) -> tuple[str, ...]:
+        """post(a_{pre x}) over the objects x of pre.dom, for the components
+        comps of a over the objects of pre.cod."""
+        pm = self.post.morphism_map
+        return tuple([pm[comps[i]] for i in self.idx])
+
     def mor(self, nid: str) -> str:
         try:
             return self.mmap[nid]
         except KeyError:
             pass
         _, s, t, comps = self.hom[nid]
-        pm = self.post.morphism_map
-        key = (self.obj(s), self.obj(t), tuple([pm[comps[i]] for i in self.idx]))
+        key = (self.obj(s), self.obj(t), self.components(comps))
         try:
             h = self.mmap[nid] = self.lookup(key)
         except KeyError:
@@ -303,8 +338,9 @@ class _Whiskering:
 # -- the end formula -------------------------------------------------------------------
 
 
-def end_limit(pre: CatDiagram, fun: dict[str, FunHoms],
-              post: dict[str, Functor], caps: SizeCaps = DEFAULT_CAPS):
+def end_reader(pre: CatDiagram, fun: dict[str, FunHoms],
+               post: dict[str, Functor],
+               caps: SizeCaps = DEFAULT_CAPS) -> LimitReader:
     """The limit over opposite(Tw) of f |-> Fun†(pre(f), D_f), where Tw is
     pre's base and fun[f] lists the marked functors pre(f) -> D_f
     (marked_functor_homs) into a flat-marked D_f; the transition along
@@ -312,10 +348,10 @@ def end_limit(pre: CatDiagram, fun: dict[str, FunHoms],
     formula of lax_limit and of the probe check, and it builds no fiber whole.
 
     A hom of transformations is read only as hom(X_b, Y_b) for object
-    families X, Y (see _limit), so fun[f] enumerates no other hom.  Objects
-    are transported by their whiskered key, and a transformation by its
-    component tuple, looked up in the target fiber (see _Whiskering); each
-    is computed on its first request.
+    families X, Y (see LimitReader), so fun[f] enumerates no other hom.
+    Objects are transported by their whiskered key, and a transformation by
+    its component tuple, looked up in the target fiber (see _Whiskering);
+    each is computed on its first request.
 
     The transitions form a diagram, so nothing checks them beyond pre, a
     CatDiagram checked when made.  Each is a functor, transformations
@@ -329,12 +365,10 @@ def end_limit(pre: CatDiagram, fun: dict[str, FunHoms],
     with identities at identities.  The caller gives such a post (the
     transitions of a CatDiagram along the second leg, or identities).
 
-    So the limit is a category by construction, and its table is filled on
-    first read, unchecked: the composite of two families is a family, as
-    every transition preserves composites, and units and associativity hold
-    componentwise, where composition is that of D_f componentwise.
+    So the limit is a category by construction (end_limit assembles it).
 
-    Returns the limit category and its object and morphism families."""
+    Returns the limit's reader: its object families, each hom read on
+    request by limit_hom."""
     tw = pre.base.cat
     whisker = {m.name: _Whiskering(fun[m.tgt].functors, fun[m.tgt].hom_of,
                                    fun[m.src].functors, fun[m.src].find,
@@ -355,7 +389,19 @@ def end_limit(pre: CatDiagram, fun: dict[str, FunHoms],
         W = whisker.get(phi)
         return nid if W is None else W.mor(nid)
 
-    return _limit(opposite_cat(tw), fun, obj, mor, caps, check=False)
+    return LimitReader(opposite_cat(tw), fun, obj, mor, caps)
+
+
+def end_limit(pre: CatDiagram, fun: dict[str, FunHoms],
+              post: dict[str, Functor], caps: SizeCaps = DEFAULT_CAPS):
+    """The end_reader limit as a category, every hom read.  Its table is
+    filled on first read, unchecked: the composite of two families is a
+    family, as every transition preserves composites, and units and
+    associativity hold componentwise, where composition is that of D_f
+    componentwise.
+
+    Returns the limit category and its object and morphism families."""
+    return _assemble(end_reader(pre, fun, post, caps), check=False)
 
 
 # -- lax and oplax limits --------------------------------------------------------------

@@ -15,7 +15,6 @@ from .core import (
     FinCat,
     Functor,
     MarkedFinCat,
-    _by_construction,
     _product_functor,
     build_category,
     flat_marking,
@@ -28,22 +27,19 @@ from .core import (
 )
 from .constructions import (
     DEFAULT_CAPS,
-    FunCat,
     FunHoms,
     SizeCaps,
     SliceCat,
     coslice_cat,
-    marked_functor_category,
     marked_functor_homs,
     slice_transition,
     twisted_arrow,
 )
 from .diagrams import CatDiagram, fiberwise_op
-from .equiv import unfaithful_pair, unreached_object
 from .errors import InvariantViolation, MalformedTable, SizeBoundExceeded
 from .grothendieck import (grothendieck_cart, grothendieck_cocart, total_mor_id,
                            total_obj_id)
-from .limits import _family_mor_id, _family_obj_id, _Whiskering, end_limit
+from .limits import LimitReader, _family_obj_id, _Whiskering, end_reader, limit_hom
 
 
 @dataclass(frozen=True)
@@ -439,11 +435,13 @@ def probe_check_colimit_theorem(F, probes: dict[str, FinCat],
                                 cartesian: bool = False) -> ProbeVerdict:
     """Mapping-out comparison for the colimit half of the main formula.
 
-    For each probe D, decides whether the canonical comparison functor from
-    the marked functors out of the Grothendieck total to the limit, over the
-    opposite twisted arrow category, of the marked functors out of
+    For each probe D, decides whether the canonical comparison functor c
+    from the marked functors out of the Grothendieck total to the limit,
+    over the opposite twisted arrow category, of the marked functors out of
     (coslice at t) x (flat fiber at s) is an equivalence: fully faithful and
-    essentially surjective (see _comparison).  No localization is computed.
+    essentially surjective.  The end is read hom by hom and neither side is
+    built as a category; comparison_failure proves the decision exact.  No
+    localization is computed.
     """
     if cartesian:
         # oplax side reduces to the lax side of the fiberwise-opposite diagram
@@ -454,7 +452,7 @@ def probe_check_colimit_theorem(F, probes: dict[str, FinCat],
             caps, cartesian=False)
 
     E = grothendieck_cocart(F, caps)
-    failures = [(name, reason) for name, _, _, reason in _mapping_out(F, E, probes, caps)
+    failures = [(name, reason) for name, _, reason in _mapping_out(F, E, probes, caps)
                 if reason is not None]
     return ProbeVerdict(not failures, failures)
 
@@ -490,56 +488,95 @@ def _inclusion(F, E: "FiberedCat", co: SliceCat, P: MarkedFinCat,
     return iota
 
 
-def _comparison(side_a: FunCat, end: FinCat, fun: dict[str, FunHoms],
-                iota: dict[str, Functor], post: Functor) -> Functor:
-    """The comparison functor c: Fun†(E.total, D♭) -> end, where end is the
-    end_limit over opposite(Tw(I)) of f |-> fun[f] = Fun†(P(f), D♭):
-    G |-> (f |-> G iota_f), and a |-> (f |-> a iota_f), each component
-    whiskered by _Whiskering and each family named by _family_obj_id and
-    _family_mor_id, as end_limit names them.
+def comparison_failure(side_a: FunHoms, end: LimitReader,
+                       fun: dict[str, FunHoms], iota: dict[str, Functor],
+                       post: Functor, ident: list[tuple[str, int]]) -> str | None:
+    """Why the comparison functor c: Fun†(E.total, D♭) -> end is no
+    equivalence, naming a witness, or None: it is one when fully faithful
+    and essentially surjective (Mac Lane, Categories for the Working
+    Mathematician, IV.4).  end is the end_reader over opposite(Tw(I)) of
+    f |-> fun[f] = Fun†(P(f), D♭), P(f) = coslice(t) x F(s) for f: s -> t,
+    and c sends G to the family (f |-> G iota_f), each component whiskered
+    by _Whiskering (post is the identity of D) and named by _family_obj_id,
+    as the end names its families; a transformation a goes to
+    (f |-> a iota_f).  Neither side is built as a category: side_a lists the
+    functors G (no hom of it is read) and the end is read one hom at a time.
 
-    The families are compatible: along m = (a, b): f -> f2 of Tw, with
-    b f2 a = f, iota_f2 pre(m) sends (c, x) to (u, F(c b f2) F(a) x)
-    = (u, F(c f) x), which is iota_f(c, x), and likewise on morphisms.
-    c is a functor by construction: whiskering and family composition are
-    componentwise, so c(b a) has at f the components b_{iota_f p} a_{iota_f p},
-    those of c(b)_f c(a)_f, and the end composes families componentwise.  So
-    validate checks only objects, endpoints and identities.  post is the
-    identity of D."""
-    table = side_a.cat.comp.hom
-    whisker = {f: _Whiskering(side_a.functors, table, H.functors, H.find,
-                              iota[f], post)
+    The images are compatible families: along m = (a, b): f -> f2 of Tw,
+    with b f2 a = f, iota_f2 pre(m) sends (c, x) to (u, F(c b f2) F(a) x)
+    = (u, F(c f) x), which is iota_f(c, x), and likewise on morphisms; so an
+    image outside the end raises InvariantViolation, as does an image of two
+    functors, by the second point below.
+
+    Why the decision is exact.  ident lists, for each object (t, y) of
+    E.total in order, f = id_t and the index of (id_t, y) in P(id_t).
+    - iota_{id_t}(id_t, y) = (t, y), since F(id_t) = id.  So a
+      transformation a' is the identity components of its image: c(a') at
+      id_t has the component a'_{(t, y)} at (id_t, y).  Hence c is faithful,
+      and if an end morphism beta is c(a'), then a' is a, the family
+      a_{(t, y)} = (beta_{id_t})_{(id_t, y)} read off beta.
+    - Every morphism (u, phi): (s, x) -> (t, y) of E.total is
+      iota_{id_t}(id, phi) iota_{id_s}(k_u, id_x), k_u: id_s -> u in
+      coslice(s), since iota_{id_s}(k_u, id_x) = (u, F(u) id_x) and
+      iota_{id_t}(id, phi) = (id_t, phi).  So G is determined by c(G): c is
+      injective on objects.
+    - So beta has a preimage iff a is a natural G => H, decided on the
+      generator squares of E.total (FunHoms.is_natural), and c(a) = beta: for
+      every f, the component tuple of a iota_f is that of beta_f (the
+      endpoints agree, as beta is read from hom(c(G), c(H))).  c is full iff
+      every beta of every hom(c(G), c(H)) passes, and a failure names
+      hom(G, H).
+    - An end object X outside the image is reached iff some image c(G) has
+      an end morphism c(G) -> X with every component invertible in D: the
+      componentwise inverses form a family, since each transition is a
+      functor and so sends inverses to inverses, which is then the inverse
+      in the end.  Else the failure names X.
+    So a failing verdict is a counterexample to c being an equivalence, not
+    merely to c being an isomorphism.  The end's ``cat limit`` morphism cap
+    counts the end morphisms read, up to the first failure: those between
+    images, then those from images to objects outside the image."""
+    D = post.cod
+    whisker = {f: _Whiskering(side_a.functors, {}, H.functors, H.find, iota[f], post)
                for f, H in fun.items()}
-    try:
-        omap = {gid: _family_obj_id({f: W.obj(gid) for f, W in whisker.items()})
-                for gid in side_a.functors}
-    except KeyError as out:
-        raise InvariantViolation(
-            f"comparison: {out.args[0]} is not a marked functor") from None
-    mmap = {nid: _family_mor_id({f: W.mor(nid) for f, W in whisker.items()})
-            for nid in table}
-    c = _by_construction(Functor(side_a.cat, end, omap, mmap))
-    c.validate()
-    return c
+    preimage: dict[str, str] = {}
+    for gid in side_a.objects:
+        try:
+            xid = _family_obj_id({f: W.obj(gid) for f, W in whisker.items()})
+        except KeyError as out:
+            raise InvariantViolation(
+                f"comparison: {out.args[0]} is not a marked functor") from None
+        if xid not in end.obj_family or preimage.setdefault(xid, gid) != gid:
+            raise InvariantViolation(f"comparison: the image of {gid} is no "
+                                     "end object, or that of another functor")
 
+    def components(beta):
+        return {f: H.hom_of[beta[f]][3] for f, H in fun.items()}
 
-def _comparison_failure(c: Functor) -> str | None:
-    """Why the comparison functor c is no equivalence, naming a witness, or
-    None: it is one when fully faithful and essentially surjective (Mac Lane,
-    Categories for the Working Mathematician, IV.4)."""
-    pair = unfaithful_pair(c)
-    if pair is not None:
-        return "comparison not fully faithful on hom(%s, %s)" % pair
-    d = unreached_object(c)
-    if d is not None:
-        return f"comparison not essentially surjective: no image reaches {d}"
+    def has_preimage(gid, hid, beta):
+        comps = components(beta)
+        a = [comps[f][k] for f, k in ident]
+        return (side_a.is_natural(gid, hid, a)
+                and all(W.components(a) == comps[f] for f, W in whisker.items()))
+
+    images = [xid for xid in end.objects if xid in preimage]
+    for xid in images:
+        for yid in images:
+            gid, hid = preimage[xid], preimage[yid]
+            if not all(has_preimage(gid, hid, beta)
+                       for beta in limit_hom(end, xid, yid)):
+                return f"comparison not fully faithful on hom({gid}, {hid})"
+    for xid in end.objects:
+        if xid not in preimage and not any(
+                all(is_iso(D, m) for c in components(beta).values() for m in c)
+                for yid in images for beta in limit_hom(end, yid, xid)):
+            return f"comparison not essentially surjective: no image reaches {xid}"
     return None
 
 
-def _mapping_out(F, E: "FiberedCat", probes: dict[str, FinCat], caps: SizeCaps):
-    """For each probe D, in turn: its name, Fun†(E.total, D♭), the end_limit
-    side (its category and its object and morphism families), and why the
-    comparison functor between them is no equivalence, or None.  E is
+def _end_diagram(F, E: "FiberedCat", caps: SizeCaps):
+    """What the probe check reads that does not depend on the probe: Tw(I),
+    P(f) = coslice(t) x flat(F(s)) keyed by (s, t) for f: s -> t, the
+    CatDiagram of P over Tw(I) and the inclusions iota_f (_inclusion).  E is
     grothendieck_cocart(F)."""
     Im = F.base
     I = Im.cat
@@ -548,8 +585,6 @@ def _mapping_out(F, E: "FiberedCat", probes: dict[str, FinCat], caps: SizeCaps):
 
     # P(f: s -> t) = coslice(t) x flat(F(s)), covariant on Tw(I) through pre;
     # mapping out is contravariant, so the limit lives over opposite(Tw(I)).
-    # The products, the functors between them and the inclusions into the
-    # total do not depend on the probe.
     pcats: dict[tuple[str, str], MarkedFinCat] = {}
     for f in tw.cat.objects:
         s, t = I.src(f), I.tgt(f)
@@ -565,14 +600,35 @@ def _mapping_out(F, E: "FiberedCat", probes: dict[str, FinCat], caps: SizeCaps):
     pre_diagram = CatDiagram(flat_marking(tw.cat),
                              {f: P.cat for f, P in pcat.items()}, pre)
     iota = {f: _inclusion(F, E, coslices[I.tgt(f)], P, f) for f, P in pcat.items()}
+    return tw, pcats, pre_diagram, iota
+
+
+def _mapping_out(F, E: "FiberedCat", probes: dict[str, FinCat], caps: SizeCaps):
+    """For each probe D, in turn: its name, the marked functors E.total -> D♭
+    (a FunHoms, none of whose homs is read) and why the comparison functor
+    from them to the end is no equivalence, or None (comparison_failure).
+    E is grothendieck_cocart(F)."""
+    I = F.base.cat
+    tw, pcats, pre_diagram, iota = _end_diagram(F, E, caps)
+    at = {x: i for i, x in enumerate(E.total.cat.objects)}
+    ident: list = [None] * len(at)
+    for t in I.objects:
+        f = I.identity[t]
+        index = {p: k for k, p in enumerate(iota[f].dom.objects)}
+        for y in F.fiber[t].objects:
+            p = pair_id(f, y)
+            ident[at[iota[f].obj(p)]] = (f, index[p])
+    if None in ident:
+        raise InvariantViolation("comparison: an object of the total is no "
+                                 "identity component")
 
     for name, D in probes.items():
         Dm = flat_marking(D)
-        side_a = marked_functor_category(E.total, Dm, caps)
+        side_a = marked_functor_homs(E.total, Dm, caps)
         fun = {st: marked_functor_homs(P, Dm, caps) for st, P in pcats.items()}
         post = identity_functor(D)
         fun_at = {f: fun[I.src(f), I.tgt(f)] for f in tw.cat.objects}
-        end = end_limit(pre_diagram, fun_at,
-                        {m.name: post for m in tw.cat.morphisms}, caps)
-        c = _comparison(side_a, end[0], fun_at, iota, post)
-        yield name, side_a, end, _comparison_failure(c)
+        end = end_reader(pre_diagram, fun_at,
+                         {m.name: post for m in tw.cat.morphisms}, caps)
+        yield name, side_a, comparison_failure(side_a, end, fun_at, iota, post,
+                                               ident)

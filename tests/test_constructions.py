@@ -6,6 +6,7 @@ import pytest
 
 from laxcat.checks import probe_suite
 from laxcat.constructions import (
+    FunHoms,
     SizeCaps,
     _assemble_funcat,
     coslice_cat,
@@ -297,6 +298,28 @@ def test_transformations_match_the_all_squares_enumeration():
             _assert_transformations_match(fc, _brute_transformations(fc, D))
             checked += fc.cat.n_morphisms
     assert checked > 5000
+
+
+def test_is_natural_holds_exactly_on_the_enumerated_transformations():
+    # every component tuple with components in the right homs is natural iff
+    # the hom enumeration finds it, and is_natural enumerates no hom
+    decided = natural = 0
+    for s in range(10):
+        C = gen_category(GenParams(seed=s, max_objects=3, max_morphisms=6))
+        for D in (probe_suite()["parallel"], probe_suite()["nonposet5"]):
+            H = FunHoms(C, list(enumerate_functors(C, D)), D, "Fun", ROOMY)
+            for fid, gid in itertools.product(H.objects, repeat=2):
+                F, G = H.functors[fid], H.functors[gid]
+                cands = [D.hom(F.obj(x), G.obj(x)) for x in C.objects]
+                before = len(H.hom_of)
+                verdicts = {comps: H.is_natural(fid, gid, comps)
+                            for comps in itertools.product(*cands)}
+                assert len(H.hom_of) == before
+                found = {H.hom_of[n][3] for n in H.hom(fid, gid)}
+                assert {c for c, ok in verdicts.items() if ok} == found
+                decided += len(verdicts)
+                natural += len(found)
+    assert decided > 1000 and 0 < natural < decided
 
 
 def test_section_transformations_match_the_all_squares_enumeration():

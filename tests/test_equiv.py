@@ -8,7 +8,7 @@ import pytest
 
 import laxcat
 import laxcat.equiv as equiv
-from laxcat import checks, cli, localization
+from laxcat import checks, cli, limits, localization
 from laxcat.checks import _gen_instance, instance_seed, run_check, theorem_defaults
 from laxcat.core import (
     FinCat,
@@ -23,7 +23,7 @@ from laxcat.core import (
     walking_arrow,
     walking_iso,
 )
-from laxcat.constructions import enumerate_functors, functor_category
+from laxcat.constructions import FunHoms, enumerate_functors, functor_category
 from laxcat.equiv import (
     is_equivalent,
     is_essentially_surjective,
@@ -36,6 +36,7 @@ from laxcat.errors import InvariantViolation, MalformedTable
 from laxcat.generator import GenParams, gen_category
 from laxcat.grothendieck import grothendieck_cocart
 from laxcat.localization import _mapping_out
+from test_limits import _whole_category_mapping_out
 
 
 def test_skeleton_examples():
@@ -178,13 +179,16 @@ def test_colimit_probe_stream_136_passes():
 
 
 def _stream_136_sides():
-    """Per probe, the two sides the probe check of stream 136 compares:
-    Fun†(E.total, D♭) and the end_limit category."""
+    """Per probe, the two sides the probe check of stream 136 compares, each
+    built whole here: Fun†(E.total, D♭) and the end_limit category; and the
+    probe check's verdict, which builds neither."""
     params, ctx = theorem_defaults("thm-lax-colim-probe")
     F = _gen_instance(replace(params, seed=instance_seed(136, 0)))
     E = grothendieck_cocart(F, ctx.caps)
-    return [(side_a.cat, end[0], reason) for _, side_a, end, reason
-            in _mapping_out(F, E, ctx.probes, ctx.caps)]
+    verdicts = {name: reason for name, _, reason
+                in _mapping_out(F, E, ctx.probes, ctx.caps)}
+    return [(side_a.cat, end[0], verdicts[name]) for name, side_a, end, _
+            in _whole_category_mapping_out(F, E, ctx.probes, ctx.caps)]
 
 
 def test_colimit_probe_stream_136_pairs_decided_in_small_budget(monkeypatch):
@@ -207,17 +211,21 @@ def test_colimit_probe_stream_136_pairs_decided_in_small_budget(monkeypatch):
 
 
 def test_the_probe_check_runs_no_skeleton_or_isomorphism_search(monkeypatch):
-    # nor does it compute the generators of a Fun† category or of the end:
-    # the comparison functor is a functor by construction
+    # nor does it assemble a Fun† category or the end: the comparison is
+    # decided from the end's homs, one at a time
     calls, made = [], []
-    for name, cat_of in (("marked_functor_category", lambda fc: fc.cat),
-                         ("end_limit", lambda end: end[0])):
-        def recorded(*args, _real=getattr(localization, name), _cat_of=cat_of):
-            out = _real(*args)
-            made.append(_cat_of(out))
-            return out
+    real_category, real_assemble = FunHoms.category, limits._assemble
 
-        monkeypatch.setattr(localization, name, recorded)
+    def category(self, *args, **kwargs):
+        made.append(self)
+        return real_category(self, *args, **kwargs)
+
+    def assemble(*args, **kwargs):
+        made.append(args[0])
+        return real_assemble(*args, **kwargs)
+
+    monkeypatch.setattr(FunHoms, "category", category)
+    monkeypatch.setattr(limits, "_assemble", assemble)
     for name in ("skeleton", "is_isomorphic", "is_equivalent"):
         real = getattr(equiv, name)
 
@@ -230,7 +238,7 @@ def test_the_probe_check_runs_no_skeleton_or_isomorphism_search(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     assert run_check("thm-lax-colim-probe", seed=136, count=1).passes == 1
     assert calls == []
-    assert made and all(C._gen_cache is None for C in made)
+    assert made == []
 
 
 def test_witness_check_raises_on_program_bugs(monkeypatch):

@@ -35,18 +35,21 @@
   every ``same_table`` call.  A ``build_category`` table is filled on first
   read, and a whole-table read fills it all, so a new one must be a visible
   choice, not a slip that computes a functor category's every composite.
-- ``_by_construction`` is called only in ``skeleton``, ``is_equivalent`` and
-  ``localization._comparison``, whose docstrings prove that the functors
-  they mark preserve composites; every other functor is checked on
-  generator pairs.  (``limits.whisker_functor`` was deleted; its tests keep
-  a reference copy.)
+- ``_by_construction`` is called only in ``skeleton`` and ``is_equivalent``,
+  whose docstrings prove that the functors they mark preserve composites;
+  every other functor is checked on generator pairs.
+  (``limits.whisker_functor`` and ``localization._comparison`` were
+  deleted; the tests keep reference copies of both.)
 - ``localization.py`` imports none of ``is_equivalent``, ``is_isomorphic``
   and ``skeleton``: the probe check decides the comparison functor the paper
   names, and the skeleton-isomorphism search stays off its path.  Nor does
   it import ``functor_category``, ``whisker_functor``, ``is_fully_faithful``
   or ``is_essentially_surjective``: the localization's universal property
   is decided by extending each marked functor along the quotient, and no
-  functor category out of the localization is built or searched.
+  functor category out of the localization is built or searched.  Nor does
+  it import ``marked_functor_category``, ``unfaithful_pair`` or
+  ``unreached_object``: the comparison is decided from the end's homs one
+  at a time, and neither of its sides is built as a category.
 
 One rule covers the tests themselves:
 
@@ -313,8 +316,7 @@ def test_every_whole_table_read_is_named(path):
         f"{path.name}: whole-table reads differ from WHOLE_TABLE_READERS")
 
 
-BY_CONSTRUCTION_CALLERS = {("equiv.py", "skeleton"), ("equiv.py", "is_equivalent"),
-                           ("localization.py", "_comparison")}
+BY_CONSTRUCTION_CALLERS = {("equiv.py", "skeleton"), ("equiv.py", "is_equivalent")}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -339,5 +341,6 @@ def test_the_probe_check_imports_no_isomorphism_search():
     found = set(_imported_names(tree)) & {
         "is_equivalent", "is_isomorphic", "skeleton",
         "functor_category", "whisker_functor", "is_fully_faithful",
-        "is_essentially_surjective"}
+        "is_essentially_surjective", "marked_functor_category",
+        "unfaithful_pair", "unreached_object"}
     assert not found, f"localization.py imports {sorted(found)}"
