@@ -32,7 +32,8 @@ from .constructions import (
 )
 from .diagrams import CatDiagram, SetDiagram
 from .errors import GenerationExhausted, SizeBoundExceeded
-from .localization import Arrow, PresentedCat, Relation, _paths, _quotient, _Words
+from .localization import (Arrow, PresentedCat, Relation, _out_of, _paths, _quotient,
+                           _Words)
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ def gen_category(p: GenParams) -> FinCat:
     while True:
         arrows = tuple(Arrow(e, s, t) for e, (s, t) in edges.items())
         try:
-            paths = _paths(objects, arrows, n, n + max(p.max_morphisms, 0))
+            paths = _paths(objects, _out_of(arrows), n, n + max(p.max_morphisms, 0))
             break
         except SizeBoundExceeded:
             del edges[rng.choice(sorted(edges))]

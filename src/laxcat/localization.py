@@ -8,6 +8,7 @@ truncating.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -138,19 +139,26 @@ class LocalizationResult:
 _Node = tuple[str, tuple[str, ...]]  # (source object, letters in diagram order)
 
 
-def _paths(objects, arrows, cap: int, max_words: int) -> dict[_Node, str]:
-    """Every path of at most ``cap`` arrows mapped to its target, breadth
-    first from the empty path at each object.  Raises SizeBoundExceeded as
-    soon as there are more than ``max_words`` paths."""
-    by_src: dict[str, list[Arrow]] = {}
+def _out_of(arrows) -> dict[str, list[Arrow]]:
+    """The arrows by source, each list in the arrows' order."""
+    out: dict[str, list[Arrow]] = {}
     for a in arrows:
-        by_src.setdefault(a.src, []).append(a)
+        out.setdefault(a.src, []).append(a)
+    return out
+
+
+def _paths(objects, out_of: dict[str, list[Arrow]], cap: int,
+           max_words: int) -> dict[_Node, str]:
+    """Every path of at most ``cap`` arrows mapped to its target, breadth
+    first from the empty path at each object (``out_of`` is the arrows by
+    source, from ``_out_of``).  Raises SizeBoundExceeded as soon as there
+    are more than ``max_words`` paths."""
     endpoints: dict[_Node, str] = {(x, ()): x for x in objects}
     frontier = list(endpoints.items())
     for _ in range(cap):
         nxt = []
         for (s, w), t in frontier:
-            for a in by_src.get(t, []):
+            for a in out_of.get(t, ()):
                 nd = (s, w + (a.name,))
                 endpoints[nd] = a.tgt
                 nxt.append((nd, a.tgt))
@@ -169,23 +177,41 @@ class _Words:
     equivalence on nodes that joins the two sides of each relation and is
     closed under context (u ~ v gives x·u·y ~ x·v·y when both are nodes).
     Each relation whose sides are both nodes is seeded once (an occurrence
-    in a longer word follows by context).  Then passes over the nodes
-    w = p·a = b·q join w with rep(p)·a and b·rep(q) until one joins nothing.
-    Each join is sound: p ~ rep(p) gives p·a ~ rep(p)·a by context, and
-    rep(p)·a is a node, no longer than p·a and a path, since each class of
-    a well-typed presentation (``PresentedCat`` checks it) has one source
-    and one target.  The fixpoint is closed under one-letter extension on
-    both sides (p ~ p' puts p·a and p'·a with rep(p)·a), hence under every
-    context x·u·y in the window, every subword of a node being a node: it
-    is the least congruence.  Representatives are shortlex-least, so they
-    depend on the partition alone, not on the order of the joins.
+    in a longer word follows by context).  Then a worklist holds every
+    nonempty node once; a node w = p·a = b·q taken from it is joined with
+    rep(p)·a and with b·rep(q).  Each join is sound: p ~ rep(p) gives
+    p·a ~ rep(p)·a by context, and rep(p)·a is a node, no longer than p·a
+    and a path, since each class of a well-typed presentation
+    (``PresentedCat`` checks it) has one source and one target.
+
+    A node's representative changes only when a join absorbs its class,
+    that is when the class's root loses to a shortlex-smaller root; the
+    winning class keeps its representative.  So each join that absorbs a
+    class puts back on the worklist every one-letter extension x·c and c·x
+    (that is a node) of every member x of the absorbed class, unless it is
+    already there.  Hence every node w = p·a = b·q is taken after the last
+    change of rep(p) and of rep(q), and once the worklist is empty w ~
+    rep(p)·a and w ~ b·rep(q) for the final representatives: the fixpoint
+    is closed under one-letter extension on both sides (p ~ p' puts p·a and
+    p'·a with rep(p)·a), hence under every context x·u·y in the window,
+    every subword of a node being a node, and it is the least congruence.
+    It terminates: a node is queued once at the start and then only by an
+    absorption, of which there are fewer than nodes.  The least congruence
+    is unique and representatives are shortlex-least, so the partition and
+    every representative depend on neither the order of the worklist nor
+    that of the joins: they are those of the closure by repeated full passes
+    that this one replaced.  Member lists are kept for the classes of more
+    than one node only.  When no seed joins two nodes the discrete
+    partition is already that congruence, and no worklist is made.
     """
 
     def __init__(self, pres: PresentedCat, cap: int, max_words: int):
         self.pres = pres
         self.arrow_tgt = {a.name: a.tgt for a in pres.arrows}
-        self.endpoints = _paths(pres.objects, pres.arrows, cap, max_words)
+        self.out_of = _out_of(pres.arrows)
+        self.endpoints = _paths(pres.objects, self.out_of, cap, max_words)
         self.parent: dict[_Node, _Node] = {nd: nd for nd in self.endpoints}
+        self.cap = cap
         self._close()
 
     def find(self, nd: _Node) -> _Node:
@@ -195,32 +221,71 @@ class _Words:
             nd = p[nd]
         return nd
 
-    def union(self, a: _Node, b: _Node) -> bool:
+    def union(self, a: _Node, b: _Node) -> _Node | None:
+        """Join the classes of a and b; the root that lost, or None when
+        they were one class already."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return False
+            return None
         # shortlex-least representative wins
         if (len(rb[1]), rb[1], rb[0]) < (len(ra[1]), ra[1], ra[0]):
             ra, rb = rb, ra
         self.parent[rb] = ra
-        return True
+        return rb
 
     def _close(self) -> None:
+        endpoints, parent, cap = self.endpoints, self.parent, self.cap
+        members: dict[_Node, list[_Node]] = {}  # classes of 2 or more nodes
+
+        def absorb(lost: _Node) -> list[_Node]:
+            """Move the members of the class of root ``lost`` to the class
+            that absorbed it, and return them."""
+            moved = members.pop(lost, None) or [lost]
+            members.setdefault(parent[lost], [parent[lost]]).extend(moved)
+            return moved
+
         for r in self.pres.relations:
             lhs, rhs = (r.src, r.lhs), (r.src, r.rhs)
-            if lhs in self.endpoints and rhs in self.endpoints:
-                self.union(lhs, rhs)
-        changed = True
-        while changed:
-            changed = False
-            for nd in self.endpoints:
-                s, w = nd
-                if w:
-                    rp = self.find((s, w[:-1]))[1]
-                    rq = self.find((self.arrow_tgt[w[0]], w[1:]))[1]
-                    for nd2 in ((s, rp + w[-1:]), (s, w[:1] + rq)):
-                        if nd2 != nd:
-                            changed |= self.union(nd, nd2)
+            if lhs in endpoints and rhs in endpoints:
+                lost = self.union(lhs, rhs)
+                if lost is not None:
+                    absorb(lost)
+        if not members:
+            return
+        out_of, into = self.out_of, {}
+        for a in self.pres.arrows:
+            into.setdefault(a.tgt, []).append(a)
+        queue = deque(nd for nd in endpoints if nd[1])
+        queued = set(queue)
+
+        def requeue(moved: list[_Node]) -> None:
+            """Queue the one-letter extensions of nodes whose rep changed."""
+            for s, x in moved:
+                if len(x) == cap:
+                    continue
+                for c in out_of.get(endpoints[s, x], ()):
+                    ext = (s, x + (c.name,))
+                    if ext not in queued:
+                        queued.add(ext)
+                        queue.append(ext)
+                for c in into.get(s, ()):
+                    ext = (c.src, (c.name,) + x)
+                    if ext not in queued:
+                        queued.add(ext)
+                        queue.append(ext)
+
+        arrow_tgt = self.arrow_tgt
+        while queue:
+            nd = queue.popleft()
+            queued.remove(nd)
+            s, w = nd
+            rp = self.find((s, w[:-1]))[1]
+            rq = self.find((arrow_tgt[w[0]], w[1:]))[1]
+            for nd2 in ((s, rp + w[-1:]), (s, w[:1] + rq)):
+                if nd2 != nd:
+                    lost = self.union(nd, nd2)
+                    if lost is not None:
+                        requeue(absorb(lost))
 
     def classes(self, max_len: int) -> dict[_Node, list[_Node]]:
         """Representative node -> all nodes of length <= max_len in the class."""
