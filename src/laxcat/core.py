@@ -344,7 +344,9 @@ class _Table(dict):
                     except KeyError:
                         raise MalformedTable(
                             f"missing composite ({n2} after {n1})") from None
-            self._full = True
+            # every composite is in the table now: let go of what the
+            # payloads compose through, such as a localization's words
+            self._full, self._compose = True, None
         return self
 
     def __reduce__(self):  # pickled as the plain, full table

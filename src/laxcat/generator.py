@@ -85,14 +85,14 @@ def gen_category(p: GenParams) -> FinCat:
     while True:
         arrows = tuple(Arrow(e, s, t) for e, (s, t) in edges.items())
         try:
-            paths = _paths(objects, _out_of(arrows), n, n + max(p.max_morphisms, 0))
+            window = _paths(objects, _out_of(arrows), n, n + max(p.max_morphisms, 0))
             break
         except SizeBoundExceeded:
             del edges[rng.choice(sorted(edges))]
 
     # random identifications of parallel nonempty paths
     groups: dict[tuple[str, str], list[tuple[str, ...]]] = {}
-    for (s, w), t in paths.items():
+    for (s, w), t in zip(window.nodes, window.tgts):
         groups.setdefault((s, t), []).append(w)
     relations = []
     for s, t in sorted(groups):
@@ -101,8 +101,7 @@ def gen_category(p: GenParams) -> FinCat:
             for b in range(a + 1, len(grp)):
                 if grp[a] and grp[b] and rng.random() < p.relation_density:
                     relations.append(Relation(s, t, grp[a], grp[b]))
-    words = _Words(PresentedCat(tuple(objects), arrows, tuple(relations)),
-                   n, len(paths))
+    words = _Words(PresentedCat(tuple(objects), arrows, tuple(relations)), window)
     return _quotient(words, words.classes(n),
                      lambda r2, r1: words.find((r1[0], r1[1] + r2[1])))
 

@@ -147,31 +147,141 @@ def _out_of(arrows) -> dict[str, list[Arrow]]:
     return out
 
 
+class _Window:
+    """Every path of at most ``cap`` arrows, numbered breadth first from the
+    empty path at each object (``out_of`` is the arrows by source, from
+    ``_out_of``, and its order fixes the numbering): ``nodes[i]`` is path
+    number i and ``tgts[i]`` its target, and ``endpoints`` maps each path to
+    its target in that order.  The empty path at the j-th object is number
+    j, and ``level[k]`` is the number of paths shorter than k, for k up to
+    cap + 1.  ``widen`` appends the longer paths, so a window is a prefix of
+    every wider window of the same arrows.
+
+    The numbering is arithmetic on both sides.  The one-letter extensions
+    p·a of a path p shorter than the cap are contiguous, numbers
+    ``first_child[p]`` up to ``first_child[p + 1]``, in ``out_of`` order:
+    p·a is ``first_child[p] + pos[a]``, ``pos[a]`` the place of a among the
+    arrows out of its source, and ``pre[p·a]`` is p.  Within a length, the
+    paths are grouped by source in object order and each group is
+    lexicographic in the places of its letters, so the paths of length k + 1
+    that begin with c are those of length k out of the target of c, in the
+    same order: c·x is x plus a shift that depends on c and on the length
+    of x only (``left_shifts``)."""
+
+    __slots__ = ("objects", "out_of", "pos", "root", "nodes", "tgts", "pre",
+                 "first_child", "level", "cap", "_endpoints")
+
+    def __init__(self, objects, out_of: dict[str, list[Arrow]]):
+        self.objects = tuple(objects)
+        self.out_of = out_of
+        self.pos = {a.name: k for arrows in out_of.values()
+                    for k, a in enumerate(arrows)}
+        self.root = {x: j for j, x in enumerate(self.objects)}
+        self.nodes: list[_Node] = [(x, ()) for x in self.objects]
+        self.tgts: list[str] = list(self.objects)
+        self.pre: list[int] = [-1] * len(self.objects)
+        self.first_child = [len(self.objects)]  # one past the last, as well
+        self.level = [0, len(self.objects)]
+        self.cap = 0
+        self._endpoints: dict[_Node, str] = {}
+
+    def widen(self, cap: int, max_words: int) -> None:
+        """Append the paths of lengths up to ``cap``, breadth first.  Raises
+        SizeBoundExceeded once there are more than ``max_words`` paths,
+        with the count an enumeration one path at a time stops at (the
+        check is made after each path's extensions); the window is then
+        left half made."""
+        nodes, tgts, pre, first_child = self.nodes, self.tgts, self.pre, self.first_child
+        out_of, level = self.out_of, self.level
+        # the path that crosses the bound is the (max_words + 1)-th, or the
+        # first appended when the objects alone outnumber max_words
+        limit = max(len(nodes), max_words)
+        first_child.pop()
+        for _ in range(self.cap, cap):
+            for i in range(level[-2], level[-1]):
+                first_child.append(len(nodes))
+                arrows = out_of.get(tgts[i])
+                if arrows:
+                    s, w = nodes[i]
+                    for a in arrows:
+                        nodes.append((s, w + (a.name,)))
+                        tgts.append(a.tgt)
+                        pre.append(i)
+                    if len(nodes) > limit:
+                        raise SizeBoundExceeded("localization words", "word",
+                                                limit + 1, max_words)
+            level.append(len(nodes))
+        first_child.append(len(nodes))
+        self.cap = max(self.cap, cap)
+
+    @property
+    def endpoints(self) -> dict[_Node, str]:
+        """Each path mapped to its target, in the numbering's order; made
+        when first read, as the closure reads numbers only."""
+        done = len(self._endpoints)
+        if done < len(self.nodes):
+            self._endpoints.update(zip(self.nodes[done:], self.tgts[done:]))
+        return self._endpoints
+
+    def walk(self, i: int, letters: tuple[str, ...]) -> int:
+        """The number of path i followed by ``letters``, which must continue
+        it to a path of the window."""
+        first_child, pos = self.first_child, self.pos
+        for a in letters:
+            i = first_child[i] + pos[a]
+        return i
+
+    def index(self, nd: _Node) -> int:
+        """The number of path ``nd``; KeyError when it is no path of the
+        window."""
+        try:
+            i = self.walk(self.root[nd[0]], nd[1])
+            if self.nodes[i] == nd:
+                return i
+        except (KeyError, IndexError):
+            pass
+        raise KeyError(nd)
+
+    def left_shifts(self) -> list[dict[str, int]]:
+        """``shift[k][c]`` for each k such that some path of the window is
+        k + 1 long: c·x is x + shift[k][c] for every path x of length k out
+        of the target of c.  It is the first number of the paths of length
+        k + 1 out of the source of c that begin with c, less the first
+        number of those of length k out of its target."""
+        objects, out_of, level = self.objects, self.out_of, self.level
+        count = dict.fromkeys(objects, 1)  # paths of the current length
+        start = self.root  # the first number of those out of each object
+        shifts = []
+        for k in range(self.cap):
+            if level[k + 1] == level[k + 2]:
+                break  # no path of length k + 1, nor longer, so no c·x
+            shift: dict[str, int] = {}
+            nxt_count, nxt_start, at = {}, {}, level[k + 1]
+            for x in objects:
+                nxt_start[x] = at
+                for a in out_of.get(x, ()):
+                    shift[a.name] = at - start[a.tgt]
+                    at += count[a.tgt]
+                nxt_count[x] = at - nxt_start[x]
+            shifts.append(shift)
+            count, start = nxt_count, nxt_start
+        return shifts
+
+
 def _paths(objects, out_of: dict[str, list[Arrow]], cap: int,
-           max_words: int) -> dict[_Node, str]:
-    """Every path of at most ``cap`` arrows mapped to its target, breadth
-    first from the empty path at each object (``out_of`` is the arrows by
-    source, from ``_out_of``).  Raises SizeBoundExceeded as soon as there
-    are more than ``max_words`` paths."""
-    endpoints: dict[_Node, str] = {(x, ()): x for x in objects}
-    frontier = list(endpoints.items())
-    for _ in range(cap):
-        nxt = []
-        for (s, w), t in frontier:
-            for a in out_of.get(t, ()):
-                nd = (s, w + (a.name,))
-                endpoints[nd] = a.tgt
-                nxt.append((nd, a.tgt))
-                if len(endpoints) > max_words:
-                    raise SizeBoundExceeded("localization words", "word",
-                                            len(endpoints), max_words)
-        frontier = nxt
-    return endpoints
+           max_words: int) -> _Window:
+    """The window of every path of at most ``cap`` arrows (``_Window``).
+    Raises SizeBoundExceeded as soon as there are more than ``max_words``
+    paths."""
+    window = _Window(objects, out_of)
+    window.widen(cap, max_words)
+    return window
 
 
 class _Words:
-    """Generator words up to a length cap, keyed by source object, with a
-    union-find congruence closed under the presentation relations.
+    """Generator words up to a length cap, numbered in a ``_Window``, with a
+    union-find congruence on the numbers closed under the presentation
+    relations.
 
     Call a word of length <= cap a node.  The partition is the least
     equivalence on nodes that joins the two sides of each relation and is
@@ -203,96 +313,144 @@ class _Words:
     that this one replaced.  Member lists are kept for the classes of more
     than one node only.  When no seed joins two nodes the discrete
     partition is already that congruence, and no worklist is made.
+
+    The closure runs on node numbers (``_Window``): ``parent`` is a list,
+    and for w = p·a = b·q, p is ``pre[w]``, rep(p)·a is
+    ``first_child[rep(p)] + w - first_child[p]`` (a is at the same place
+    among the arrows out of the common target), q is w less b's left shift
+    at the length of q, and b·rep(q) is rep(q) plus b's left shift at the
+    length of rep(q).  So no word is built or hashed on the way.
+    ``_union`` compares the (length, letters, source) keys of two roots
+    only when they differ.  ``find`` and ``classes`` speak of nodes as
+    (source, letters) pairs, and ``endpoints`` lists them in the window's
+    order, which fixes the order of ``classes``.
+
+    ``widen`` grows the window in place to a larger cap and closes it again.
+    The partition so far stays: its joins are sound in the larger window.
+    Only the relations new to the window are seeded; the new nodes are
+    queued, and so are the extensions of every member of a class that a
+    join, seeded or not, absorbs.  That reaches the same fixpoint: an old
+    node met its conditions when the smaller window closed, and keeps them
+    until a representative of its prefix or suffix changes, which queues
+    it again.  As before, no worklist is made while the partition is
+    discrete.
     """
 
-    def __init__(self, pres: PresentedCat, cap: int, max_words: int):
+    __slots__ = ("pres", "window", "nodes", "parent", "members")
+
+    def __init__(self, pres: PresentedCat, window: _Window):
+        """The closed congruence on ``window``, which must be the window of
+        ``pres``' objects and arrows (``_paths(pres.objects,
+        _out_of(pres.arrows), cap, max_words)``)."""
         self.pres = pres
-        self.arrow_tgt = {a.name: a.tgt for a in pres.arrows}
-        self.out_of = _out_of(pres.arrows)
-        self.endpoints = _paths(pres.objects, self.out_of, cap, max_words)
-        self.parent: dict[_Node, _Node] = {nd: nd for nd in self.endpoints}
-        self.cap = cap
-        self._close()
+        self.window = window
+        self.nodes = window.nodes
+        self.parent = list(range(len(self.nodes)))
+        self.members: dict[int, list[int]] = {}  # classes of 2 or more nodes
+        self._close(-1, 0)
+
+    @property
+    def endpoints(self) -> dict[_Node, str]:
+        return self.window.endpoints
+
+    def widen(self, cap: int, max_words: int) -> None:
+        """Grow the window to ``cap`` and close the congruence on it.  Raises
+        SizeBoundExceeded as ``_paths`` does, after which the words are
+        half made and not to be read."""
+        old, n = self.window.cap, len(self.nodes)
+        self.window.widen(cap, max_words)
+        self.parent.extend(range(n, len(self.nodes)))
+        self._close(old, n)
+
+    def _find(self, i: int) -> int:
+        p = self.parent
+        while p[i] != i:
+            p[i] = p[p[i]]
+            i = p[i]
+        return i
 
     def find(self, nd: _Node) -> _Node:
-        p = self.parent
-        while p[nd] != nd:
-            p[nd] = p[p[nd]]
-            nd = p[nd]
-        return nd
+        return self.nodes[self._find(self.window.index(nd))]
 
-    def union(self, a: _Node, b: _Node) -> _Node | None:
-        """Join the classes of a and b; the root that lost, or None when
-        they were one class already."""
-        ra, rb = self.find(a), self.find(b)
+    def _union(self, a: int, b: int) -> list[int] | None:
+        """Join the classes of nodes a and b under the shortlex-least of
+        their roots, and return the members of the class that lost, or None
+        when they were one class already."""
+        ra, rb = self._find(a), self._find(b)
         if ra == rb:
             return None
-        # shortlex-least representative wins
-        if (len(rb[1]), rb[1], rb[0]) < (len(ra[1]), ra[1], ra[0]):
+        (sa, wa), (sb, wb) = self.nodes[ra], self.nodes[rb]
+        if (len(wb), wb, sb) < (len(wa), wa, sa):
             ra, rb = rb, ra
         self.parent[rb] = ra
-        return rb
+        moved = self.members.pop(rb, None) or [rb]
+        self.members.setdefault(ra, [ra]).extend(moved)
+        return moved
 
-    def _close(self) -> None:
-        endpoints, parent, cap = self.endpoints, self.parent, self.cap
-        members: dict[_Node, list[_Node]] = {}  # classes of 2 or more nodes
-
-        def absorb(lost: _Node) -> list[_Node]:
-            """Move the members of the class of root ``lost`` to the class
-            that absorbed it, and return them."""
-            moved = members.pop(lost, None) or [lost]
-            members.setdefault(parent[lost], [parent[lost]]).extend(moved)
-            return moved
-
+    def _close(self, old_cap: int, new: int) -> None:
+        """Seed the relations longer than ``old_cap`` on a side and close,
+        queueing the nodes numbered from ``new`` on."""
+        window, nodes = self.window, self.nodes
+        cap, walk, root = window.cap, window.walk, window.root
+        absorbed = []  # the members of each class a seed absorbed
         for r in self.pres.relations:
-            lhs, rhs = (r.src, r.lhs), (r.src, r.rhs)
-            if lhs in endpoints and rhs in endpoints:
-                lost = self.union(lhs, rhs)
-                if lost is not None:
-                    absorb(lost)
-        if not members:
+            # both sides are paths (PresentedCat checks it), so nodes
+            if old_cap < max(len(r.lhs), len(r.rhs)) <= cap:
+                moved = self._union(walk(root[r.src], r.lhs), walk(root[r.src], r.rhs))
+                if moved is not None:
+                    absorbed.append(moved)
+        if not self.members:
             return
-        out_of, into = self.out_of, {}
+        find, union = self._find, self._union
+        pre, first_child = window.pre, window.first_child
+        shifts = window.left_shifts()
+        into: dict[str, list[str]] = {}
         for a in self.pres.arrows:
-            into.setdefault(a.tgt, []).append(a)
-        queue = deque(nd for nd in endpoints if nd[1])
-        queued = set(queue)
+            into.setdefault(a.tgt, []).append(a.name)
+        start = max(new, window.level[1])
+        queue = deque(range(start, len(nodes)))
+        queued = bytearray(start) + b"\1" * (len(nodes) - start)
 
-        def requeue(moved: list[_Node]) -> None:
+        def requeue(moved: list[int]) -> None:
             """Queue the one-letter extensions of nodes whose rep changed."""
-            for s, x in moved:
-                if len(x) == cap:
+            for x in moved:
+                s, w = nodes[x]
+                k = len(w)
+                if k == cap:
                     continue
-                for c in out_of.get(endpoints[s, x], ()):
-                    ext = (s, x + (c.name,))
-                    if ext not in queued:
-                        queued.add(ext)
+                for ext in range(first_child[x], first_child[x + 1]):
+                    if not queued[ext]:
+                        queued[ext] = 1
                         queue.append(ext)
                 for c in into.get(s, ()):
-                    ext = (c.src, (c.name,) + x)
-                    if ext not in queued:
-                        queued.add(ext)
+                    ext = x + shifts[k][c]
+                    if not queued[ext]:
+                        queued[ext] = 1
                         queue.append(ext)
 
-        arrow_tgt = self.arrow_tgt
+        for moved in absorbed:  # old nodes whose rep changed
+            requeue(moved)
         while queue:
-            nd = queue.popleft()
-            queued.remove(nd)
-            s, w = nd
-            rp = self.find((s, w[:-1]))[1]
-            rq = self.find((arrow_tgt[w[0]], w[1:]))[1]
-            for nd2 in ((s, rp + w[-1:]), (s, w[:1] + rq)):
-                if nd2 != nd:
-                    lost = self.union(nd, nd2)
-                    if lost is not None:
-                        requeue(absorb(lost))
+            i = queue.popleft()
+            queued[i] = 0
+            w = nodes[i][1]
+            p, b = pre[i], w[0]
+            rp = find(p)
+            rq = find(i - shifts[len(w) - 1][b])
+            for j in (first_child[rp] + i - first_child[p],
+                      rq + shifts[len(nodes[rq][1])][b]):
+                if j != i:
+                    moved = union(i, j)
+                    if moved is not None:
+                        requeue(moved)
 
     def classes(self, max_len: int) -> dict[_Node, list[_Node]]:
-        """Representative node -> all nodes of length <= max_len in the class."""
+        """Representative node -> all nodes of length <= max_len in the class,
+        in the window's order."""
+        find, nodes, window = self._find, self.nodes, self.window
         out: dict[_Node, list[_Node]] = {}
-        for nd in self.endpoints:
-            if len(nd[1]) <= max_len:
-                out.setdefault(self.find(nd), []).append(nd)
+        for i in range(window.level[min(max_len, window.cap) + 1]):
+            out.setdefault(nodes[find(i)], []).append(nodes[i])
         return out
 
 
@@ -307,9 +465,10 @@ def _quotient(words: _Words, classes: dict[_Node, list[_Node]],
     """One morphism per class, named by its representative (``_name``), which
     is its build_category payload: ``compose(r2, r1)`` is the representative
     of r2 after r1."""
+    window = words.window
     return build_category(
         words.pres.objects,
-        [(_name(rep), rep[0], words.endpoints[rep], rep) for rep in classes],
+        [(_name(rep), rep[0], window.tgts[window.index(rep)], rep) for rep in classes],
         compose, lambda rep: not rep[1])
 
 
@@ -346,30 +505,43 @@ def localize_presentation(pres: PresentedCat,
     return _localize_presented(pres, bounds)[0]
 
 
-def _composites(words: _Words, cls: dict[_Node, list[_Node]], L: int):
+def _composites(words: _Words, cls: dict[_Node, list[_Node]]):
     """Each composite class keyed (second, first), and None; or None and the
-    hom and class count of the first pair whose composites are not one class."""
+    hom and class count of the first pair whose composites are not one class.
+
+    ``cls`` is ``words.classes(L)`` on a window of 2L.  One find per pair
+    of classes decides it: the composite of r2 after r1 is the class of
+    r1·r2, a node as both are at most L long.  For members n1 ~ r1 and n2 ~ r2 the congruence the window is
+    closed under gives n1·n2 ~ r1·n2 ~ r1·r2, each a node since a
+    representative is no longer than its members, so every member pair
+    composes into that one class.  So the failing pair is one whose
+    composite class is not in ``cls`` (its representative is longer than L),
+    and the count, which is that of the other composite classes, is always
+    0 here; it is len(cls) only where ``_localize_presented`` finds the
+    table inconsistent."""
+    window, nodes, find = words.window, words.nodes, words._find
+    walk, root, tgts = window.walk, window.root, window.tgts
+    ids = {r: walk(root[r[0]], r[1]) for r in cls}
+    by_src: dict[str, list[_Node]] = {}
+    for r in cls:
+        by_src.setdefault(r[0], []).append(r)
     comp: dict[tuple[_Node, _Node], _Node] = {}
-    for r1, ws1 in cls.items():
-        for r2, ws2 in cls.items():
-            if r2[0] != words.endpoints[r1]:
-                continue
-            targets = {words.find((n1[0], n1[1] + n2[1]))
-                       for n1 in ws1 for n2 in ws2
-                       if len(n1[1]) + len(n2[1]) <= 2 * L}
-            # a single class outside cls is popped, so it counts as 0
-            tgt = targets.pop() if len(targets) == 1 else None
+    for r1, i1 in ids.items():
+        for r2 in by_src.get(tgts[i1], ()):
+            tgt = nodes[find(walk(i1, r2[1]))]
             if tgt not in cls:
-                return None, ((r1[0], words.endpoints[r2]), len(targets))
+                return None, ((r1[0], tgts[ids[r2]]), 0)
             comp[(r2, r1)] = tgt
     return comp, None
 
 
 def _localize_presented(pres: PresentedCat, bounds: Bounds):
     last_frontier: tuple[tuple, int] | None = None
+    words = _Words(pres, _paths(pres.objects, _out_of(pres.arrows), 0,
+                                bounds.max_words))
     for L in range(1, bounds.word_length + 1):
         try:
-            words = _Words(pres, 2 * L, bounds.max_words)
+            words.widen(2 * L, bounds.max_words)
         except SizeBoundExceeded as e:
             return LocalizationResult("size-bound", bound={
                 "which": "max_words", "cap": e.cap, "at": e.count,
@@ -379,7 +551,7 @@ def _localize_presented(pres: PresentedCat, bounds: Bounds):
             return LocalizationResult("size-bound", bound={
                 "which": "max_morphisms", "cap": bounds.max_morphisms,
                 "at": len(cls), "word_length": L}), None
-        comp_class, last_frontier = _composites(words, cls, L)
+        comp_class, last_frontier = _composites(words, cls)
         if comp_class is None:
             continue
         try:

@@ -1,6 +1,7 @@
 """Presentations, bounded localization, lax colimits, and probe checks."""
 
 import random
+from collections import deque
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -34,6 +35,9 @@ from laxcat.localization import (
     Bounds,
     PresentedCat,
     Relation,
+    _composites,
+    _out_of,
+    _paths,
     _Words,
     check_localization_up,
     inverse_name,
@@ -461,7 +465,169 @@ def test_localize_widens_only_on_malformed_tables(monkeypatch):
 # -- the closure: seeded relations plus the one-letter extension worklist -----------
 
 
-class _PassWords(_Words):
+_Node = tuple[str, tuple[str, ...]]  # (source object, letters in diagram order)
+
+
+def _tuple_paths(objects, out_of: dict[str, list[Arrow]], cap: int,
+                 max_words: int) -> dict[_Node, str]:
+    """Every path of at most ``cap`` arrows mapped to its target, breadth
+    first from the empty path at each object (``out_of`` is the arrows by
+    source, from ``_out_of``).  Raises SizeBoundExceeded as soon as there
+    are more than ``max_words`` paths."""
+    endpoints: dict[_Node, str] = {(x, ()): x for x in objects}
+    frontier = list(endpoints.items())
+    for _ in range(cap):
+        nxt = []
+        for (s, w), t in frontier:
+            for a in out_of.get(t, ()):
+                nd = (s, w + (a.name,))
+                endpoints[nd] = a.tgt
+                nxt.append((nd, a.tgt))
+                if len(endpoints) > max_words:
+                    raise SizeBoundExceeded("localization words", "word",
+                                            len(endpoints), max_words)
+        frontier = nxt
+    return endpoints
+
+
+class _TupleWords:
+    """The closure as it was before it ran on node numbers, kept verbatim
+    (with its ``_paths`` as ``_tuple_paths``) as the reference the shipped
+    closure is compared with: the same seeds and worklist, on a dict of
+    (source, letters) nodes.
+
+    Generator words up to a length cap, keyed by source object, with a
+    union-find congruence closed under the presentation relations.
+
+    Call a word of length <= cap a node.  The partition is the least
+    equivalence on nodes that joins the two sides of each relation and is
+    closed under context (u ~ v gives x·u·y ~ x·v·y when both are nodes).
+    Each relation whose sides are both nodes is seeded once (an occurrence
+    in a longer word follows by context).  Then a worklist holds every
+    nonempty node once; a node w = p·a = b·q taken from it is joined with
+    rep(p)·a and with b·rep(q).  Each join is sound: p ~ rep(p) gives
+    p·a ~ rep(p)·a by context, and rep(p)·a is a node, no longer than p·a
+    and a path, since each class of a well-typed presentation
+    (``PresentedCat`` checks it) has one source and one target.
+
+    A node's representative changes only when a join absorbs its class,
+    that is when the class's root loses to a shortlex-smaller root; the
+    winning class keeps its representative.  So each join that absorbs a
+    class puts back on the worklist every one-letter extension x·c and c·x
+    (that is a node) of every member x of the absorbed class, unless it is
+    already there.  Hence every node w = p·a = b·q is taken after the last
+    change of rep(p) and of rep(q), and once the worklist is empty w ~
+    rep(p)·a and w ~ b·rep(q) for the final representatives: the fixpoint
+    is closed under one-letter extension on both sides (p ~ p' puts p·a and
+    p'·a with rep(p)·a), hence under every context x·u·y in the window,
+    every subword of a node being a node, and it is the least congruence.
+    It terminates: a node is queued once at the start and then only by an
+    absorption, of which there are fewer than nodes.  The least congruence
+    is unique and representatives are shortlex-least, so the partition and
+    every representative depend on neither the order of the worklist nor
+    that of the joins: they are those of the closure by repeated full passes
+    that this one replaced.  Member lists are kept for the classes of more
+    than one node only.  When no seed joins two nodes the discrete
+    partition is already that congruence, and no worklist is made.
+    """
+
+    def __init__(self, pres: PresentedCat, cap: int, max_words: int):
+        self.pres = pres
+        self.arrow_tgt = {a.name: a.tgt for a in pres.arrows}
+        self.out_of = _out_of(pres.arrows)
+        self.endpoints = _tuple_paths(pres.objects, self.out_of, cap, max_words)
+        self.parent: dict[_Node, _Node] = {nd: nd for nd in self.endpoints}
+        self.cap = cap
+        self._close()
+
+    def find(self, nd: _Node) -> _Node:
+        p = self.parent
+        while p[nd] != nd:
+            p[nd] = p[p[nd]]
+            nd = p[nd]
+        return nd
+
+    def union(self, a: _Node, b: _Node) -> _Node | None:
+        """Join the classes of a and b; the root that lost, or None when
+        they were one class already."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return None
+        # shortlex-least representative wins
+        if (len(rb[1]), rb[1], rb[0]) < (len(ra[1]), ra[1], ra[0]):
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return rb
+
+    def _close(self) -> None:
+        endpoints, parent, cap = self.endpoints, self.parent, self.cap
+        members: dict[_Node, list[_Node]] = {}  # classes of 2 or more nodes
+
+        def absorb(lost: _Node) -> list[_Node]:
+            """Move the members of the class of root ``lost`` to the class
+            that absorbed it, and return them."""
+            moved = members.pop(lost, None) or [lost]
+            members.setdefault(parent[lost], [parent[lost]]).extend(moved)
+            return moved
+
+        for r in self.pres.relations:
+            lhs, rhs = (r.src, r.lhs), (r.src, r.rhs)
+            if lhs in endpoints and rhs in endpoints:
+                lost = self.union(lhs, rhs)
+                if lost is not None:
+                    absorb(lost)
+        if not members:
+            return
+        out_of, into = self.out_of, {}
+        for a in self.pres.arrows:
+            into.setdefault(a.tgt, []).append(a)
+        queue = deque(nd for nd in endpoints if nd[1])
+        queued = set(queue)
+
+        def requeue(moved: list[_Node]) -> None:
+            """Queue the one-letter extensions of nodes whose rep changed."""
+            for s, x in moved:
+                if len(x) == cap:
+                    continue
+                for c in out_of.get(endpoints[s, x], ()):
+                    ext = (s, x + (c.name,))
+                    if ext not in queued:
+                        queued.add(ext)
+                        queue.append(ext)
+                for c in into.get(s, ()):
+                    ext = (c.src, (c.name,) + x)
+                    if ext not in queued:
+                        queued.add(ext)
+                        queue.append(ext)
+
+        arrow_tgt = self.arrow_tgt
+        while queue:
+            nd = queue.popleft()
+            queued.remove(nd)
+            s, w = nd
+            rp = self.find((s, w[:-1]))[1]
+            rq = self.find((arrow_tgt[w[0]], w[1:]))[1]
+            for nd2 in ((s, rp + w[-1:]), (s, w[:1] + rq)):
+                if nd2 != nd:
+                    lost = self.union(nd, nd2)
+                    if lost is not None:
+                        requeue(absorb(lost))
+
+    def classes(self, max_len: int) -> dict[_Node, list[_Node]]:
+        """Representative node -> all nodes of length <= max_len in the class."""
+        out: dict[_Node, list[_Node]] = {}
+        for nd in self.endpoints:
+            if len(nd[1]) <= max_len:
+                out.setdefault(self.find(nd), []).append(nd)
+        return out
+
+
+def _words(pres: PresentedCat, cap: int, max_words: int) -> _Words:
+    """The shipped closure on a fresh window of ``cap``."""
+    return _Words(pres, _paths(pres.objects, _out_of(pres.arrows), cap, max_words))
+
+
+class _PassWords(_TupleWords):
     """The seeded closure with the pass loop the worklist replaced: full
     passes over the nodes w = p·a = b·q, joining w with rep(p)·a and with
     b·rep(q), until a pass joins nothing.  ``passes`` counts the passes.
@@ -487,7 +653,7 @@ class _PassWords(_Words):
                             changed |= bool(self.union(nd, nd2))
 
 
-class _SubwordWords(_Words):
+class _SubwordWords(_TupleWords):
     """The seeded closure with the pass it had before the one-letter pass:
     each subword of each node is replaced by the representative of its
     class, until nothing changes.  Kept as a second reference."""
@@ -514,7 +680,7 @@ class _SubwordWords(_Words):
                     obj = self.arrow_tgt[w[i]]
 
 
-class _RewritingWords(_Words):
+class _RewritingWords(_TupleWords):
     """The closure as it was before relations were seeded: every relation is
     matched in both directions at every position of every word (an empty
     side anchored at the relation's object), beside the subword pass.  Kept
@@ -610,7 +776,7 @@ def _localize_stream_total(seed: int) -> PresentedCat:
     return present(grothendieck_cocart(F).total)
 
 
-def _partition(words: _Words) -> dict:
+def _partition(words) -> dict:
     return {nd: words.find(nd) for nd in words.endpoints}
 
 
@@ -619,10 +785,10 @@ def test_seeded_closure_matches_the_rewriting_closure():
     for label, pres in _differential_presentations():
         for cap in range(2, 7):
             try:
-                shipped = _partition(_Words(pres, cap, 4000))
+                shipped = _partition(_words(pres, cap, 4000))
             except SizeBoundExceeded:
                 break
-            for reference in (_PassWords, _SubwordWords, _RewritingWords):
+            for reference in (_TupleWords, _PassWords, _SubwordWords, _RewritingWords):
                 assert shipped == _partition(reference(pres, cap, 4000)), \
                     (label, cap, reference.__name__)
             compared += 1
@@ -631,8 +797,9 @@ def test_seeded_closure_matches_the_rewriting_closure():
     # the pass loop needs a third pass there, so some join comes late enough
     # that the worklist must take a node again after its first look
     pres = _localize_stream_total(12)
-    shipped = _partition(_Words(pres, 6, 10_000))
+    shipped = _partition(_words(pres, 6, 10_000))
     assert len(shipped) == 9168
+    assert shipped == _partition(_TupleWords(pres, 6, 10_000))
     passes = _PassWords(pres, 6, 10_000)
     assert passes.passes >= 3
     assert shipped == _partition(passes)
@@ -650,10 +817,10 @@ def test_closure_does_not_depend_on_the_order_of_the_relations():
         shuffled = PresentedCat(pres.objects, tuple(arrows), tuple(relations))
         for cap in range(2, 7):
             try:
-                words = _Words(pres, cap, 4000)
+                words = _words(pres, cap, 4000)
             except SizeBoundExceeded:
                 break
-            assert _partition(words) == _partition(_Words(shuffled, cap, 4000)), \
+            assert _partition(words) == _partition(_words(shuffled, cap, 4000)), \
                 (label, cap)
 
 
@@ -663,15 +830,131 @@ def test_closure_makes_a_bounded_number_of_finds_per_word(monkeypatch):
     # one more full pass over the window would exceed 8 again
     pres = _localize_stream_total(12)
     calls = [0]
-    find = _Words.find
+    find = _Words._find
 
-    def counted(self, nd):
+    def counted(self, i):
         calls[0] += 1
-        return find(self, nd)
+        return find(self, i)
 
-    monkeypatch.setattr(_Words, "find", counted)
-    words = _Words(pres, 6, 10_000)
+    monkeypatch.setattr(_Words, "_find", counted)
+    words = _words(pres, 6, 10_000)
     assert calls[0] <= 8 * len(words.endpoints)
+
+
+def test_endpoints_keep_the_order_of_the_paths():
+    # the order of endpoints fixes that of classes, so the quotient's hom
+    # order and the hom a word bound reports; it is _tuple_paths' order,
+    # for a fresh window and for one widened a length at a time
+    for label, pres in _differential_presentations():
+        out_of = _out_of(pres.arrows)
+        grown = _Words(pres, _paths(pres.objects, out_of, 0, 4000))
+        for cap in range(1, 7):
+            try:
+                expected = _tuple_paths(pres.objects, out_of, cap, 4000)
+            except SizeBoundExceeded:
+                break
+            grown.widen(cap, 4000)
+            for words in (_words(pres, cap, 4000), grown):
+                assert list(words.endpoints.items()) == list(expected.items()), \
+                    (label, cap)
+                assert words.window.nodes == list(expected), (label, cap)
+
+
+def test_widened_window_closes_to_the_fresh_closure():
+    # a window grown in place keeps its joins and closes to the partition
+    # of a window enumerated and closed at the larger cap
+    widened = 0
+    for label, pres in _differential_presentations():
+        grown = _words(pres, 1, 4000)
+        for cap in range(2, 7):
+            try:
+                fresh = _partition(_TupleWords(pres, cap, 4000))
+            except SizeBoundExceeded:
+                break
+            grown.widen(cap, 4000)
+            assert _partition(grown) == fresh, (label, cap)
+            widened += 1
+    assert widened >= 300
+    # relations met only at cap 3 join the old classes of a and b, so the
+    # old words b·a, b·b, b·c, a·b, c·b change representative and must be
+    # taken again, though none is new to the window
+    abc = PresentedCat(("x",), tuple(Arrow(n, "x", "x") for n in "abc"), (
+        Relation("x", "x", ("c", "c", "c"), ("a",)),
+        Relation("x", "x", ("c", "c", "c"), ("b",))))
+    grown = _words(abc, 2, 4000)
+    grown.widen(3, 4000)
+    assert grown.find(("x", ("b", "c"))) == ("x", ("a", "c"))
+    assert _partition(grown) == _partition(_TupleWords(abc, 3, 4000))
+    # the localize ladder's windows 2, 4, 6 on the benchmark's stream 12
+    pres = _localize_stream_total(12)
+    grown = _words(pres, 2, 10_000)
+    for cap in (4, 6):
+        grown.widen(cap, 10_000)
+        assert _partition(grown) == _partition(_TupleWords(pres, cap, 10_000)), cap
+
+
+def test_word_count_bound_is_recorded_as_before():
+    # the max_words record of a fresh or a widened window is that of the
+    # path enumeration one word at a time, including a window whose objects
+    # alone outnumber max_words
+    for label, pres in _differential_presentations():
+        out_of = _out_of(pres.arrows)
+        for max_words in range(1, 40, 3):
+            for cap in range(0, 7):
+                try:
+                    _tuple_paths(pres.objects, out_of, cap, max_words)
+                    expected = None
+                except SizeBoundExceeded as e:
+                    expected = (e.count, e.cap)
+                for start in (0, cap // 2):
+                    try:
+                        window = _paths(pres.objects, out_of, start, max_words)
+                        window.widen(cap, max_words)
+                        got = None
+                    except SizeBoundExceeded as e:
+                        got = (e.count, e.cap)
+                    assert got == expected, (label, max_words, cap, start)
+                if expected is not None:
+                    break
+
+
+def _all_pairs_composites(words, cls, L: int):
+    """_composites as it was before one find per pair of classes: the
+    composite classes of every pair of members whose composite is in the
+    window.  Kept as the reference for the one-find version."""
+    comp = {}
+    for r1, ws1 in cls.items():
+        for r2, ws2 in cls.items():
+            if r2[0] != words.endpoints[r1]:
+                continue
+            targets = {words.find((n1[0], n1[1] + n2[1]))
+                       for n1 in ws1 for n2 in ws2
+                       if len(n1[1]) + len(n2[1]) <= 2 * L}
+            # a single class outside cls is popped, so it counts as 0
+            tgt = targets.pop() if len(targets) == 1 else None
+            if tgt not in cls:
+                return None, ((r1[0], words.endpoints[r2]), len(targets))
+            comp[(r2, r1)] = tgt
+    return comp, None
+
+
+def test_one_find_composites_match_the_all_pairs_composites():
+    outcomes = set()
+    presentations = list(_differential_presentations())
+    presentations += [(f"stream{s}", _localize_stream_total(s)) for s in (4, 12)]
+    for label, pres in presentations:
+        for L in range(1, 5):
+            try:
+                words = _words(pres, 2 * L, 20_000)
+            except SizeBoundExceeded:
+                break
+            cls = words.classes(L)
+            shipped = _composites(words, cls)
+            assert shipped == _all_pairs_composites(words, cls, L), (label, L)
+            outcomes.add(shipped[0] is None)
+            if shipped[1] is not None:
+                assert shipped[1][1] == 0, (label, L)
+    assert outcomes == {True, False}
 
 
 def test_cyclic_group_of_order_three():
