@@ -255,7 +255,6 @@ class FunHoms:
         self.functors = {F.key(): F for F in functors}
         self.objects = sorted(self.functors)
         self.hom_of: dict[str, tuple[str, str, str, tuple[str, ...]]] = {}
-        self.comp = _Composites(self)
         # (src, tgt) -> components -> id, for the homs enumerated so far
         self._homs: dict[tuple[str, str], dict[tuple[str, ...], str]] = {}
         at = {x: i for i, x in enumerate(C.objects)}
@@ -286,6 +285,13 @@ class FunHoms:
                 raise
 
         self._families = families
+
+    @property
+    def comp(self) -> _Composites:
+        """The composites, filled on first read; a fresh table per read of
+        this property, so that no FunHoms refers to itself and each is freed
+        as soon as nothing holds it (a caller keeps the table it reads)."""
+        return _Composites(self)
 
     def hom(self, fid: str, gid: str):
         """The transformations F => G, enumerated on the first call."""

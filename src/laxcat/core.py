@@ -602,7 +602,10 @@ class Functor:
             if c.src != omap[m.src] or c.tgt != omap[m.tgt]:
                 raise MalformedTable(f"functor: {m.name} image has wrong endpoints")
         for x in dom.objects:
-            if mmap[dom.identity[x]] != cod.identity[omap[x]]:
+            ident = dom.identity.get(x)
+            if ident is None:
+                raise MalformedTable(f"functor: domain object {x} has no identity")
+            if mmap[ident] != cod.identity.get(omap[x]):
                 raise MalformedTable(f"functor: identity of {x} not preserved")
         if self._proved:
             return

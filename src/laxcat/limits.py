@@ -7,11 +7,15 @@ fiber at t.  One core (``LimitReader`` and ``limit_hom``) computes every
 strict limit family by family: the object families when the reader is made,
 and the morphism families one hom at a time, reading a fiber's homs only
 between the components of two families, so the end formula enumerates only
-those homs of its functor categories.  ``_assemble`` builds the limit
+those homs of its functor categories.  Both run one search, a
+``FamilyPlan`` compiled once per base: it branches only at the objects no
+other value forces (its roots), reads candidate lists only there, and
+computes every other value by a transport.  ``_assemble`` builds the limit
 category from the reader (``cat_limit``, ``end_limit``); the probe check
-reads the end (``end_reader``) hom by hom and assembles no category.  The
-oplax variant is obtained from the lax one by fiberwise opposites, so a
-single implementation carries the correctness burden.
+reads the end (``end_reader``) hom by hom and assembles no category, with
+one plan per diagram for all its probes.  The oplax variant is obtained
+from the lax one by fiberwise opposites, so a single implementation carries
+the correctness burden.
 """
 
 from __future__ import annotations
@@ -107,55 +111,100 @@ def _family_mor_id(family: dict[str, str]) -> str:
     return short_id("Lm{" + "|".join(f"{b}:{family[b]}" for b in sorted(family)) + "}")
 
 
-def _enumerate_families(B: FinCat, candidates, force):
-    """All families (b -> value) with force(phi, value at src) == value at tgt.
+class FamilyPlan:
+    """The search for the families over B, compiled once for B.  A family
+    is a value at every object, with force(phi, value at src) == value at
+    tgt for every morphism phi.
 
-    candidates(b) lists values, read once per object in B's object order
-    and not past the first empty list, which admits no family; force(phi, v)
-    transports along phi.  Uses forward constraint propagation: assigning b
-    forces every target of a morphism out of b.
+    The plan is static: assigning b forces a value at every object b
+    reaches, whatever the value.  The roots are the objects no earlier root
+    reaches, taken by reach-set size, largest first, ties in B's object
+    order.  ``levels`` holds, per root, its index and the steps (src, phi,
+    tgt, assign) of a breadth-first walk of the non-identity morphisms from
+    it: assign tgt if no earlier step has, else check it.  So every
+    non-identity morphism is stepped once, after its source has a value.
+    An identity's constraint always holds, as a transition at an identity
+    is the identity (checked for a CatDiagram; the end's transport returns
+    its argument there).
+
+    The search yields the families of the product of all candidate lists
+    filtered by every morphism: it tries each candidate at each root, sets
+    the other values by steps and keeps exactly the assignments whose
+    steps all hold; a family is fixed by its root values, so each comes out
+    once.  A transport sends a candidate to a candidate (an object of a
+    fiber to one, a morphism between two families' components to one), so
+    forced values are candidates, and an empty list at b empties the list
+    at every root reaching b.  So lists are read only at the roots, in plan
+    order, none after the first empty one.  The order of the roots decides
+    which lists are read, never the families.
     """
-    cands = {}
-    for b in B.objects:
-        cands[b] = candidates(b)
-        if not cands[b]:  # no value at b, so no family
-            return
-    objs = sorted(B.objects, key=lambda b: len(cands[b]))
-    out_mor: dict[str, list] = {b: [] for b in B.objects}
-    for m in B.morphisms:
-        out_mor[m.src].append(m)
 
-    def rec(assigned: dict):
-        pending = [b for b in objs if b not in assigned]
-        if not pending:
-            yield dict(assigned)
-            return
-        b = pending[0]
-        for v in cands[b]:
-            new = {b: v}
-            queue = [(b, v)]
-            ok = True
-            while queue and ok:
-                cur, val = queue.pop()
-                for m in out_mor[cur]:
-                    w = force(m.name, val)
-                    have = assigned.get(m.tgt, new.get(m.tgt))
-                    if have is None:
-                        new[m.tgt] = w
-                        queue.append((m.tgt, w))
-                    elif have != w:
-                        ok = False
-                        break
-            if not ok:
+    def __init__(self, B: FinCat):
+        objs = B.objects
+        at = {b: i for i, b in enumerate(objs)}
+        out: list[list[tuple[str, int]]] = [[] for _ in objs]
+        for m in B.morphisms:
+            if not B.is_identity(m.name):
+                out[at[m.src]].append((m.name, at[m.tgt]))
+
+        # B is closed under composition: what b reaches is one step away
+        sizes = [len({i, *(t for _, t in ts)}) for i, ts in enumerate(out)]
+        assigned = [False] * len(objs)
+        levels = []
+        for r in sorted(range(len(objs)), key=lambda i: -sizes[i]):
+            if assigned[r]:
                 continue
-            # morphisms out of previously assigned objects into newly forced
-            # ones were already propagated when their source was assigned
-            assigned.update(new)
-            yield from rec(assigned)
-            for k in new:
-                del assigned[k]
+            assigned[r] = True
+            steps, queue = [], [r]
+            for cur in queue:
+                for name, t in out[cur]:
+                    steps.append((cur, name, t, not assigned[t]))
+                    if not assigned[t]:
+                        assigned[t] = True
+                        queue.append(t)
+            levels.append((r, tuple(steps)))
+        self.base = B
+        self.levels = tuple(levels)
+        self.roots = tuple(objs[r] for r, _ in levels)
 
-    yield from rec({})
+    def families(self, candidates, force) -> Iterator[dict[str, str]]:
+        """Every family, a dict over B's objects in order; candidates(b)
+        lists the values at a root b, force(phi, v) transports v."""
+        cands = []
+        for b in self.roots:
+            values = candidates(b)
+            if not values:  # no value at b, so no family
+                return
+            cands.append(values)
+        objs, levels = self.base.objects, self.levels
+        if not levels:  # B has no objects: the one empty family
+            yield {}
+            return
+        # depth first: one iterator per level, the values in one flat list
+        vals: list = [None] * len(objs)
+        last = len(levels) - 1
+        its = [iter(cands[0])] + [None] * last
+        k = 0
+        while True:
+            r, steps = levels[k]
+            for vals[r] in its[k]:
+                for s, phi, t, assign in steps:
+                    w = force(phi, vals[s])
+                    if assign:
+                        vals[t] = w
+                    elif vals[t] != w:
+                        break
+                else:
+                    if k == last:
+                        yield dict(zip(objs, vals))
+                        continue
+                    k += 1
+                    its[k] = iter(cands[k])
+                    break
+            else:  # level k is exhausted: back to the one above
+                if k == 0:
+                    return
+                k -= 1
 
 
 @dataclass
@@ -182,22 +231,23 @@ class CatLimitResult:
 
 
 class LimitReader:
-    """The strict limit over B of the fibers, read one hom at a time: the
-    object families are found when it is made, and ``limit_hom`` enumerates
-    the morphism families between two of them.
+    """The strict limit over plan.base of the fibers, read one hom at a
+    time: the object families are found when it is made, and ``limit_hom``
+    enumerates the morphism families between two of them.  Both searches
+    run the one FamilyPlan of the base.
 
     fiber[b] is a FinCat or a FunHoms; of it the reader reads ``objects``
     and ``hom(x, y)``.  obj(phi, x) and mor(phi, m) transport along the
     transition at phi.  A hom is read only as hom(X_b, Y_b) for object
-    families X and Y, so a FunHoms enumerates no other hom.  ``objects``
-    lists the family ids in order, and ``read`` counts the morphism families
-    read so far, which the ``cat limit`` morphism cap bounds."""
+    families X and Y and a root b of the plan, so a FunHoms enumerates no
+    other hom except through the transports.  ``objects`` lists the family
+    ids in order, and ``read`` counts the morphism families read so far,
+    which the ``cat limit`` morphism cap bounds."""
 
-    def __init__(self, B: FinCat, fiber, obj, mor, caps: SizeCaps):
-        families = list(_enumerate_families(
-            B, lambda b: list(fiber[b].objects), obj))
+    def __init__(self, plan: FamilyPlan, fiber, obj, mor, caps: SizeCaps):
+        families = list(plan.families(lambda b: fiber[b].objects, obj))
         caps.check_objects("cat limit", len(families))
-        self.base, self.fiber, self.mor, self.caps = B, fiber, mor, caps
+        self.plan, self.fiber, self.mor, self.caps = plan, fiber, mor, caps
         self.obj_family = {_family_obj_id(fam): fam for fam in families}
         self.objects = sorted(self.obj_family)
         self.read = 0
@@ -208,8 +258,7 @@ def limit_hom(lim: LimitReader, xid: str, yid: str) -> Iterator[dict[str, str]]:
     afresh on each call; each one read counts against the morphism cap."""
     X, Y = lim.obj_family[xid], lim.obj_family[yid]
     fiber = lim.fiber
-    for fam in _enumerate_families(
-            lim.base, lambda b: fiber[b].hom(X[b], Y[b]), lim.mor):
+    for fam in lim.plan.families(lambda b: fiber[b].hom(X[b], Y[b]), lim.mor):
         lim.read += 1
         lim.caps.check_morphisms("cat limit", lim.read)
         yield fam
@@ -220,7 +269,7 @@ def _assemble(lim: LimitReader, check: bool = True):
     its object and morphism families.  Its composites are componentwise (the
     fibers' ``comp[g, f]``) and its identities the families of identities
     (``is_identity``); check is build_category's."""
-    B, ids = lim.base, lim.objects
+    B, ids = lim.plan.base, lim.objects
     # a hom's payload is its family as a tuple over B.objects
     homs = []
     mor_family: dict[str, dict[str, str]] = {}
@@ -245,8 +294,8 @@ def cat_limit(F: CatDiagram, caps: SizeCaps = DEFAULT_CAPS) -> CatLimitResult:
     B = F.base.cat
     T = F.transition
     cat, obj_family, mor_family = _assemble(LimitReader(
-        B, F.fiber, lambda phi, x: T[phi].obj(x), lambda phi, m: T[phi].mor(m),
-        caps))
+        FamilyPlan(B), F.fiber,
+        lambda phi, x: T[phi].obj(x), lambda phi, m: T[phi].mor(m), caps))
     return CatLimitResult(cat, obj_family, mor_family,
                           {b: F.fiber[b] for b in B.objects})
 
@@ -338,17 +387,21 @@ class _Whiskering:
 # -- the end formula -------------------------------------------------------------------
 
 
-def end_reader(pre: CatDiagram, fun: dict[str, FunHoms],
+def end_reader(pre: CatDiagram, plan: FamilyPlan, fun: dict[str, FunHoms],
                post: dict[str, Functor],
                caps: SizeCaps = DEFAULT_CAPS) -> LimitReader:
     """The limit over opposite(Tw) of f |-> Fun†(pre(f), D_f), where Tw is
-    pre's base and fun[f] lists the marked functors pre(f) -> D_f
-    (marked_functor_homs) into a flat-marked D_f; the transition along
-    m: f -> f2 of Tw whiskers G to post(m) . G . pre(m).  This is the end
-    formula of lax_limit and of the probe check, and it builds no fiber whole.
+    pre's base, plan is FamilyPlan(opposite(Tw)), and fun[f] lists the
+    marked functors pre(f) -> D_f (marked_functor_homs) into a flat-marked
+    D_f; the transition along m: f -> f2 of Tw whiskers G to
+    post(m) . G . pre(m).  This is the end formula of lax_limit and of the
+    probe check, and it builds no fiber whole.  A caller that reads several
+    ends over one Tw passes them one plan.
 
     A hom of transformations is read only as hom(X_b, Y_b) for object
-    families X, Y (see LimitReader), so fun[f] enumerates no other hom.
+    families X, Y (see LimitReader): as a candidate list at a root b of the
+    plan, or through the transport into b.  So fun[f] enumerates no other
+    hom.
     Objects are transported by their whiskered key, and a transformation by
     its component tuple, looked up in the target fiber (see _Whiskering);
     each is computed on its first request.
@@ -389,10 +442,10 @@ def end_reader(pre: CatDiagram, fun: dict[str, FunHoms],
         W = whisker.get(phi)
         return nid if W is None else W.mor(nid)
 
-    return LimitReader(opposite_cat(tw), fun, obj, mor, caps)
+    return LimitReader(plan, fun, obj, mor, caps)
 
 
-def end_limit(pre: CatDiagram, fun: dict[str, FunHoms],
+def end_limit(pre: CatDiagram, plan: FamilyPlan, fun: dict[str, FunHoms],
               post: dict[str, Functor], caps: SizeCaps = DEFAULT_CAPS):
     """The end_reader limit as a category, every hom read.  Its table is
     filled on first read, unchecked: the composite of two families is a
@@ -401,7 +454,7 @@ def end_limit(pre: CatDiagram, fun: dict[str, FunHoms],
     componentwise.
 
     Returns the limit category and its object and morphism families."""
-    return _assemble(end_reader(pre, fun, post, caps), check=False)
+    return _assemble(end_reader(pre, plan, fun, post, caps), check=False)
 
 
 # -- lax and oplax limits --------------------------------------------------------------
@@ -442,8 +495,8 @@ def lax_limit(F: CatDiagram, caps: SizeCaps = DEFAULT_CAPS) -> LaxLimitResult:
             made[s, t].every_hom()
         fun[f] = made[s, t]
     cat, obj_family, mor_family = end_limit(
-        pre, fun, {name: F.transition[b] for name, (_, b) in tw.legs.items()},
-        caps)
+        pre, FamilyPlan(opposite_cat(tw.cat)), fun,
+        {name: F.transition[b] for name, (_, b) in tw.legs.items()}, caps)
 
     projections = {}
     for i in I.objects:

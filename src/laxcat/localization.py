@@ -40,7 +40,8 @@ from .diagrams import CatDiagram, fiberwise_op
 from .errors import InvariantViolation, MalformedTable, SizeBoundExceeded
 from .grothendieck import (grothendieck_cart, grothendieck_cocart, total_mor_id,
                            total_obj_id)
-from .limits import LimitReader, _family_obj_id, _Whiskering, end_reader, limit_hom
+from .limits import (FamilyPlan, LimitReader, _family_obj_id, _Whiskering,
+                     end_reader, limit_hom)
 
 
 @dataclass(frozen=True)
@@ -813,8 +814,9 @@ def comparison_failure(side_a: FunHoms, end: LimitReader,
 def _end_diagram(F, E: "FiberedCat", caps: SizeCaps):
     """What the probe check reads that does not depend on the probe: Tw(I),
     P(f) = coslice(t) x flat(F(s)) keyed by (s, t) for f: s -> t, the
-    CatDiagram of P over Tw(I) and the inclusions iota_f (_inclusion).  E is
-    grothendieck_cocart(F)."""
+    CatDiagram of P over Tw(I), the inclusions iota_f (_inclusion) and the
+    family plan over opposite(Tw(I)) that every probe's end reads with.  E
+    is grothendieck_cocart(F)."""
     Im = F.base
     I = Im.cat
     tw = twisted_arrow(I, caps)
@@ -837,7 +839,7 @@ def _end_diagram(F, E: "FiberedCat", caps: SizeCaps):
     pre_diagram = CatDiagram(flat_marking(tw.cat),
                              {f: P.cat for f, P in pcat.items()}, pre)
     iota = {f: _inclusion(F, E, coslices[I.tgt(f)], P, f) for f, P in pcat.items()}
-    return tw, pcats, pre_diagram, iota
+    return tw, pcats, pre_diagram, iota, FamilyPlan(opposite_cat(tw.cat))
 
 
 def _mapping_out(F, E: "FiberedCat", probes: dict[str, FinCat], caps: SizeCaps):
@@ -846,7 +848,7 @@ def _mapping_out(F, E: "FiberedCat", probes: dict[str, FinCat], caps: SizeCaps):
     from them to the end is no equivalence, or None (comparison_failure).
     E is grothendieck_cocart(F)."""
     I = F.base.cat
-    tw, pcats, pre_diagram, iota = _end_diagram(F, E, caps)
+    tw, pcats, pre_diagram, iota, plan = _end_diagram(F, E, caps)
     at = {x: i for i, x in enumerate(E.total.cat.objects)}
     ident: list = [None] * len(at)
     for t in I.objects:
@@ -865,7 +867,7 @@ def _mapping_out(F, E: "FiberedCat", probes: dict[str, FinCat], caps: SizeCaps):
         fun = {st: marked_functor_homs(P, Dm, caps) for st, P in pcats.items()}
         post = identity_functor(D)
         fun_at = {f: fun[I.src(f), I.tgt(f)] for f in tw.cat.objects}
-        end = end_reader(pre_diagram, fun_at,
+        end = end_reader(pre_diagram, plan, fun_at,
                          {m.name: post for m in tw.cat.morphisms}, caps)
         yield name, side_a, comparison_failure(side_a, end, fun_at, iota, post,
                                                ident)

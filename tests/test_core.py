@@ -456,3 +456,16 @@ def test_validate_reads_the_domain_table_through_compose():
                 {m.name: m.name for m in C2.morphisms})
     with pytest.raises(UnknownMorphism, match="a12 after a01"):
         F.validate()
+
+
+def test_validate_rejects_a_domain_object_without_an_identity():
+    # an unchecked domain that lost the identity of 1: the check names it
+    # as a malformed table, not with a bare KeyError
+    C2 = chain_cat(2)
+    holed = fincat(C2.objects, C2.morphisms,
+                   {x: i for x, i in C2.identity.items() if x != "1"},
+                   C2.comp, check=False)
+    F = Functor(holed, C2, {x: x for x in C2.objects},
+                {m.name: m.name for m in C2.morphisms})
+    with pytest.raises(MalformedTable, match="1 has no identity"):
+        F.validate()

@@ -1,5 +1,7 @@
 """Set/category limits, lax and oplax limits, and the pseudo-limit oracle."""
 
+import itertools
+import random
 from dataclasses import replace
 
 import pytest
@@ -35,6 +37,7 @@ from laxcat.core import (
     subcategory,
     terminal_cat,
     walking_arrow,
+    walking_iso,
 )
 from laxcat.constructions import twisted_arrow
 from laxcat.diagrams import (
@@ -52,7 +55,14 @@ from laxcat.equiv import (
     unfaithful_pair,
     unreached_object,
 )
-from laxcat.generator import GenParams, gen_category, gen_diagram, gen_marking
+from laxcat.generator import (
+    GenParams,
+    _monoid3,
+    gen_category,
+    gen_diagram,
+    gen_marking,
+    gen_set_diagram,
+)
 from laxcat.grothendieck import all_sections, grothendieck_cocart, marked_sections
 from laxcat.limits import (
     _Whiskering,
@@ -598,14 +608,14 @@ def _whole_category_mapping_out(F, E, probes, caps):
     functor between them (_comparison) is no equivalence, or None, decided
     by unfaithful_pair and unreached_object."""
     I = F.base.cat
-    tw, pcats, pre_diagram, iota = localization._end_diagram(F, E, caps)
+    tw, pcats, pre_diagram, iota, plan = localization._end_diagram(F, E, caps)
     for name, D in probes.items():
         Dm = flat_marking(D)
         side_a = marked_functor_category(E.total, Dm, caps)
         fun = {st: marked_functor_homs(P, Dm, caps) for st, P in pcats.items()}
         post = identity_functor(D)
         fun_at = {f: fun[I.src(f), I.tgt(f)] for f in tw.cat.objects}
-        end = end_limit(pre_diagram, fun_at,
+        end = end_limit(pre_diagram, plan, fun_at,
                         {m.name: post for m in tw.cat.morphisms}, caps)
         c = _comparison(side_a, end[0], fun_at, iota, post)
         yield name, side_a, end, _comparison_failure(c)
@@ -768,26 +778,139 @@ def test_a_comparison_missing_an_object_is_rejected(monkeypatch):
     assert reason.startswith("comparison not essentially surjective: no image reaches")
 
 
-def test_a_family_search_reads_no_candidates_past_an_empty_list():
+def test_a_family_search_reads_candidates_only_at_its_roots():
+    def identity(m, v):
+        return v
+
+    # 0 reaches every object of [2], so it is the one root
     read = []
-
-    def candidates(b):
-        read.append(b)
-        return [] if b == "1" else ["x"]
-
-    B = chain_cat(2)
-    assert list(limits._enumerate_families(B, candidates, lambda m, v: v)) == []
-    assert read == ["0", "1"]
+    plan = limits.FamilyPlan(chain_cat(2))
+    assert plan.roots == ("0",)
+    assert list(plan.families(lambda b: read.append(b) or ["x"], identity)) == [
+        {"0": "x", "1": "x", "2": "x"}]
+    assert read == ["0"]
     read.clear()
-    assert list(limits._enumerate_families(
-        B, lambda b: read.append(b) or ["x"], lambda m, v: v)) == [
-            {"0": "x", "1": "x", "2": "x"}]
-    assert read == ["0", "1", "2"]
+    assert list(plan.families(lambda b: read.append(b) or [], identity)) == []
+    assert read == ["0"]
+    # the largest reach set comes first, whatever the object order
+    assert limits.FamilyPlan(opposite_cat(chain_cat(2))).roots == ("2",)
+    # the two sources of a cospan reach as many objects: object order, and
+    # no list is read after the first empty one
+    plan = limits.FamilyPlan(_cospan_base())
+    assert plan.roots == ("a", "b")
+    for empty, reads in ((None, ["a", "b"]), ("a", ["a"]), ("b", ["a", "b"])):
+        read.clear()
+        found = list(plan.families(
+            lambda b: read.append(b) or ([] if b == empty else ["x", "y"]),
+            identity))
+        assert read == reads
+        assert len(found) == (0 if empty else 2)
+    assert limits.FamilyPlan(discrete_cat(["l", "r"])).roots == ("l", "r")
+    # every non-identity morphism is stepped once, from the level that
+    # assigns its source
+    for B in (walking_iso(), parallel_pair(), _monoid3(), _cospan_base()):
+        plan = limits.FamilyPlan(B)
+        stepped = [phi for _, steps in plan.levels for _, phi, _, _ in steps]
+        assert sorted(stepped) == sorted(B.nonidentity())
+        assert len(plan.roots) == (2 if B.objects == ("a", "b", "c") else 1)
+
+
+def _brute_force_families(B, candidates, force):
+    """Every choice of one candidate per object of B that force carries
+    along every morphism, identities included: the family search's
+    reference, as an itertools.product filter."""
+    for combo in itertools.product(*(candidates(b) for b in B.objects)):
+        at = dict(zip(B.objects, combo))
+        if all(force(m.name, at[m.src]) == at[m.tgt] for m in B.morphisms):
+            yield at
+
+
+def _renamed(B, rng):
+    """A copy of B whose object and morphism names sort in a shuffled
+    order, and the maps from its names back to B's."""
+    objs, names = list(B.objects), [m.name for m in B.morphisms]
+    on = dict(zip(objs, rng.sample([f"x{i}" for i in range(len(objs))], len(objs))))
+    mn = dict(zip(names, rng.sample([f"m{i:02d}" for i in range(len(names))],
+                                    len(names))))
+    C = core.fincat([on[x] for x in objs],
+                    [core.Mor(mn[m.name], on[m.src], on[m.tgt]) for m in B.morphisms],
+                    {on[x]: mn[i] for x, i in B.identity.items()},
+                    {(mn[g], mn[f]): mn[h] for (g, f), h in B.comp.items()})
+    return C, {v: k for k, v in on.items()}, {v: k for k, v in mn.items()}
+
+
+def _set_valued(B, seeds):
+    """Functors B -> sets as (values, action): seeded ones and every
+    representable hom(c, -), whose value sets may be empty."""
+    for s in seeds:
+        F = gen_set_diagram(B, GenParams(seed=s))
+        yield F.values, F.action
+    for c in B.objects:
+        values = {x: B.hom(c, x) for x in B.objects}
+        yield values, {m.name: {e: B.compose(m.name, e) for e in values[m.src]}
+                       for m in B.morphisms}
+
+
+def _same_families(B, candidates, force, rng, reordered):
+    """The families the plan of B finds, and those it finds over a renamed
+    copy of B, mapped back, are the brute-force families; returns them.
+    Appends to reordered whether the copy's plan took other roots or
+    another order of them."""
+    def key(fams):
+        return sorted(tuple(fam[b] for b in B.objects) for fam in fams)
+
+    expected = key(_brute_force_families(B, candidates, force))
+    plan = limits.FamilyPlan(B)
+    found = list(plan.families(candidates, force))
+    assert len(found) == len(expected) and key(found) == expected
+    C, ob, mb = _renamed(B, rng)
+    other = limits.FamilyPlan(C)
+    renamed = other.families(lambda x: candidates(ob[x]),
+                             lambda phi, v: force(mb[phi], v))
+    assert key({ob[x]: v for x, v in fam.items()} for fam in renamed) == expected
+    reordered.append([ob[x] for x in other.roots] != list(plan.roots))
+    return expected
+
+
+def test_the_family_search_finds_the_brute_force_families_in_any_object_order():
+    rng = random.Random(20)
+    bases = [walking_iso(), _monoid3(), parallel_pair(), chain_cat(2),
+             opposite_cat(chain_cat(2)), _cospan_base(), discrete_cat(["l", "r"])]
+    bases += [gen_category(GenParams(seed=s)) for s in range(12)]
+    found = empty = 0
+    reordered: list[bool] = []
+    for B in bases:
+        for values, action in _set_valued(B, range(4)):
+            fams = _same_families(B, lambda b: list(values[b]),
+                                  lambda phi, v: action[phi][v], rng, reordered)
+            found += len(fams)
+            empty += not fams
+    # seeded Cat-valued diagrams: the object families, then the morphism
+    # families of every hom of the limit
+    homs = 0
+    for s in range(30):
+        p = GenParams(seed=s)
+        F = gen_diagram(gen_marking(gen_category(p), p), p)
+        B, T = F.base.cat, F.transition
+        objs = _same_families(B, lambda b: F.fiber[b].objects,
+                              lambda phi, x: T[phi].obj(x), rng, reordered)
+        for X in objs:
+            for Y in objs:
+                homs += len(_same_families(
+                    B, lambda b: F.fiber[b].hom(X[B.objects.index(b)],
+                                                Y[B.objects.index(b)]),
+                    lambda phi, m: T[phi].mor(m), rng, reordered))
+    assert found > 200 and empty > 25 and homs > 100
+    # the renamed copies did branch in another order
+    assert sum(reordered) > 20
 
 
 def test_the_probe_check_enumerates_only_the_homs_its_limit_reads(monkeypatch):
     enumerated, ends, totals, assembled = [], [], [], []
+    searches, object_searches, listed = [], set(), []
     real_enumerate = constructions.FunHoms._enumerate
+    real_hom = constructions.FunHoms.hom
+    real_families = limits.FamilyPlan.families
     real_reader = localization.end_reader
     real_cocart = localization.grothendieck_cocart
     real_assemble = limits._assemble
@@ -796,8 +919,25 @@ def test_the_probe_check_enumerates_only_the_homs_its_limit_reads(monkeypatch):
         enumerated.append((self, fid, gid))
         return real_enumerate(self, fid, gid)
 
-    def recorded(pre, fun, post, caps):
-        lim = real_reader(pre, fun, post, caps)
+    def hom(self, fid, gid):
+        listed.append(self)
+        return real_hom(self, fid, gid)
+
+    def families(self, candidates, force):
+        read = []
+        searches.append((self, read))
+
+        def recorded_candidates(b):
+            values = candidates(b)
+            read.append((b, len(values)))
+            return values
+
+        return real_families(self, recorded_candidates, force)
+
+    def recorded(pre, plan, fun, post, caps):
+        before = len(searches)
+        lim = real_reader(pre, plan, fun, post, caps)
+        object_searches.update(range(before, len(searches)))
         ends.append((fun, lim))
         return lim
 
@@ -811,6 +951,8 @@ def test_the_probe_check_enumerates_only_the_homs_its_limit_reads(monkeypatch):
         return real_assemble(*args, **kwargs)
 
     monkeypatch.setattr(constructions.FunHoms, "_enumerate", counted)
+    monkeypatch.setattr(constructions.FunHoms, "hom", hom)
+    monkeypatch.setattr(limits.FamilyPlan, "families", families)
     monkeypatch.setattr(localization, "end_reader", recorded)
     monkeypatch.setattr(localization, "grothendieck_cocart", total)
     monkeypatch.setattr(limits, "_assemble", assemble)
@@ -822,6 +964,9 @@ def test_the_probe_check_enumerates_only_the_homs_its_limit_reads(monkeypatch):
         enumerated.clear()
         ends.clear()
         totals.clear()
+        searches.clear()
+        object_searches.clear()
+        listed.clear()
         assert probe_check_colimit_theorem(F, _probes(), BIG).ok
         # no end category is assembled, and no hom of Fun†(E.total, D♭) is
         # enumerated
@@ -837,6 +982,24 @@ def test_the_probe_check_enumerates_only_the_homs_its_limit_reads(monkeypatch):
         mine = [(id(H), fid, gid) for H, fid, gid in enumerated if id(H) in fibers]
         assert len(mine) == len(set(mine)) and set(mine) <= read
         assert len(mine) > 10
+        # every search reads candidate lists at its plan's roots only, in
+        # plan order, and none after the first empty one; each hom search's
+        # list is a fiber hom, and no other fiber hom is listed
+        plan = ends[0][1].plan
+        assert all(lim.plan is plan for _, lim in ends)
+        hom_searches = [read for i, (P, read) in enumerate(searches)
+                        if i not in object_searches]
+        assert all(P is plan for P, _ in searches) and hom_searches
+        for _, read in searches:
+            assert [b for b, _ in read] == list(plan.roots[:len(read)])
+            assert all(n for _, n in read[:-1])
+            assert len(read) == len(plan.roots) or read[-1][1] == 0
+        reads = sum(map(len, hom_searches))
+        listed_fibers = [H for H in listed if id(H) in fibers]
+        assert len(listed_fibers) == reads
+        # fewer lists than one per base object, as the plan forces the rest
+        n = len(plan.base.objects)
+        assert len(plan.roots) < n and reads < n * len(hom_searches)
         # so the Fun† cap counts the transformations of those homs, no others
         for key, H in fibers.items():
             assert len(H.hom_of) == sum(len(H.hom(x, y))
