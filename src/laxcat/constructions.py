@@ -188,18 +188,19 @@ def enumerate_functors(
 
 @dataclass
 class FunCat:
-    """A functor category together with decodings of its ids.  ``cat.comp``
-    is a ``build_category`` table: its ``hom`` gives each transformation's
-    component tuple, and its ``index`` finds one by endpoints and components."""
+    """A functor category together with decodings of its ids: ``hom_of``,
+    the ``FunHoms.hom_of`` that built it, maps each transformation to
+    ``(id, src, tgt, components)``."""
 
     cat: FinCat
     functors: dict[str, Functor]
+    hom_of: dict[str, tuple[str, str, str, tuple[str, ...]]]
 
     @cached_property
     def transformations(self) -> dict[str, NatTrans]:
         F = self.functors
         return {nid: NatTrans(F[s], F[t], dict(zip(F[s].dom.objects, comps)))
-                for nid, s, t, comps in self.cat.comp.hom.values()}
+                for nid, s, t, comps in self.hom_of.values()}
 
 
 class _Composites(dict):
@@ -229,11 +230,11 @@ class FunHoms:
     the end formula only the homs its limit reads (``limits.end_limit``).
 
     Object ids are ``key()``s; this is the one place transformation ids,
-    ``N{src=>tgt;cs}``, are formatted.  As in a ``build_category`` table,
-    ``hom_of`` maps a transformation to ``(id, src, tgt, components)``, the
-    components a tuple over the objects of C, and ``find`` maps
-    ``(src, tgt, components)`` back to its id; ``comp[g, f]`` composes
-    componentwise in D when first read.  The morphism cap counts the
+    ``N{src=>tgt;cs}``, are formatted.  ``hom_of`` maps a transformation to
+    ``(id, src, tgt, components)``, the components a tuple over the objects
+    of C, and ``find`` maps ``(src, tgt, components)`` back to its id;
+    ``comp[g, f]`` composes componentwise in D when first read, as the end
+    reader reads only a few composites.  The morphism cap counts the
     transformations enumerated so far.
 
     Components a_x are chosen object by object of C, each in hom(Fx, Gx) in
@@ -346,8 +347,8 @@ class FunHoms:
                 for nid in self.hom(fid, gid)]
 
     def category(self, check: bool = False) -> FunCat:
-        """Every hom, as a FunCat.  Unless check is set, each composite is
-        composed componentwise in D when first read."""
+        """Every hom, as a FunCat, each composite composed componentwise in D
+        when it is built; check is build_category's."""
         homs = self.every_hom()
         D = self.cod
         dcomp = D.comp
@@ -356,7 +357,7 @@ class FunHoms:
             lambda t2, t1: tuple(map(dcomp.__getitem__, zip(t2, t1))),
             lambda t: all(D.is_identity(c) for c in t),
             check=check)
-        return FunCat(cat, self.functors)
+        return FunCat(cat, self.functors, self.hom_of)
 
 
 def _assemble_funcat(C: FinCat, functors: list[Functor], D: FinCat,

@@ -9,14 +9,12 @@ a canonical choice is needed.
 Derived categories are assembled in one of two ways.  ``build_category``
 takes homs that carry a hashable payload (a pair of legs, a component tuple,
 a family, a class's shortest word) and a rule composing payloads; it looks
-every composite up among the enumerated homs, so ids are minted only where
-homs are enumerated.  Its table is filled on first read (``_Table``), so an
-unchecked category, such as a functor category, computes only the composites
-something reads.  ``subcategory`` restricts a category to some objects and
-morphisms, looking up the composites of kept pairs.  Beside them only
-``opposite_cat`` and literal tables call ``fincat``.  ``Functor.key`` mints
-a functor-category object id and nothing else: functors are compared by
-their maps.
+every composite up among the enumerated homs when it builds, so ids are
+minted only where homs are enumerated.  ``subcategory`` restricts a category
+to some objects and morphisms, looking up the composites of kept pairs.
+Beside them only ``opposite_cat`` and literal tables call ``fincat``.
+``Functor.key`` mints a functor-category object id and nothing else:
+functors are compared by their maps.
 """
 
 from __future__ import annotations
@@ -78,8 +76,7 @@ class FinCat:
             sorted(morphisms, key=lambda m: m.name)
         )
         self.identity: dict[str, str] = dict(identity)
-        self.comp: dict[tuple[str, str], str] = (
-            comp if isinstance(comp, _Table) else dict(comp))
+        self.comp: dict[tuple[str, str], str] = dict(comp)
         self._mor: dict[str, Mor] = {m.name: m for m in self.morphisms}
         self._identity_names = frozenset(self.identity.values())
         self._hom: dict[tuple[str, str], list[str]] = {}
@@ -303,71 +300,6 @@ def fincat(
     return C
 
 
-class _Table(dict):
-    """A ``build_category`` table, filled on first read: ``table[g, f]``
-    composes the payloads of g and f (``hom`` maps a name to its hom) and
-    looks the composite up in ``index``.  A composite outside the homs raises
-    MalformedTable; a pair that does not compose raises KeyError, which
-    ``FinCat.compose`` turns into UnknownMorphism.  A read of the whole table
-    (iteration, ``items``, ``len``, ``in``, ``get``, ``==``, pickling) first
-    fills it in the order of the homs, as an eager fill would have.
-    """
-
-    def __init__(self, homs, index, compose):
-        super().__init__()
-        self.hom = {h[0]: h for h in homs}
-        self.index, self._compose, self._full = index, compose, False
-
-    def __missing__(self, key):
-        g, f = key
-        _, s1, t1, p1 = self.hom[f]
-        _, s2, t2, p2 = self.hom[g]
-        if t1 != s2:
-            raise KeyError(key)
-        try:
-            h = self[key] = self.index[s1, t2, self._compose(p2, p1)]
-        except KeyError:
-            raise MalformedTable(f"missing composite ({g} after {f})") from None
-        return h
-
-    def filled(self) -> "_Table":
-        if not self._full:
-            dict.clear(self)  # refilled in the order of the homs
-            index, compose = self.index, self._compose
-            by_src: dict[str, list] = {}
-            for hom in self.hom.values():
-                by_src.setdefault(hom[1], []).append(hom)
-            for n1, s1, t1, p1 in self.hom.values():
-                for n2, _, t2, p2 in by_src.get(t1, ()):
-                    try:
-                        self[n2, n1] = index[s1, t2, compose(p2, p1)]
-                    except KeyError:
-                        raise MalformedTable(
-                            f"missing composite ({n2} after {n1})") from None
-            # every composite is in the table now: let go of what the
-            # payloads compose through, such as a localization's words
-            self._full, self._compose = True, None
-        return self
-
-    def __reduce__(self):  # pickled as the plain, full table
-        return dict, (dict(self.items()),)
-
-
-def _whole_table_read(name: str):
-    read = getattr(dict, name)
-    return lambda self, *args: read(self.filled(), *map(_filled, args))
-
-
-def _filled(x):
-    return x.filled() if isinstance(x, _Table) else x
-
-
-for _name in ("__iter__", "__len__", "__contains__", "__eq__", "__ne__",
-              "__repr__", "get", "items", "keys", "values", "copy"):
-    setattr(_Table, _name, _whole_table_read(_name))
-del _name
-
-
 def build_category(
     objects: Iterable[str],
     homs: Iterable[tuple[str, str, str, Hashable]],
@@ -380,23 +312,35 @@ def build_category(
     ``compose(p2, p1)`` is the payload of the second hom after the first, and
     the composite is the hom with that payload between the outer endpoints.
     A hom from an object to itself whose payload satisfies ``is_identity`` is
-    that object's identity.  Raises MalformedTable when two homs share
-    ``(src, tgt, payload)`` or a composite is not among the homs, the latter
-    when it is read (see ``_Table``); ``check`` fills and checks the table.
+    that object's identity.  Every composite is computed when the category
+    is built, homs in order and, for each, its partners out of its target in
+    hom order; this is the order of the table.  Raises MalformedTable when two
+    homs share ``(src, tgt, payload)`` or a composite is not among the homs,
+    whether or not ``check`` also checks the axioms.
     """
     homs = list(homs)
     index: dict[tuple[str, str, Hashable], str] = {}
     identity: dict[str, str] = {}
-    for name, src, tgt, payload in homs:
+    by_src: dict[str, list] = {}
+    for hom in homs:
+        name, src, tgt, payload = hom
         key = (src, tgt, payload)
         if key in index:
             raise MalformedTable(f"homs {index[key]} and {name} coincide")
         index[key] = name
         if src == tgt and is_identity(payload):
             identity[src] = name
+        by_src.setdefault(src, []).append(hom)
+    comp: dict[tuple[str, str], str] = {}
+    for n1, s1, t1, p1 in homs:
+        for n2, _, t2, p2 in by_src.get(t1, ()):
+            try:
+                comp[n2, n1] = index[s1, t2, compose(p2, p1)]
+            except KeyError:
+                raise MalformedTable(
+                    f"missing composite ({n2} after {n1})") from None
     morphisms = [Mor(name, src, tgt) for name, src, tgt, _ in homs]
-    return fincat(objects, morphisms, identity,
-                  _Table(homs, index, compose), check=check)
+    return fincat(objects, morphisms, identity, comp, check=check)
 
 
 def subcategory(C: FinCat, objects: Iterable[str], morphisms: Iterable[Mor],

@@ -166,6 +166,9 @@ def diagram_from_data(data: dict) -> CatDiagram:
     missing = [x for x in base.cat.objects if x not in fibers]
     if missing:
         raise MalformedTable(f"diagram: no fiber at base objects {missing}")
+    extra = sorted(set(fibers).difference(base.cat.objects))
+    if extra:
+        raise MalformedTable(f"diagram: fibers at non-objects {extra}")
     transitions = {}
     for x in base.cat.objects:
         transitions[base.cat.identity[x]] = identity_functor(fibers[x])

@@ -267,8 +267,9 @@ def limit_hom(lim: LimitReader, xid: str, yid: str) -> Iterator[dict[str, str]]:
 def _assemble(lim: LimitReader, check: bool = True):
     """The limit category, hom by hom in the order of ``lim.objects``, with
     its object and morphism families.  Its composites are componentwise (the
-    fibers' ``comp[g, f]``) and its identities the families of identities
-    (``is_identity``); check is build_category's."""
+    fibers' ``comp[g, f]``), each computed when the category is built, and its
+    identities the families of identities (``is_identity``); check is
+    build_category's."""
     B, ids = lim.plan.base, lim.objects
     # a hom's payload is its family as a tuple over B.objects
     homs = []
@@ -448,10 +449,9 @@ def end_reader(pre: CatDiagram, plan: FamilyPlan, fun: dict[str, FunHoms],
 def end_limit(pre: CatDiagram, plan: FamilyPlan, fun: dict[str, FunHoms],
               post: dict[str, Functor], caps: SizeCaps = DEFAULT_CAPS):
     """The end_reader limit as a category, every hom read.  Its table is
-    filled on first read, unchecked: the composite of two families is a
-    family, as every transition preserves composites, and units and
-    associativity hold componentwise, where composition is that of D_f
-    componentwise.
+    built unchecked: the composite of two families is a family, as every
+    transition preserves composites, and units and associativity hold
+    componentwise, where composition is that of D_f componentwise.
 
     Returns the limit category and its object and morphism families."""
     return _assemble(end_reader(pre, plan, fun, post, caps), check=False)

@@ -152,11 +152,10 @@ class _Window:
     """Every path of at most ``cap`` arrows, numbered breadth first from the
     empty path at each object (``out_of`` is the arrows by source, from
     ``_out_of``, and its order fixes the numbering): ``nodes[i]`` is path
-    number i and ``tgts[i]`` its target, and ``endpoints`` maps each path to
-    its target in that order.  The empty path at the j-th object is number
-    j, and ``level[k]`` is the number of paths shorter than k, for k up to
-    cap + 1.  ``widen`` appends the longer paths, so a window is a prefix of
-    every wider window of the same arrows.
+    number i and ``tgts[i]`` its target.  The empty path at the j-th object
+    is number j, and ``level[k]`` is the number of paths shorter than k, for
+    k up to cap + 1.  ``widen`` appends the longer paths, so a window is a
+    prefix of every wider window of the same arrows.
 
     The numbering is arithmetic on both sides.  The one-letter extensions
     p·a of a path p shorter than the cap are contiguous, numbers
@@ -170,7 +169,7 @@ class _Window:
     of x only (``left_shifts``)."""
 
     __slots__ = ("objects", "out_of", "pos", "root", "nodes", "tgts", "pre",
-                 "first_child", "level", "cap", "_endpoints")
+                 "first_child", "level", "cap")
 
     def __init__(self, objects, out_of: dict[str, list[Arrow]]):
         self.objects = tuple(objects)
@@ -184,7 +183,6 @@ class _Window:
         self.first_child = [len(self.objects)]  # one past the last, as well
         self.level = [0, len(self.objects)]
         self.cap = 0
-        self._endpoints: dict[_Node, str] = {}
 
     def widen(self, cap: int, max_words: int) -> None:
         """Append the paths of lengths up to ``cap``, breadth first.  Raises
@@ -214,15 +212,6 @@ class _Window:
             level.append(len(nodes))
         first_child.append(len(nodes))
         self.cap = max(self.cap, cap)
-
-    @property
-    def endpoints(self) -> dict[_Node, str]:
-        """Each path mapped to its target, in the numbering's order; made
-        when first read, as the closure reads numbers only."""
-        done = len(self._endpoints)
-        if done < len(self.nodes):
-            self._endpoints.update(zip(self.nodes[done:], self.tgts[done:]))
-        return self._endpoints
 
     def walk(self, i: int, letters: tuple[str, ...]) -> int:
         """The number of path i followed by ``letters``, which must continue
@@ -323,8 +312,8 @@ class _Words:
     length of rep(q).  So no word is built or hashed on the way.
     ``_union`` compares the (length, letters, source) keys of two roots
     only when they differ.  ``find`` and ``classes`` speak of nodes as
-    (source, letters) pairs, and ``endpoints`` lists them in the window's
-    order, which fixes the order of ``classes``.
+    (source, letters) pairs, and ``classes`` lists them in the window's
+    order.
 
     ``widen`` grows the window in place to a larger cap and closes it again.
     The partition so far stays: its joins are sound in the larger window.
@@ -349,10 +338,6 @@ class _Words:
         self.parent = list(range(len(self.nodes)))
         self.members: dict[int, list[int]] = {}  # classes of 2 or more nodes
         self._close(-1, 0)
-
-    @property
-    def endpoints(self) -> dict[_Node, str]:
-        return self.window.endpoints
 
     def widen(self, cap: int, max_words: int) -> None:
         """Grow the window to ``cap`` and close the congruence on it.  Raises

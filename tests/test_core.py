@@ -286,29 +286,34 @@ def test_build_category_rejects_duplicate_payload():
                        lambda q, p: (p[0], q[1]), lambda p: p[0] == p[1])
 
 
-def test_a_lazy_table_raises_where_the_eager_one_does():
-    args = (["0", "1", "2"], _chain_homs(), lambda q, p: (p[0], q[1]),
-            lambda p: p[0] == p[1])
-    lazy, eager = build_category(*args, check=False), build_category(*args)
-    assert lazy.compose("h12", "h01") == "h02"  # computed on first read
-    for C in (lazy, eager):
-        with pytest.raises(UnknownMorphism, match="h01 after h01"):
-            C.compose("h01", "h01")  # does not compose
-        with pytest.raises(UnknownMorphism, match="nope after h01"):
-            C.compose("nope", "h01")
-        with pytest.raises(KeyError):
-            C.comp["h01", "h01"]
-    # a whole-table read sees the eager table, in the eager order
-    assert list(lazy.comp.items()) == list(eager.comp.items())
-    assert len(lazy.comp) == len(eager.comp) and lazy.same_table(eager)
-    holed = build_category(["0", "1", "2"],
-                           [h for h in _chain_homs() if h[0] != "h02"],
-                           *args[2:], check=False)
-    assert holed.compose("h12", "h11") == "h12"
+def test_a_pair_that_does_not_compose_is_unknown():
+    C = build_category(["0", "1", "2"], _chain_homs(),
+                       lambda q, p: (p[0], q[1]), lambda p: p[0] == p[1])
+    with pytest.raises(UnknownMorphism, match="h01 after h01"):
+        C.compose("h01", "h01")
+    with pytest.raises(UnknownMorphism, match="nope after h01"):
+        C.compose("nope", "h01")
+    with pytest.raises(KeyError):
+        C.comp["h01", "h01"]
+
+
+def test_an_unchecked_build_rejects_a_missing_composite():
+    homs = [h for h in _chain_homs() if h[0] != "h02"]
     with pytest.raises(MalformedTable, match="missing composite"):
-        holed.compose("h12", "h01")
-    with pytest.raises(MalformedTable, match="missing composite"):
-        len(holed.comp)
+        build_category(["0", "1", "2"], homs, lambda q, p: (p[0], q[1]),
+                       lambda p: p[0] == p[1], check=False)
+
+
+def test_build_category_fills_its_table_in_hom_order():
+    # homs in order, and for each its partners out of its target in hom
+    # order: generating_morphisms and equiv._morphism_order iterate this
+    C = build_category(["0", "1", "2"], _chain_homs(),
+                       lambda q, p: (p[0], q[1]), lambda p: p[0] == p[1],
+                       check=False)
+    assert list(C.comp) == [
+        ("h00", "h00"), ("h01", "h00"), ("h02", "h00"),
+        ("h11", "h01"), ("h12", "h01"), ("h22", "h02"),
+        ("h11", "h11"), ("h12", "h11"), ("h22", "h12"), ("h22", "h22")]
 
 
 def test_subcategory_keeps_composites_of_kept_pairs():

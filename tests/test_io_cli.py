@@ -342,6 +342,8 @@ MALFORMED_INPUT_FILES = {
         lambda d: d.update(fibers=list(d["fibers"].values())))),
     "base object without a fiber": (["grothendieck"], _arrow_over_an_arrow(
         lambda d: d["fibers"].pop("1"))),
+    "fiber at a non-object": (["grothendieck"], _arrow_over_an_arrow(
+        lambda d: d["fibers"].__setitem__("zzz", d["fibers"]["0"]))),
     "morphism id that is a number": (["validate"], {
         "objects": ["x"], "morphisms": [{"id": 5, "src": "x", "tgt": "x"}]}),
     "morphism to an unknown object": (["validate"], {

@@ -277,7 +277,7 @@ def whisker_functor(src_fc: FunCat, dst_fc: FunCat,
 
     A transformation a goes to the one between the endpoint images with the
     components post(a_{pre x}), computed from a's component tuple and looked
-    up by endpoints and components in dst_fc's table (see _Whiskering).  An
+    up by endpoints and components in dst_fc.hom_of (see _Whiskering).  An
     object image outside dst_fc raises KeyError; a missing transformation
     raises InvariantViolation.
 
@@ -286,10 +286,11 @@ def whisker_functor(src_fc: FunCat, dst_fc: FunCat,
     post(b_{pre x} a_{pre x}) = post(b_{pre x}) post(a_{pre x}), those of the
     composite of the images.  So validate checks only objects, endpoints and
     identities; a caller other than a CatDiagram constructor must call it."""
-    W = _Whiskering(src_fc.functors, src_fc.cat.comp.hom, dst_fc.functors,
-                    dst_fc.cat.comp.index.__getitem__, pre, post)
+    find = {(s, t, comps): nid for nid, s, t, comps in dst_fc.hom_of.values()}
+    W = _Whiskering(src_fc.functors, src_fc.hom_of, dst_fc.functors,
+                    find.__getitem__, pre, post)
     omap = {gid: W.obj(gid) for gid in src_fc.functors}
-    mmap = {nid: W.mor(nid) for nid in src_fc.cat.comp.hom}
+    mmap = {nid: W.mor(nid) for nid in src_fc.hom_of}
     return _by_construction(Functor(src_fc.cat, dst_fc.cat, omap, mmap))
 
 
@@ -333,7 +334,7 @@ def test_whisker_functor_raises_on_a_missing_whiskered_transformation():
         whisker_functor(src, partial, pre, post)
 
 
-# -- functor categories: composites on first read, functors by construction -----
+# -- functor categories: unchecked tables, functors by construction --------------
 
 
 def _small_diagrams():
@@ -375,7 +376,7 @@ def _limits_and_comparisons():
 
 
 def test_lazy_functor_categories_agree_with_full_tables_and_checks(monkeypatch):
-    lazy, lazy_read = _limits_and_comparisons()
+    shipped, shipped_read = _limits_and_comparisons()
     # the full path: every table filled and checked when built, every functor
     # validated on the generator pairs of its domain
     real = core.build_category
@@ -384,16 +385,16 @@ def test_lazy_functor_categories_agree_with_full_tables_and_checks(monkeypatch):
                             lambda *args, check=True: real(*args, check=True))
     monkeypatch.setattr(equiv, "_by_construction", lambda F: F)
     full, full_read = _limits_and_comparisons()
-    for (lax, verdict, up), (lax2, verdict2, up2) in zip(lazy, full, strict=True):
+    for (lax, verdict, up), (lax2, verdict2, up2) in zip(shipped, full, strict=True):
         assert lax.cat.same_table(lax2.cat)
         assert all(P.same_maps(lax2.projections[i])
                    for i, P in lax.projections.items())
         assert verdict == verdict2
         assert up == up2
-    assert any(verdict.failures == [] for _, verdict, _ in lazy)
+    assert any(verdict.failures == [] for _, verdict, _ in shipped)
     # the comparisons read the same ends, hom by hom
-    assert lazy_read == full_read
-    assert len(lazy_read) > 10 and all(read for _, read in lazy_read)
+    assert shipped_read == full_read
+    assert len(shipped_read) > 10 and all(read for _, read in shipped_read)
 
 
 def test_no_functor_category_computes_its_generators(monkeypatch):
@@ -571,7 +572,7 @@ def _comparison(side_a: FunCat, end: core.FinCat, fun: dict[str, FunHoms],
     those of c(b)_f c(a)_f, and the end composes families componentwise.  So
     validate checks only objects, endpoints and identities.  post is the
     identity of D."""
-    table = side_a.cat.comp.hom
+    table = side_a.hom_of
     whisker = {f: _Whiskering(side_a.functors, table, H.functors, H.find,
                               iota[f], post)
                for f, H in fun.items()}

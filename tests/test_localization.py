@@ -777,7 +777,9 @@ def _localize_stream_total(seed: int) -> PresentedCat:
 
 
 def _partition(words) -> dict:
-    return {nd: words.find(nd) for nd in words.endpoints}
+    # a reference closure keeps its paths in its own endpoints dict
+    nodes = words.window.nodes if isinstance(words, _Words) else words.endpoints
+    return {nd: words.find(nd) for nd in nodes}
 
 
 def test_seeded_closure_matches_the_rewriting_closure():
@@ -838,13 +840,14 @@ def test_closure_makes_a_bounded_number_of_finds_per_word(monkeypatch):
 
     monkeypatch.setattr(_Words, "_find", counted)
     words = _words(pres, 6, 10_000)
-    assert calls[0] <= 8 * len(words.endpoints)
+    assert calls[0] <= 8 * len(words.window.nodes)
 
 
 def test_endpoints_keep_the_order_of_the_paths():
-    # the order of endpoints fixes that of classes, so the quotient's hom
-    # order and the hom a word bound reports; it is _tuple_paths' order,
-    # for a fresh window and for one widened a length at a time
+    # the order of the window's paths fixes that of classes, so the
+    # quotient's hom order and the hom a word bound reports; it is
+    # _tuple_paths' order, paths and their targets, for a fresh window and
+    # for one widened a length at a time
     for label, pres in _differential_presentations():
         out_of = _out_of(pres.arrows)
         grown = _Words(pres, _paths(pres.objects, out_of, 0, 4000))
@@ -855,7 +858,9 @@ def test_endpoints_keep_the_order_of_the_paths():
                 break
             grown.widen(cap, 4000)
             for words in (_words(pres, cap, 4000), grown):
-                assert list(words.endpoints.items()) == list(expected.items()), \
+                window = words.window
+                endpoints = dict(zip(window.nodes, window.tgts))
+                assert list(endpoints.items()) == list(expected.items()), \
                     (label, cap)
                 assert words.window.nodes == list(expected), (label, cap)
 
@@ -922,10 +927,11 @@ def _all_pairs_composites(words, cls, L: int):
     """_composites as it was before one find per pair of classes: the
     composite classes of every pair of members whose composite is in the
     window.  Kept as the reference for the one-find version."""
+    endpoints = dict(zip(words.window.nodes, words.window.tgts))
     comp = {}
     for r1, ws1 in cls.items():
         for r2, ws2 in cls.items():
-            if r2[0] != words.endpoints[r1]:
+            if r2[0] != endpoints[r1]:
                 continue
             targets = {words.find((n1[0], n1[1] + n2[1]))
                        for n1 in ws1 for n2 in ws2
@@ -933,7 +939,7 @@ def _all_pairs_composites(words, cls, L: int):
             # a single class outside cls is popped, so it counts as 0
             tgt = targets.pop() if len(targets) == 1 else None
             if tgt not in cls:
-                return None, ((r1[0], words.endpoints[r2]), len(targets))
+                return None, ((r1[0], endpoints[r2]), len(targets))
             comp[(r2, r1)] = tgt
     return comp, None
 

@@ -28,13 +28,6 @@
   ``LaxcatError`` but marks a program bug, so it must surface as an error and
   never be swallowed as a verdict, a skip or a failed step.  A module-level
   tuple of exception classes counts as the classes it names.
-- Every read of a whole composition table is named in
-  ``WHOLE_TABLE_READERS``: a ``comp.items()`` (or ``keys``, ``values``,
-  ``copy``) call, iteration over a ``comp``, ``len``, ``dict`` or another call
-  on one, a comparison or ``in`` test against one, a ``**comp`` display and
-  every ``same_table`` call.  A ``build_category`` table is filled on first
-  read, and a whole-table read fills it all, so a new one must be a visible
-  choice, not a slip that computes a functor category's every composite.
 - ``_by_construction`` is called only in ``skeleton`` and ``is_equivalent``,
   whose docstrings prove that the functors they mark preserve composites;
   every other functor is checked on generator pairs.
@@ -249,71 +242,6 @@ def test_invariant_violation_is_never_caught_as_a_laxcat_error(path):
             guarded = guarded or "InvariantViolation" in names
     assert not found, (f"{path.name}: LaxcatError caught without an earlier "
                        f"InvariantViolation handler at lines {found}")
-
-
-# (module, function) -> how it reads a whole composition table
-WHOLE_TABLE_READERS = {
-    ("checks.py", "_pullback_ok"): {"same_table"},
-    ("checks.py", "_removable_morphisms"): {"comp.items()"},
-    ("constructions.py", "close"): {"comp.items()"},  # in generating_morphisms
-    ("constructions.py", "_forward_schedule"): {"comp.items()"},
-    ("core.py", "same_table"): {"comparison"},
-    ("core.py", "check_axioms"): {"comp.items()", "comp.keys()"},
-    ("core.py", "opposite_cat"): {"comp.items()"},
-    ("core.py", "compose_functors"): {"same_table"},
-    ("diagrams.py", "validate"): {"same_table"},
-    ("equiv.py", "_morphism_order"): {"comp.items()"},
-    ("generator.py", "gen_set_diagram"): {"comp.items()"},
-    ("io_formats.py", "category_to_data"): {"comp.items()"},
-    ("limits.py", "_whiskerable"): {"same_table"},
-    ("limits.py", "iso_comma"): {"same_table"},
-    ("localization.py", "present"): {"comp.items()"},
-}
-
-
-def _whole_table_reads(path) -> dict[str, set[str]]:
-    def is_comp(node):
-        return isinstance(node, ast.Attribute) and node.attr == "comp"
-
-    def kind(node):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr == "same_table":
-                return "same_table"
-            if (node.func.attr in ("items", "keys", "values", "copy")
-                    and is_comp(node.func.value)):
-                return f"comp.{node.func.attr}()"
-        if isinstance(node, ast.Call) and any(map(is_comp, node.args)):
-            return "call on comp"
-        if isinstance(node, (ast.For, ast.comprehension)) and is_comp(node.iter):
-            return "iteration"
-        if isinstance(node, ast.Compare) and any(
-                map(is_comp, [node.left, *node.comparators])):
-            return "comparison"
-        if isinstance(node, ast.Dict) and any(
-                k is None and is_comp(v) for k, v in zip(node.keys, node.values)):
-            return "**comp"
-        return None
-
-    found: dict[str, set[str]] = {}
-
-    def visit(node, scope):
-        k = kind(node)
-        if k is not None:
-            found.setdefault(scope, set()).add(k)
-        for child in ast.iter_child_nodes(node):
-            visit(child, child.name if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
-
-    visit(ast.parse(path.read_text(), str(path)), "module level")
-    return found
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_every_whole_table_read_is_named(path):
-    named = {fn: kinds for (module, fn), kinds in WHOLE_TABLE_READERS.items()
-             if module == path.name}
-    assert _whole_table_reads(path) == named, (
-        f"{path.name}: whole-table reads differ from WHOLE_TABLE_READERS")
 
 
 BY_CONSTRUCTION_CALLERS = {("equiv.py", "skeleton"), ("equiv.py", "is_equivalent")}
