@@ -3,6 +3,10 @@
 Derived object ids are canonical serializations of their content, so goldens
 are diffable and stable across runs.  Enumeration order is by object id, then
 by morphism id.
+
+The functor and transformation searches out of a category C run the one
+FunctorPlan compiled for C and kept on it (functor_plan), each as one flat
+depth-first loop.
 """
 
 from __future__ import annotations
@@ -107,6 +111,61 @@ def _forward_schedule(
     return derived, entries
 
 
+class FunctorPlan:
+    """The searches for functors and transformations out of C, compiled once
+    for C (functor_plan) and run by enumerate_functors and FunHoms.  It
+    holds C's names, never C, so the cache on C is no reference cycle.
+
+    Functors: ``objects`` and ``identities`` are C's objects and their
+    identities, ``names`` C's morphisms in id order, and ``gens`` holds one
+    level per generator of generating_morphisms(C), in its order:
+    (g, src, tgt, derived, entries), with the images derived and the
+    composition entries decided there (_forward_schedule), every morphism
+    as its index in ``names`` and every object as its index in ``objects``.
+
+    Transformations: ``squares``, filled by transformation_squares on
+    first use.
+    """
+
+    def __init__(self, C: FinCat):
+        gens, words = generating_morphisms(C)
+        derived, entries = _forward_schedule(C, gens, words)
+        self.objects = C.objects
+        self.names = tuple(m.name for m in C.morphisms)
+        at = {x: i for i, x in enumerate(C.objects)}
+        ix = {m: i for i, m in enumerate(self.names)}
+        self.identities = tuple(ix[C.identity[x]] for x in C.objects)
+        self.gens = tuple(
+            (ix[g], at[C.src(g)], at[C.tgt(g)],
+             tuple((ix[m], at[x], tuple(map(ix.__getitem__, word)))
+                   for m, x, word in derived[i]),
+             tuple((ix[a], ix[b], ix[h]) for a, b, h in entries[i]))
+            for i, g in enumerate(gens))
+        self.squares: tuple[tuple[tuple[int, int, str], ...], ...] | None = None
+
+
+def functor_plan(C: FinCat) -> FunctorPlan:
+    """C's FunctorPlan, compiled on first use and kept on C."""
+    if C._plan_cache is None:
+        C._plan_cache = FunctorPlan(C)
+    return C._plan_cache
+
+
+def transformation_squares(C: FinCat) -> tuple[tuple[tuple[int, int, str], ...], ...]:
+    """The squares of C's FunctorPlan (see FunHoms): per object index i, the
+    (s, t, g) of each generator g: x_s -> x_t of C.generators() with
+    max(s, t) = i.  Computed on first use, as only a FunHoms reads them."""
+    plan = functor_plan(C)
+    if plan.squares is None:
+        at = {x: i for i, x in enumerate(C.objects)}
+        squares: list[list[tuple[int, int, str]]] = [[] for _ in at]
+        for g in C.generators():
+            s, t = at[C.src(g)], at[C.tgt(g)]
+            squares[max(s, t)].append((s, t, g))
+        plan.squares = tuple(map(tuple, squares))
+    return plan.squares
+
+
 def enumerate_functors(
     C: FinCat,
     D: FinCat,
@@ -116,71 +175,85 @@ def enumerate_functors(
 ) -> Iterator[Functor]:
     """All functors C -> D, by backtracking over objects then generators.
 
-    The relations of C prune as generators are assigned: each image is
-    evaluated, and each composition entry checked, as soon as the generators
-    it depends on are assigned (see _forward_schedule).  A failed entry cuts
-    the subtree, so the functors come out in the order of the unpruned
-    search and only the explored count falls.
+    One flat depth-first loop runs C's FunctorPlan: a level per object of
+    C, its image tried in D's object order, then a level per generator, its
+    image tried in hom order.  The relations of C prune as generators are
+    assigned: each image is evaluated, and each composition entry checked,
+    as soon as the generators it depends on are assigned (see
+    _forward_schedule).  A failed entry cuts the subtree, so the functors
+    come out in the order of the unpruned search and only the explored
+    count falls.  A missing composite of D raises UnknownMorphism.
 
     obj_filter / gen_filter prune assignments early; both default to no
-    constraint.  Raises SizeBoundExceeded if the explored candidate count
-    passes max_candidates.
+    constraint, and both must be pure: an object's candidates are filtered
+    once, and a generator's each time its level is entered.  Every
+    candidate that passes its filter counts as explored, and
+    SizeBoundExceeded is raised once the count passes max_candidates.
     """
-    gens, words = generating_morphisms(C)
-    objs = list(C.objects)
-    explored = 0
-    derived, entries = _forward_schedule(C, gens, words)
-
-    def assign_objects(i: int, omap: dict[str, str]) -> Iterator[dict[str, str]]:
-        nonlocal explored
-        if i == len(objs):
-            yield dict(omap)
-            return
-        x = objs[i]
-        for y in D.objects:
-            if obj_filter is not None and not obj_filter(x, y):
-                continue
-            explored += 1
-            if explored > max_candidates:
-                raise SizeBoundExceeded("functor enumeration", "candidate",
-                                        explored, max_candidates)
-            omap[x] = y
-            yield from assign_objects(i + 1, omap)
-            del omap[x]
-
-    def decide(i: int, omap: dict[str, str], mmap: dict[str, str]) -> bool:
-        """Evaluate the images known once gens[i] is assigned, then check the
-        entries decided there."""
-        for m, x, word in derived[i]:
-            cur = D.identity[omap[x]]
-            for w in word:
-                cur = D.compose(mmap[w], cur)
-            mmap[m] = cur
-        return all(mmap[h] == D.compose(mmap[g], mmap[f])
-                   for g, f, h in entries[i])
-
-    def assign_gens(i: int, omap: dict[str, str],
-                    mmap: dict[str, str]) -> Iterator[dict[str, str]]:
-        nonlocal explored
-        if i == len(gens):
-            yield {m.name: mmap[m.name] for m in C.morphisms}
-            return
-        g = gens[i]
-        for d in D.hom(omap[C.src(g)], omap[C.tgt(g)]):
-            if gen_filter is not None and not gen_filter(g, d):
-                continue
-            explored += 1
-            if explored > max_candidates:
-                raise SizeBoundExceeded("functor enumeration", "candidate",
-                                        explored, max_candidates)
-            mmap[g] = d
-            if decide(i, omap, mmap):
-                yield from assign_gens(i + 1, omap, mmap)
-
-    for omap in assign_objects(0, {}):
-        ids = {C.identity[x]: D.identity[y] for x, y in omap.items()}
-        for mmap in assign_gens(0, omap, ids):
-            yield Functor(C, D, omap, mmap)
+    plan = functor_plan(C)
+    objs, names, gens = plan.objects, plan.names, plan.gens
+    n = len(objs)
+    last = n + len(gens) - 1
+    if last < 0:  # C is empty: the one empty functor
+        yield Functor(C, D, {}, {})
+        return
+    obj_cands = [D.objects if obj_filter is None
+                 else [y for y in D.objects if obj_filter(x, y)] for x in objs]
+    dcomp, did = D.comp, D.identity
+    vals = [""] * n  # the object images
+    img = [""] * len(names)  # the morphism images, by index in names
+    omap: dict[str, str] = {}
+    its: list = [iter(obj_cands[0])] + [None] * last
+    explored = k = 0
+    try:
+        while True:
+            for v in its[k]:
+                explored += 1
+                if explored > max_candidates:
+                    raise SizeBoundExceeded("functor enumeration", "candidate",
+                                            explored, max_candidates)
+                if k < n:
+                    vals[k] = v
+                    if k == n - 1:  # every object has its image
+                        omap = dict(zip(objs, vals))
+                        for i, y in zip(plan.identities, vals):
+                            img[i] = did[y]
+                else:
+                    gi, _, _, derived, entries = gens[k - n]
+                    img[gi] = v
+                    for m, x, word in derived:
+                        cur = did[vals[x]]
+                        for w in word:
+                            cur = dcomp[img[w], cur]
+                        img[m] = cur
+                    ok = True
+                    for g, f, h in entries:
+                        if img[h] != dcomp[img[g], img[f]]:
+                            ok = False
+                            break
+                    if not ok:
+                        continue
+                if k == last:
+                    yield Functor(C, D, omap, dict(zip(names, img)))
+                    continue
+                k += 1
+                if k < n:
+                    its[k] = iter(obj_cands[k])
+                    break
+                gi, s, t, _, _ = gens[k - n]
+                cands = D.hom(vals[s], vals[t])
+                if gen_filter is not None:
+                    g = names[gi]
+                    cands = [d for d in cands if gen_filter(g, d)]
+                its[k] = iter(cands)
+                break
+            else:  # level k is exhausted: back to the one above
+                if k == 0:
+                    return
+                k -= 1
+    except KeyError as hole:  # a hole in D's table
+        D.compose(*hole.args[0])  # raises UnknownMorphism
+        raise
 
 
 # -- functor categories ----------------------------------------------------------
@@ -222,6 +295,38 @@ class _Composites(dict):
         return h
 
 
+def _natural_families(cands, squares, fgen, ggen, dcomp) -> Iterator[tuple[str, ...]]:
+    """The component tuples of the transformations F => G, in candidate
+    order, by one flat depth-first loop: a level per object of C, its
+    component tried from cands[i], and kept once the squares decided there
+    (transformation_squares; fgen and ggen hold F's and G's generators level
+    by level) commute in D, whose table is dcomp.  A hole in dcomp raises
+    KeyError."""
+    last = len(cands) - 1
+    if last < 0:  # C is empty: the one empty family
+        yield ()
+        return
+    comps = [""] * len(cands)
+    its: list = [iter(cands[0])] + [None] * last
+    k = 0
+    while True:
+        for comps[k] in its[k]:
+            for (s, t, _), fg, gg in zip(squares[k], fgen[k], ggen[k]):
+                if dcomp[comps[t], fg] != dcomp[gg, comps[s]]:
+                    break
+            else:
+                if k == last:
+                    yield tuple(comps)
+                    continue
+                k += 1
+                its[k] = iter(cands[k])
+                break
+        else:  # level k is exhausted: back to the one above
+            if k == 0:
+                return
+            k -= 1
+
+
 class FunHoms:
     """Functors C -> D as objects, natural transformations (with components
     passing component_filter) as morphisms, each hom enumerated when first
@@ -238,7 +343,8 @@ class FunHoms:
     transformations enumerated so far.
 
     Components a_x are chosen object by object of C, each in hom(Fx, Gx) in
-    hom order.  One schedule serves every pair F, G: the square
+    hom order, by one flat loop (_natural_families).  One schedule, C's
+    transformation_squares, serves every pair F, G: the square
     a_y F(g) = G(g) a_x of each non-identity generator g: x -> y of C is
     checked once the later of x and y has its component.  Identity squares
     always hold.  If the squares of g and h commute, so does that of g h, as
@@ -258,34 +364,12 @@ class FunHoms:
         self.hom_of: dict[str, tuple[str, str, str, tuple[str, ...]]] = {}
         # (src, tgt) -> components -> id, for the homs enumerated so far
         self._homs: dict[tuple[str, str], dict[tuple[str, ...], str]] = {}
-        at = {x: i for i, x in enumerate(C.objects)}
-        self._schedule: list[list[tuple[int, int, str]]] = [[] for _ in at]
-        for g in C.generators():
-            s, t = at[C.src(g)], at[C.tgt(g)]
-            self._schedule[max(s, t)].append((s, t, g))
+        self._squares = squares = transformation_squares(C)
         # each functor's objects, and its generators level by level
         self._images = {fid: ([F.obj(x) for x in C.objects],
                               [[F.mor(g) for _, _, g in level]
-                               for level in self._schedule])
+                               for level in squares])
                         for fid, F in self.functors.items()}
-        schedule, dcomp, n = self._schedule, D.comp, C.n_objects
-
-        def families(i, comps, cands, fgen, ggen) -> Iterator[tuple[str, ...]]:
-            if i == n:
-                yield tuple(comps)
-                return
-            try:
-                for comps[i] in cands[i]:
-                    for (s, t, _), fg, gg in zip(schedule[i], fgen[i], ggen[i]):
-                        if dcomp[comps[t], fg] != dcomp[gg, comps[s]]:
-                            break
-                    else:
-                        yield from families(i + 1, comps, cands, fgen, ggen)
-            except KeyError as hole:  # missing at this level; deeper ones convert
-                D.compose(*hole.args[0])  # raises UnknownMorphism
-                raise
-
-        self._families = families
 
     @property
     def comp(self) -> _Composites:
@@ -312,26 +396,38 @@ class FunHoms:
             keep = self.component_filter
             cands = [[c for c in cs if keep(x, c)] for x, cs in zip(objs, cands)]
         found: dict[tuple[str, ...], str] = {}
-        if all(cands):
-            hom_of = self.hom_of
-            check, what = self.caps.check_morphisms, self.what
-            for comps in self._families(0, [""] * len(objs), cands, fgen, ggen):
+        if not all(cands):
+            return found
+        hom_of = self.hom_of
+        check, what = self.caps.check_morphisms, self.what
+        try:
+            for comps in _natural_families(cands, self._squares, fgen, ggen,
+                                           D.comp):
                 cs = ",".join(map("{}:{}".format, objs, comps))
                 nid = found[comps] = short_id(f"N{{{fid}=>{gid};{cs}}}")
                 hom_of[nid] = (nid, fid, gid, comps)
                 check(what, len(hom_of))
+        except KeyError as hole:  # a hole in D's table
+            D.compose(*hole.args[0])  # raises UnknownMorphism
+            raise
         return found
 
     def is_natural(self, fid: str, gid: str, comps) -> bool:
         """Whether the components comps, one per object of C in order, each
         in hom(Fx, Gx), make a transformation F => G: whether its generator
-        squares commute, which decides naturality (see above).  No hom is
-        enumerated."""
-        compose = self.cod.compose
+        squares commute in D's table, which decides naturality (see above).
+        No hom is enumerated; a hole in the table raises UnknownMorphism."""
+        dcomp = self.cod.comp
         fgen, ggen = self._images[fid][1], self._images[gid][1]
-        return all(compose(comps[t], fg) == compose(gg, comps[s])
-                   for level, fl, gl in zip(self._schedule, fgen, ggen)
-                   for (s, t, _), fg, gg in zip(level, fl, gl))
+        try:
+            for level, fl, gl in zip(self._squares, fgen, ggen):
+                for (s, t, _), fg, gg in zip(level, fl, gl):
+                    if dcomp[comps[t], fg] != dcomp[gg, comps[s]]:
+                        return False
+        except KeyError as hole:  # a hole in D's table
+            self.cod.compose(*hole.args[0])  # raises UnknownMorphism
+            raise
+        return True
 
     def find(self, key: tuple[str, str, tuple[str, ...]]) -> str:
         """The transformation with these endpoints and components, its hom

@@ -13,8 +13,8 @@ every composite up among the enumerated homs when it builds, so ids are
 minted only where homs are enumerated.  ``subcategory`` restricts a category
 to some objects and morphisms, looking up the composites of kept pairs.
 Beside them only ``opposite_cat`` and literal tables call ``fincat``.
-``Functor.key`` mints a functor-category object id and nothing else:
-functors are compared by their maps.
+``functor_key`` (``Functor.key``) mints a functor-category object id and
+nothing else: functors are compared by their maps.
 """
 
 from __future__ import annotations
@@ -84,6 +84,10 @@ class FinCat:
             self._hom.setdefault((m.src, m.tgt), []).append(m.name)
         self._iso_cache: frozenset[str] | None = None
         self._gen_cache: tuple[str, ...] | None = None
+        self._layout_cache: tuple[tuple[str, ...], tuple[str, ...]] | None = None
+        # the searches out of this category, compiled on first use
+        # (constructions.functor_plan)
+        self._plan_cache = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -172,6 +176,13 @@ class FinCat:
                             work.append(h)
             self._gen_cache = tuple(gens)
         return self._gen_cache
+
+    def key_layout(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The objects, and the non-identity morphisms in id order, computed
+        once: the order of a functor's images in its key (functor_key)."""
+        if self._layout_cache is None:
+            self._layout_cache = (self.objects, tuple(self.nonidentity()))
+        return self._layout_cache
 
     def generator_pairs(self) -> Iterator[tuple[str, str]]:
         """All (g, m) with g a generator and tgt(m) == src(g)."""
@@ -568,12 +579,19 @@ class Functor:
     def key(self) -> str:
         """This functor's id as an object of a functor category; not an
         equality test (use same_maps), since a long key is hashed."""
-        os = ",".join(f"{x}>{self.obj(x)}" for x in self.dom.objects)
-        ms = ",".join(
-            f"{m}>{self.mor(m)}" for m in sorted(self.morphism_map)
-            if not self.dom.is_identity(m)
-        )
-        return short_id(f"F{{{os};{ms}}}")
+        return functor_key(self.dom, self.object_map, self.morphism_map)
+
+
+def functor_key(dom: FinCat, object_map: Mapping[str, str],
+                morphism_map: Mapping[str, str]) -> str:
+    """The id of the functor out of dom with these maps (Functor.key): its
+    object images, then its non-identity morphism images, each as source>image
+    in the order of dom.key_layout().  This is the one place functor ids are
+    minted; the identities' images follow from the objects'."""
+    objs, mors = dom.key_layout()
+    os = ",".join([f"{x}>{object_map[x]}" for x in objs])
+    ms = ",".join([f"{m}>{morphism_map[m]}" for m in mors])
+    return short_id(f"F{{{os};{ms}}}")
 
 
 def _by_construction(F: Functor) -> Functor:

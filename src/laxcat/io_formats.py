@@ -169,10 +169,14 @@ def diagram_from_data(data: dict) -> CatDiagram:
     extra = sorted(set(fibers).difference(base.cat.objects))
     if extra:
         raise MalformedTable(f"diagram: fibers at non-objects {extra}")
+    given = data.get("transitions", {})
+    unknown = sorted(m for m in given if not base.cat.has_mor(m))
+    if unknown:
+        raise MalformedTable(f"diagram: transitions at non-morphisms {unknown}")
     transitions = {}
     for x in base.cat.objects:
         transitions[base.cat.identity[x]] = identity_functor(fibers[x])
-    for m, fd in data.get("transitions", {}).items():
+    for m, fd in given.items():
         transitions[m] = functor_from_data(
             fd, fibers[base.cat.src(m)], fibers[base.cat.tgt(m)])
     return CatDiagram(base, fibers, transitions)

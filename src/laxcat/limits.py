@@ -31,6 +31,7 @@ from .core import (
     MarkedFinCat,
     build_category,
     flat_marking,
+    functor_key,
     is_iso,
     opposite_cat,
     opposite_functor,
@@ -342,8 +343,11 @@ class _Whiskering:
         _whiskerable(src, dst, pre, post)
         self.src, self.hom, self.dst, self.lookup = src, hom, dst, lookup
         self.pre, self.post = pre, post
-        self.objs = [(x, pre.obj(x)) for x in pre.dom.objects]
-        self.mors = [(m.name, pre.mor(m.name)) for m in pre.dom.morphisms]
+        # what the image's key reads (functor_key): the objects, and the
+        # non-identity morphisms, of pre.dom
+        objs, mors = pre.dom.key_layout()
+        self.objs = [(x, pre.obj(x)) for x in objs]
+        self.mors = [(m, pre.mor(m)) for m in mors]
         at = {x: i for i, x in enumerate(pre.cod.objects)}
         self.idx = [at[y] for _, y in self.objs]
         self.omap: dict[str, str] = {}
@@ -357,9 +361,8 @@ class _Whiskering:
         G = self.src[gid]
         go, gm = G.object_map, G.morphism_map
         po, pm = self.post.object_map, self.post.morphism_map
-        hid = Functor(self.pre.dom, self.post.cod,
-                      {x: po[go[y]] for x, y in self.objs},
-                      {m: pm[gm[n]] for m, n in self.mors}).key()
+        hid = functor_key(self.pre.dom, {x: po[go[y]] for x, y in self.objs},
+                          {m: pm[gm[n]] for m, n in self.mors})
         if hid not in self.dst:
             raise KeyError(hid)
         self.omap[gid] = hid

@@ -1,5 +1,6 @@
 """Twisted arrows, slices, coslices, and (marked) functor categories."""
 
+import gc
 import itertools
 
 import pytest
@@ -9,11 +10,13 @@ from laxcat.constructions import (
     FunHoms,
     SizeCaps,
     _assemble_funcat,
+    _forward_schedule,
     coslice_cat,
     enumerate_functors,
     functor_category,
     generating_morphisms,
     marked_functor_category,
+    marked_functor_homs,
     slice_cat,
     slice_transition,
     twisted_arrow,
@@ -23,6 +26,7 @@ from laxcat.core import (
     Functor,
     chain_cat,
     discrete_cat,
+    fincat,
     flat_marking,
     is_iso,
     marked,
@@ -209,6 +213,165 @@ def test_relation_pruning_keeps_enumeration_under_the_cap():
     assert len(got) == len(_brute_functors(C, D)) == 43
 
 
+def recursive_functors(C, D, obj_filter=None, gen_filter=None,
+                       max_candidates=200_000):
+    """The recursive search enumerate_functors ran before it ran a compiled
+    FunctorPlan in one flat loop, kept as its reference: the functors in
+    the same order, and the same explored count where the cap fires."""
+    gens, words = generating_morphisms(C)
+    objs = list(C.objects)
+    explored = 0
+    derived, entries = _forward_schedule(C, gens, words)
+
+    def assign_objects(i, omap):
+        nonlocal explored
+        if i == len(objs):
+            yield dict(omap)
+            return
+        x = objs[i]
+        for y in D.objects:
+            if obj_filter is not None and not obj_filter(x, y):
+                continue
+            explored += 1
+            if explored > max_candidates:
+                raise SizeBoundExceeded("functor enumeration", "candidate",
+                                        explored, max_candidates)
+            omap[x] = y
+            yield from assign_objects(i + 1, omap)
+            del omap[x]
+
+    def decide(i, omap, mmap):
+        for m, x, word in derived[i]:
+            cur = D.identity[omap[x]]
+            for w in word:
+                cur = D.compose(mmap[w], cur)
+            mmap[m] = cur
+        return all(mmap[h] == D.compose(mmap[g], mmap[f])
+                   for g, f, h in entries[i])
+
+    def assign_gens(i, omap, mmap):
+        nonlocal explored
+        if i == len(gens):
+            yield {m.name: mmap[m.name] for m in C.morphisms}
+            return
+        g = gens[i]
+        for d in D.hom(omap[C.src(g)], omap[C.tgt(g)]):
+            if gen_filter is not None and not gen_filter(g, d):
+                continue
+            explored += 1
+            if explored > max_candidates:
+                raise SizeBoundExceeded("functor enumeration", "candidate",
+                                        explored, max_candidates)
+            mmap[g] = d
+            if decide(i, omap, mmap):
+                yield from assign_gens(i + 1, omap, mmap)
+
+    for omap in assign_objects(0, {}):
+        ids = {C.identity[x]: D.identity[y] for x, y in omap.items()}
+        for mmap in assign_gens(0, omap, ids):
+            yield Functor(C, D, omap, mmap)
+
+
+def _capped_run(search, C, D, cap, **filters):
+    """The maps of the functors search yields under the cap, and the count
+    of the SizeBoundExceeded that ends it, or None."""
+    out = []
+    try:
+        for F in search(C, D, max_candidates=cap, **filters):
+            out.append((F.object_map, F.morphism_map))
+    except SizeBoundExceeded as hit:
+        assert (hit.what, hit.kind, hit.cap) == \
+            ("functor enumeration", "candidate", cap)
+        return out, hit.count
+    return out, None
+
+
+def _assert_runs_as_the_recursive_search(C, D, **filters):
+    """At every cap k from 0 up to the explored count of the whole search,
+    enumerate_functors yields the reference's functors and, where the
+    reference stops at the cap, stops with the same count k + 1 after the
+    same functors.  The maps' key order is compared on the whole search."""
+    for k in itertools.count():
+        want = _capped_run(recursive_functors, C, D, k, **filters)
+        assert _capped_run(enumerate_functors, C, D, k, **filters) == want, k
+        if want[1] is None:
+            break
+        assert want[1] == k + 1
+    got = [(list(F.object_map.items()), list(F.morphism_map.items()))
+           for F in enumerate_functors(C, D, **filters)]
+    assert got == [(list(F.object_map.items()), list(F.morphism_map.items()))
+                   for F in recursive_functors(C, D, **filters)]
+    return k
+
+
+def test_the_flat_search_runs_as_the_recursive_one_at_every_cap():
+    # the brute-force corpus, with no filter; it holds the pruning case of
+    # test_relation_pruning_keeps_enumeration_under_the_cap
+    targets = dict(probe_suite())
+    targets.update({f"free{s}": gen_category(GenParams(
+        seed=s, max_objects=3, max_morphisms=8, relation_density=0.0))
+        for s in range(2)})
+    explored = {}
+    for s in range(45):
+        C = gen_category(GenParams(seed=s))
+        for name, D in targets.items():
+            if _unpruned_candidates(C, D) <= 5000:
+                explored[s, name] = _assert_runs_as_the_recursive_search(C, D)
+    assert len(explored) > 300 and explored[33, "nonposet5"] < 1000
+
+
+def test_the_flat_search_runs_as_the_recursive_one_under_filters():
+    # marked_sections' object and generator filters, and the generator
+    # filter of the marked functors where its search explores at most 300
+    sections = marked = 0
+    for s in range(40):
+        p = GenParams(seed=s)
+        E = grothendieck_cocart(gen_diagram(gen_marking(gen_category(p), p), p),
+                                ROOMY)
+        base, total = E.base_marked, E.total
+        sections += _assert_runs_as_the_recursive_search(
+            base.cat, total.cat,
+            obj_filter=lambda i, e: E.proj.obj(e) == i,
+            gen_filter=lambda g, d: E.proj.mor(d) == g)
+        marks = {"gen_filter":
+                 lambda g, d: g not in base.marked or d in total.marked}
+        if _capped_run(recursive_functors, base.cat, total.cat, 300,
+                       **marks)[1] is None:
+            marked += _assert_runs_as_the_recursive_search(
+                base.cat, total.cat, **marks)
+    assert sections > 500 and marked > 500
+
+
+def test_a_hole_met_by_the_functor_search_is_unknown():
+    # chain_cat(2) -> itself with the composite a12 after a01 torn out of
+    # the (unchecked) codomain: the search derives the image of a02 from it
+    C = chain_cat(2)
+    D = fincat(C.objects, C.morphisms, C.identity,
+               {k: h for k, h in C.comp.items() if k != ("a12", "a01")},
+               check=False)
+    for search in (enumerate_functors, recursive_functors):
+        with pytest.raises(UnknownMorphism, match=r"a12 after a01"):
+            list(search(C, D))
+
+
+def test_the_functor_searches_leave_no_cyclic_garbage():
+    # with the cyclic collector off, an enumeration and a FunHoms read
+    # whole free everything they made once nothing holds them
+    gc.collect()
+    gc.disable()
+    try:
+        C, D = chain_cat(2), walking_iso()
+        functors = list(enumerate_functors(C, D))
+        H = marked_functor_homs(flat_marking(C), flat_marking(D))
+        homs = H.every_hom()
+        found = (len(functors), len(homs))
+        del C, D, functors, H, homs
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert found == (8, 64)
+
+
 def test_marked_functor_category_examples():
     A = walking_arrow()
     flatA, sharpA = flat_marking(A), sharp_marking(A)
@@ -370,3 +533,6 @@ def test_a_missing_composite_in_a_naturality_square_is_unknown():
                 {m.name: m.name for m in A.morphisms})
     with pytest.raises(UnknownMorphism, match=r"a01 after id_0"):
         _assemble_funcat(A, [F], D, "broken", ROOMY)
+    H = FunHoms(A, [F], D, "broken", ROOMY)
+    with pytest.raises(UnknownMorphism, match=r"a01 after id_0"):
+        H.is_natural(F.key(), F.key(), ("id_0", "id_1"))

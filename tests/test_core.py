@@ -1,6 +1,10 @@
 """Category axioms, markings, and the basic constructors."""
 
+import itertools
+
 import pytest
+
+from laxcat import checks, limits
 
 from laxcat.core import (
     FinCat,
@@ -10,6 +14,7 @@ from laxcat.core import (
     ValidationReport,
     build_category,
     chain_cat,
+    compose_functors,
     discrete_cat,
     fincat,
     flat_marking,
@@ -18,11 +23,13 @@ from laxcat.core import (
     marked_subcategory,
     opposite,
     opposite_cat,
+    opposite_functor,
     pair_id,
     parallel_pair,
     product,
     saturate_marking,
     sharp_marking,
+    short_id,
     subcategory,
     terminal_cat,
     validate_category,
@@ -34,7 +41,9 @@ from laxcat.checks import probe_suite
 from laxcat.constructions import enumerate_functors
 from laxcat.equiv import is_isomorphic
 from laxcat.errors import InvalidMarking, MalformedTable, UnknownMorphism
-from laxcat.generator import GenParams, gen_category, gen_marking
+from laxcat.generator import GenParams, gen_category, gen_diagram, gen_marking
+from laxcat.grothendieck import grothendieck_cocart
+from laxcat.io_formats import functor_from_data, functor_to_data
 
 
 def test_validate_terminal():
@@ -474,3 +483,62 @@ def test_validate_rejects_a_domain_object_without_an_identity():
                 {m.name: m.name for m in C2.morphisms})
     with pytest.raises(MalformedTable, match="1 has no identity"):
         F.validate()
+
+
+# -- functor ids --------------------------------------------------------------
+
+
+def reference_key(F):
+    """Functor.key as it was formatted before it read its domain's layout:
+    the object images in the domain's order, then the images of the
+    non-identity morphisms in sorted(morphism_map) order."""
+    os = ",".join(f"{x}>{F.obj(x)}" for x in F.dom.objects)
+    ms = ",".join(f"{m}>{F.mor(m)}" for m in sorted(F.morphism_map)
+                  if not F.dom.is_identity(m))
+    return short_id(f"F{{{os};{ms}}}")
+
+
+def test_functor_key_bytes_are_the_sorted_map_formula():
+    # enumerated, composed, opposite and file-read functors, long keys
+    # (hashed by short_id) among them
+    checked = hashed = 0
+    for s in range(12):
+        C, D = gen_category(GenParams(seed=s)), gen_category(GenParams(seed=s + 40))
+        there = list(itertools.islice(enumerate_functors(C, D), 20))
+        back = list(itertools.islice(enumerate_functors(D, C), 3))
+        functors = there + [compose_functors(G, F) for F in there for G in back]
+        functors += [opposite_functor(F) for F in there]
+        for F in there:  # read back with its maps in reversed order
+            data = functor_to_data(F)
+            data = {k: dict(reversed(list(v.items()))) for k, v in data.items()}
+            functors.append(functor_from_data(data, F.dom, F.cod))
+        p = GenParams(seed=s)
+        diagram = gen_diagram(gen_marking(gen_category(p), p), p)
+        functors += diagram.transition.values()
+        total = grothendieck_cocart(diagram).total.cat  # long object ids
+        functors += itertools.islice(enumerate_functors(diagram.base.cat, total), 20)
+        functors += itertools.islice(enumerate_functors(total, C), 20)
+        for F in functors:
+            assert F.key() == reference_key(F)
+            hashed += "#" in F.key()
+        checked += len(functors)
+    assert checked > 600 and hashed > 100
+
+
+def test_whiskered_ids_are_the_keys_of_the_whiskered_functors(monkeypatch):
+    # every id _Whiskering mints over the probe-check streams is the key of
+    # post . G . pre, built as a functor
+    minted = []
+    real = limits._Whiskering.obj
+
+    def recorded(W, gid):
+        hid = real(W, gid)
+        minted.append((W.post, W.src[gid], W.pre, hid))
+        return hid
+
+    monkeypatch.setattr(limits._Whiskering, "obj", recorded)
+    for s in range(127, 137):
+        checks.run_check("thm-lax-colim-probe", seed=s, count=1)
+    assert len(minted) > 1000
+    for post, G, pre, hid in minted:
+        assert hid == reference_key(compose_functors(post, compose_functors(G, pre)))

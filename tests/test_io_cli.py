@@ -365,6 +365,16 @@ def test_cli_malformed_input_file_exits_3(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("invalid input:")
 
 
+@pytest.mark.parametrize("command", ["grothendieck", "laxlim"])
+def test_cli_names_a_transition_at_a_non_morphism(tmp_path, capsys, command):
+    data = _arrow_over_an_arrow(
+        lambda d: d["transitions"].__setitem__("zzz", d["transitions"]["a01"]))
+    f = _write(tmp_path, "input.json", data)
+    assert main([command, f]) == 3
+    assert capsys.readouterr().err.startswith(
+        "invalid input: diagram: transitions at non-morphisms ['zzz']")
+
+
 @pytest.mark.parametrize("which, key", [("morphism_map", "a01"), ("object_map", "1")])
 def test_cli_names_a_functor_file_key_outside_the_domain(tmp_path, capsys,
                                                          which, key):

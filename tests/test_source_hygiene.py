@@ -8,8 +8,9 @@
   its top.  The one exception is ``ProcessPoolExecutor`` in ``run_check``:
   ``concurrent.futures`` costs several milliseconds to import, and only
   ``--jobs`` above 1 needs it.
-- No ``.key()`` call as an operand of a comparison.  ``key()`` mints the id of
-  a functor category's object; functors are compared by their maps.
+- No ``.key()`` or ``functor_key(...)`` call as an operand of a comparison.
+  Both mint the id of a functor category's object; functors are compared by
+  their maps.
 - ``validate_marking`` is called only in ``core.py``: the ``MarkedFinCat``
   constructor checks every marking once, so no other module checks one.
 - ``composable_pairs()`` is called only inside ``check_axioms``,
@@ -122,9 +123,10 @@ def test_no_key_comparisons(path):
     tree = ast.parse(path.read_text(), str(path))
 
     def is_key_call(node):
-        return (isinstance(node, ast.Call) and not node.args
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "key")
+        return isinstance(node, ast.Call) and (
+            not node.args and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "key"
+            or isinstance(node.func, ast.Name) and node.func.id == "functor_key")
 
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Compare)
