@@ -1,8 +1,10 @@
 """Seeded theorem checks with counterexample dumps.
 
-Each check generates random instances, runs a comparison whose two sides are
-computed independently, and reports pass/fail/skip per instance.  Skips come
-only from resource bounds, never from falsified comparisons.
+Each check is a ``Check`` record: it draws a random instance, decides a
+comparison whose two sides are computed independently, and reports
+pass/fail/skip per instance.  Skips come only from resource bounds, never
+from falsified comparisons, and a bound is never reported as a failure: a
+decision that stops at a bound raises one of ``errors.BOUND_ERRORS``.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import os
 import random
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 from .core import (
@@ -35,14 +38,14 @@ from .core import (
     walking_iso,
 )
 from .constructions import SizeCaps, enumerate_functors, twisted_arrow
-from .diagrams import CatDiagram, MarkedCatDiagram, fiberwise_op, restrict_set_diagram
+from .diagrams import (CatDiagram, MarkedCatDiagram, SetDiagram, fiberwise_op,
+                       restrict_set_diagram)
 from .equiv import is_equivalent, is_fully_faithful, iso_classes
 from .errors import (
-    GenerationExhausted,
+    BOUND_ERRORS,
     InvariantViolation,
     LaxcatError,
     MalformedTable,
-    SearchBudgetExceeded,
     SizeBoundExceeded,
 )
 from .generator import GenParams, gen_category, gen_diagram, gen_marking, gen_set_diagram
@@ -122,13 +125,10 @@ class Ctx:
 
 @dataclass
 class Failure:
-    kind: str  # "diagram" | "category" | ...
+    kind: str  # "diagram" | "set-diagram" | "params": what data dumps
     data: dict
     reason: str
     reeval: Callable | None = None  # instance -> True iff the failure persists
-
-
-_SKIP_ERRORS = (SizeBoundExceeded, SearchBudgetExceeded, GenerationExhausted)
 
 
 def _gen_instance(p: GenParams):
@@ -137,40 +137,73 @@ def _gen_instance(p: GenParams):
     return gen_diagram(M, p)
 
 
-# -- individual checks ------------------------------------------------------------
+def _sharp_instance(p: GenParams) -> CatDiagram:
+    shape = chain_cat(1) if p.seed % 2 == 0 else _cospan_cat()
+    return gen_diagram(sharp_marking(shape), p)
 
 
-def _lax_lim_agrees(F: CatDiagram, caps: SizeCaps) -> bool:
-    lax = lax_limit(F, caps)
-    secs = marked_sections(grothendieck_cocart(F, caps), caps)
-    return bool(is_equivalent(lax.cat, secs.cat))
+def _flat_instance(p: GenParams) -> CatDiagram:
+    return gen_diagram(flat_marking(gen_category(p)), p)
 
 
-def _oplax_lim_agrees(F: CatDiagram, caps: SizeCaps) -> bool:
-    opl = oplax_limit(F, caps)
-    secs = marked_sections(grothendieck_cart(F, caps), caps)
-    return bool(is_equivalent(opl.cat, secs.cat))
+def _set_instance(p: GenParams) -> SetDiagram:
+    return gen_set_diagram(gen_category(p), p)
 
 
-def _check_thm_lax_lim(p: GenParams, ctx: Ctx):
-    F = _gen_instance(p)
-    if _lax_lim_agrees(F, ctx.caps):
-        return "pass", None
-    return "fail", Failure("diagram", diagram_to_data(F),
-                           "end-formula lax limit not equivalent to marked sections",
-                           lambda d: not _lax_lim_agrees(d, ctx.caps))
+def _params(p: GenParams) -> GenParams:
+    """The instance of a check whose decision draws its own from p."""
+    return p
 
 
-def _check_thm_oplax_lim(p: GenParams, ctx: Ctx):
-    F = _gen_instance(p)
-    if _oplax_lim_agrees(F, ctx.caps):
-        return "pass", None
-    return "fail", Failure("diagram", diagram_to_data(F),
-                           "oplax limit not equivalent to cartesian marked sections",
-                           lambda d: not _oplax_lim_agrees(d, ctx.caps))
+@dataclass(frozen=True)
+class Check:
+    """One theorem check: draw makes the instance from the generator
+    params, decide returns why the instance fails or None, and dump names
+    what a failure records: the diagram, which a failure replay minimizes
+    against the same decision, the set-valued diagram, or the params."""
+
+    draw: Callable[[GenParams], object]
+    decide: Callable[[object, Ctx], str | None]
+    dump: str  # "diagram" | "set-diagram" | "params"
+
+    def __call__(self, p: GenParams, ctx: Ctx):
+        x = self.draw(p)
+        reason = self.decide(x, ctx)
+        if reason is None:
+            return "pass", None
+        if self.dump == "diagram":
+            return "fail", Failure("diagram", diagram_to_data(x), reason,
+                                   lambda F: self.decide(F, ctx) is not None)
+        if self.dump == "set-diagram":
+            data = {"category": category_to_data(x.base),
+                    "values": {b: list(v) for b, v in x.values.items()},
+                    "action": {m: {str(k): v for k, v in f.items()}
+                               for m, f in x.action.items()}}
+        else:
+            data = {"seed": p.seed}
+        return "fail", Failure(self.dump, data, reason)
 
 
-def _colim_probe_ok(F: CatDiagram, ctx: Ctx, cartesian: bool) -> tuple[bool, str]:
+# -- the decisions: each returns why its instance fails, or None ----------------
+
+
+def _lax_lim(F: CatDiagram, ctx: Ctx) -> str | None:
+    lax = lax_limit(F, ctx.caps)
+    secs = marked_sections(grothendieck_cocart(F, ctx.caps), ctx.caps)
+    if not is_equivalent(lax.cat, secs.cat):
+        return "end-formula lax limit not equivalent to marked sections"
+    return None
+
+
+def _oplax_lim(F: CatDiagram, ctx: Ctx) -> str | None:
+    opl = oplax_limit(F, ctx.caps)
+    secs = marked_sections(grothendieck_cart(F, ctx.caps), ctx.caps)
+    if not is_equivalent(opl.cat, secs.cat):
+        return "oplax limit not equivalent to cartesian marked sections"
+    return None
+
+
+def _colim_probe(F: CatDiagram, ctx: Ctx, cartesian: bool) -> str | None:
     """The probe check (probe_check_colimit_theorem: per probe, the comparison
     functor from Fun†(E.total, D♭) to the end is fully faithful and
     essentially surjective) and, when the bounded localization of the total
@@ -189,7 +222,7 @@ def _colim_probe_ok(F: CatDiagram, ctx: Ctx, cartesian: bool) -> tuple[bool, str
     failures = [(name, reason) for name, _, reason in compared
                 if reason is not None]
     if failures:
-        return False, f"mapping-out comparison failed: {failures}"
+        return f"mapping-out comparison failed: {failures}"
     total = opposite(E.total) if cartesian else E.total
     r = localize(total, ctx.bounds)
     if r.ok:
@@ -199,86 +232,62 @@ def _colim_probe_ok(F: CatDiagram, ctx: Ctx, cartesian: bool) -> tuple[bool, str
             if reason is not None:
                 failures.append((name, reason))
         if failures:
-            return False, f"localization universal property failed: {failures}"
-    return True, ""
+            return f"localization universal property failed: {failures}"
+    return None
 
 
-def _check_thm_lax_colim_probe(p: GenParams, ctx: Ctx):
-    F = _gen_instance(p)
-    ok, reason = _colim_probe_ok(F, ctx, cartesian=False)
-    if ok:
-        return "pass", None
-    return "fail", Failure("diagram", diagram_to_data(F), reason,
-                           lambda d: not _colim_probe_ok(d, ctx, False)[0])
-
-
-def _check_thm_oplax_colim_probe(p: GenParams, ctx: Ctx):
-    F = _gen_instance(p)
-    ok, reason = _colim_probe_ok(F, ctx, cartesian=True)
-    if ok:
-        return "pass", None
-    return "fail", Failure("diagram", diagram_to_data(F), reason,
-                           lambda d: not _colim_probe_ok(d, ctx, True)[0])
-
-
-def _sharp_collapse_ok(F: CatDiagram, caps: SizeCaps) -> bool:
-    lax = lax_limit(F, caps)
-    opl = oplax_limit(F, caps)
+def _sharp_collapse(F: CatDiagram, ctx: Ctx) -> str | None:
+    lax = lax_limit(F, ctx.caps)
+    opl = oplax_limit(F, ctx.caps)
     I = F.base.cat
     if I.n_objects == 2:  # arrow shape: pseudo-limit is the source fiber
         oracle = F.fiber[I.objects[0]]
     else:  # cospan shape: pseudo-limit is the iso-comma category
-        oracle = iso_comma(F.transition["f"], F.transition["g"], caps)
-    return bool(is_equivalent(lax.cat, opl.cat)) \
-        and bool(is_equivalent(lax.cat, oracle))
+        oracle = iso_comma(F.transition["f"], F.transition["g"], ctx.caps)
+    if not (is_equivalent(lax.cat, opl.cat) and is_equivalent(lax.cat, oracle)):
+        return "sharp lax/oplax limit does not collapse to the pseudo-limit"
+    return None
 
 
-def _check_prop_sharp_limit(p: GenParams, ctx: Ctx):
-    shape = chain_cat(1) if p.seed % 2 == 0 else _cospan_cat()
-    F = gen_diagram(sharp_marking(shape), p)
-    if _sharp_collapse_ok(F, ctx.caps):
-        return "pass", None
-    return "fail", Failure("diagram", diagram_to_data(F),
-                           "sharp lax/oplax limit does not collapse to the pseudo-limit",
-                           lambda d: not _sharp_collapse_ok(d, ctx.caps))
+def _ghn_flat(F: CatDiagram, ctx: Ctx) -> str | None:
+    """Over a flat base the lax limit is the category of all sections, and
+    the total category localizes to itself.  A localization that stops at
+    a bound raises the bound it names: it is never a counterexample."""
+    reason = "flat reduction failed (full sections or identity localization)"
+    lax = lax_limit(F, ctx.caps)
+    E = grothendieck_cocart(F, ctx.caps)
+    if not is_equivalent(lax.cat, all_sections(E, ctx.caps).cat):
+        return reason
+    r = localize(E.total, ctx.bounds)
+    if not r.ok:
+        b = r.bound
+        raise SizeBoundExceeded("localization", b["which"],
+                                b.get("at", b["cap"] + 1), b["cap"])
+    if not is_equivalent(r.cat, E.total.cat):
+        return reason
+    return None
 
 
-def _ghn_flat_ok(F: CatDiagram, caps: SizeCaps, bounds: Bounds) -> bool:
-    lax = lax_limit(F, caps)
-    E = grothendieck_cocart(F, caps)
-    if not is_equivalent(lax.cat, all_sections(E, caps).cat):
-        return False
-    r = localize(E.total, bounds)
-    return r.ok and bool(is_equivalent(r.cat, E.total.cat))
-
-
-def _check_ghn_flat(p: GenParams, ctx: Ctx):
-    C = gen_category(p)
-    F = gen_diagram(flat_marking(C), p)
-    if _ghn_flat_ok(F, ctx.caps, ctx.bounds):
-        return "pass", None
-    return "fail", Failure("diagram", diagram_to_data(F),
-                           "flat reduction failed (full sections or identity localization)",
-                           lambda d: not _ghn_flat_ok(d, ctx.caps, ctx.bounds))
-
-
-def _cofinal_left_ok(S, caps: SizeCaps) -> bool:
-    tw = twisted_arrow(S.base, caps)
+def _cofinal_left(S: SetDiagram, ctx: Ctx) -> str | None:
+    tw = twisted_arrow(S.base, ctx.caps)
     R = restrict_set_diagram(S, tw.proj_src)
     cls_s = set_colimit(S)
     cls_r = set_colimit(R)
+    reason = "left cofinality of the twisted-arrow projection failed"
     # the projection must induce a well-defined bijection on colimit classes
     induced: dict[int, int] = {}
     for (f, e), c in cls_r.items():
         target = cls_s[(tw.proj_src.obj(f), e)]
         if induced.setdefault(c, target) != target:
-            return False
-    return len(induced) == len(set(cls_s.values())) \
-        and len(set(induced.values())) == len(induced)
+            return reason
+    if len(induced) != len(set(cls_s.values())) \
+            or len(set(induced.values())) != len(induced):
+        return reason
+    return None
 
 
-def _cofinal_right_ok(S, caps: SizeCaps) -> bool:
-    tw = twisted_arrow(S.base, caps)
+def _cofinal_right(S: SetDiagram, ctx: Ctx) -> str | None:
+    tw = twisted_arrow(S.base, ctx.caps)
     R = restrict_set_diagram(S, tw.proj_src)
     lim_s = set_limit(S)
     lim_r = set_limit(R)
@@ -288,22 +297,9 @@ def _cofinal_right_ok(S, caps: SizeCaps) -> bool:
     for fam in lim_s:
         by_obj = dict(zip(objs_s, fam))
         restricted.add(tuple(by_obj[tw.proj_src.obj(f)] for f in objs_r))
-    return len(restricted) == len(lim_s) and restricted == set(map(tuple, lim_r))
-
-
-def _check_cofinality(p: GenParams, ctx: Ctx, side: str):
-    C = gen_category(p)
-    S = gen_set_diagram(C, p)
-    ok = _cofinal_left_ok(S, ctx.caps) if side == "left" \
-        else _cofinal_right_ok(S, ctx.caps)
-    if ok:
-        return "pass", None
-    data = {"category": category_to_data(C),
-            "values": {x: list(v) for x, v in S.values.items()},
-            "action": {m: {str(k): v for k, v in f.items()}
-                       for m, f in S.action.items()}}
-    return "fail", Failure("set-diagram", data,
-                           f"{side} cofinality of the twisted-arrow projection failed")
+    if len(restricted) != len(lim_s) or restricted != set(map(tuple, lim_r)):
+        return "right cofinality of the twisted-arrow projection failed"
+    return None
 
 
 def _gen_marked_diagram(M: MarkedFinCat, p: GenParams) -> MarkedCatDiagram:
@@ -332,7 +328,8 @@ def _gen_marked_diagram(M: MarkedFinCat, p: GenParams) -> MarkedCatDiagram:
     return MarkedCatDiagram(F.base, fibers, F.transition)
 
 
-def _marked_limit_ok(p: GenParams, ctx: Ctx) -> bool:
+def _marked_limit(p: GenParams, ctx: Ctx) -> str | None:
+    reason = "marked limit marking invalid or not compatible with products"
     C = gen_category(p)
     M = gen_marking(C, p)
     Fm = _gen_marked_diagram(M, p)
@@ -352,7 +349,7 @@ def _marked_limit_ok(p: GenParams, ctx: Ctx) -> bool:
     P = product(limF, limG)
     if P.cat.n_objects != limH.cat.n_objects \
             or len(P.cat.morphisms) != len(limH.cat.morphisms):
-        return False
+        return reason
     # match pairs of families with families of pairs
     omap = {}
     for oF in limF.cat.objects:
@@ -370,17 +367,11 @@ def _marked_limit_ok(p: GenParams, ctx: Ctx) -> bool:
         iso = Functor(P.cat, limH.cat, omap, mmap)
         iso.validate()
     except MalformedTable:  # not a functor; any other error is not a verdict
-        return False
-    if len(set(mmap.values())) != len(mmap):
-        return False
-    return all((m in P.marked) == (mmap[m] in limH.marked) for m in mmap)
-
-
-def _check_marked_limit(p: GenParams, ctx: Ctx):
-    if _marked_limit_ok(p, ctx):
-        return "pass", None
-    return "fail", Failure("params", {"seed": p.seed},
-                           "marked limit marking invalid or not compatible with products")
+        return reason
+    if len(set(mmap.values())) != len(mmap) \
+            or any((m in P.marked) != (mmap[m] in limH.marked) for m in mmap):
+        return reason
+    return None
 
 
 def _restricted_diagram(F: CatDiagram, t: Functor, Im: MarkedFinCat) -> CatDiagram:
@@ -389,7 +380,7 @@ def _restricted_diagram(F: CatDiagram, t: Functor, Im: MarkedFinCat) -> CatDiagr
                       {m.name: F.transition[t.mor(m.name)] for m in I.morphisms})
 
 
-def _pullback_ok(p: GenParams, ctx: Ctx) -> bool:
+def _pullback(p: GenParams, ctx: Ctx) -> str | None:
     F = _gen_instance(p)
     Jm = F.base
     rng = random.Random(("pullback", p.seed).__repr__())
@@ -410,18 +401,14 @@ def _pullback_ok(p: GenParams, ctx: Ctx) -> bool:
     PB = pullback_fibered(t, Im, E, ctx.caps)
     G = _restricted_diagram(F, t, Im)
     EG = grothendieck_cocart(G, ctx.caps)
-    return PB.total.cat.same_table(EG.total.cat) \
-        and PB.total.marked == EG.total.marked
+    if not (PB.total.cat.same_table(EG.total.cat)
+            and PB.total.marked == EG.total.marked):
+        return "pullback of the fibration differs from the restricted construction"
+    return None
 
 
-def _check_pullback_remark(p: GenParams, ctx: Ctx):
-    if _pullback_ok(p, ctx):
-        return "pass", None
-    return "fail", Failure("params", {"seed": p.seed},
-                           "pullback of the fibration differs from the restricted construction")
-
-
-def _ff_lemma_ok(p: GenParams, ctx: Ctx) -> bool:
+def _ff_lemma(p: GenParams, ctx: Ctx) -> str | None:
+    reason = "limit of full inclusions not fully faithful with componentwise image"
     F = _gen_instance(p)
     I = F.base.cat
     rng = random.Random(("ff", p.seed).__repr__())
@@ -466,7 +453,7 @@ def _ff_lemma_ok(p: GenParams, ctx: Ctx) -> bool:
            for x in I.objects}
     inc = cat_limit_map(eta, limG, limF)
     if not is_fully_faithful(inc):
-        return False
+        return reason
     # essential image is detected componentwise
     image = {inc.obj(o) for o in limG.cat.objects}
     classes = iso_classes(limF.cat)
@@ -475,18 +462,11 @@ def _ff_lemma_ok(p: GenParams, ctx: Ctx) -> bool:
     for o in limF.cat.objects:
         componentwise = all(limF.obj_family[o][x] in chosen[x] for x in I.objects)
         if in_image[o] != componentwise:
-            return False
-    return True
+            return reason
+    return None
 
 
-def _check_ff_lemma(p: GenParams, ctx: Ctx):
-    if _ff_lemma_ok(p, ctx):
-        return "pass", None
-    return "fail", Failure("params", {"seed": p.seed},
-                           "limit of full inclusions not fully faithful with componentwise image")
-
-
-def _monotonicity_ok(p: GenParams, ctx: Ctx) -> bool:
+def _monotonicity(p: GenParams, ctx: Ctx) -> str | None:
     C = gen_category(p)
     M1 = gen_marking(C, p)
     rng = random.Random(("mono", p.seed).__repr__())
@@ -498,42 +478,32 @@ def _monotonicity_ok(p: GenParams, ctx: Ctx) -> bool:
     s2 = marked_sections(grothendieck_cocart(F2, ctx.caps), ctx.caps)
     objs1 = set(s1.cat.objects)
     objs2 = set(s2.cat.objects)
+    reason = "larger marking did not give a full subcategory of sections"
     if not objs2 <= objs1:
-        return False
+        return reason
     hom1 = {(m.src, m.tgt, m.name) for m in s1.cat.morphisms
             if m.src in objs2 and m.tgt in objs2}
     hom2 = {(m.src, m.tgt, m.name) for m in s2.cat.morphisms}
-    return hom1 == hom2
-
-
-def _check_monotonicity(p: GenParams, ctx: Ctx):
-    if _monotonicity_ok(p, ctx):
-        return "pass", None
-    return "fail", Failure("params", {"seed": p.seed},
-                           "larger marking did not give a full subcategory of sections")
-
-
-def _check_cofinality_left(p: GenParams, ctx: Ctx):
-    return _check_cofinality(p, ctx, "left")
-
-
-def _check_cofinality_right(p: GenParams, ctx: Ctx):
-    return _check_cofinality(p, ctx, "right")
+    if hom1 != hom2:
+        return reason
+    return None
 
 
 CHECKS: dict[str, Callable] = {
-    "thm-lax-lim": _check_thm_lax_lim,
-    "thm-oplax-lim": _check_thm_oplax_lim,
-    "thm-lax-colim-probe": _check_thm_lax_colim_probe,
-    "thm-oplax-colim-probe": _check_thm_oplax_colim_probe,
-    "prop-sharp-limit": _check_prop_sharp_limit,
-    "ghn-flat": _check_ghn_flat,
-    "cofinality-left": _check_cofinality_left,
-    "cofinality-right": _check_cofinality_right,
-    "marked-limit": _check_marked_limit,
-    "pullback-remark": _check_pullback_remark,
-    "ff-lemma": _check_ff_lemma,
-    "monotonicity": _check_monotonicity,
+    "thm-lax-lim": Check(_gen_instance, _lax_lim, "diagram"),
+    "thm-oplax-lim": Check(_gen_instance, _oplax_lim, "diagram"),
+    "thm-lax-colim-probe": Check(_gen_instance, partial(_colim_probe, cartesian=False),
+                                 "diagram"),
+    "thm-oplax-colim-probe": Check(_gen_instance, partial(_colim_probe, cartesian=True),
+                                   "diagram"),
+    "prop-sharp-limit": Check(_sharp_instance, _sharp_collapse, "diagram"),
+    "ghn-flat": Check(_flat_instance, _ghn_flat, "diagram"),
+    "cofinality-left": Check(_set_instance, _cofinal_left, "set-diagram"),
+    "cofinality-right": Check(_set_instance, _cofinal_right, "set-diagram"),
+    "marked-limit": Check(_params, _marked_limit, "params"),
+    "pullback-remark": Check(_params, _pullback, "params"),
+    "ff-lemma": Check(_params, _ff_lemma, "params"),
+    "monotonicity": Check(_params, _monotonicity, "params"),
 }
 
 # mapping-out probe categories grow like 2^(objects of the total category),
@@ -666,7 +636,7 @@ def _run_one(theorem: str, p: GenParams, ctx: Ctx) -> str:
     """Worker for parallel runs; statuses only, Failure closures stay local."""
     try:
         status, _ = CHECKS[theorem](p, ctx)
-    except _SKIP_ERRORS:
+    except BOUND_ERRORS:
         return "skip"
     return status
 
@@ -704,7 +674,7 @@ def run_check(theorem: str, seed: int = 0, count: int = 50,
         # sequential run, or a parallel failure replayed for its witness
         try:
             status, failure = fn(p, ctx)
-        except _SKIP_ERRORS:
+        except BOUND_ERRORS:
             skips += 1
             continue
         if status == "pass":

@@ -21,14 +21,7 @@ from .constructions import (
     twisted_arrow,
 )
 from .equiv import is_equivalent, skeleton
-from .errors import (
-    GenerationExhausted,
-    InvariantViolation,
-    LaxcatError,
-    MalformedTable,
-    SearchBudgetExceeded,
-    SizeBoundExceeded,
-)
+from .errors import BOUND_ERRORS, InvariantViolation, LaxcatError, MalformedTable
 from .grothendieck import all_sections, grothendieck_cart, grothendieck_cocart, marked_sections
 from .io_formats import (
     canonical_json,
@@ -43,8 +36,6 @@ from .io_formats import (
 )
 from .limits import lax_limit, oplax_limit
 from .localization import Bounds, lax_colimit, localize, localize_presentation, oplax_colimit
-
-_BOUND_ERRORS = (SizeBoundExceeded, SearchBudgetExceeded, GenerationExhausted)
 
 
 def _load(path: str) -> dict:
@@ -260,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_compute(args)
-    except _BOUND_ERRORS as exc:
+    except BOUND_ERRORS as exc:
         sys.stderr.write(f"bound exceeded: {exc}\n")
         return 2
     except InvariantViolation as exc:

@@ -50,3 +50,8 @@ class GenerationExhausted(LaxcatError):
 
 class InvariantViolation(LaxcatError):
     """An internal invariant failed: a program bug, never a verdict."""
+
+
+# a run that raises one of these stopped at a resource bound: a skip, never
+# a verdict and never invalid input
+BOUND_ERRORS = (SizeBoundExceeded, SearchBudgetExceeded, GenerationExhausted)

@@ -153,32 +153,34 @@ def _backtrack_transitions(I: FinCat, fibers: dict[str, FinCat],
         below[i] = len(candidates[gens[i]]) * (1 + below[i + 1])
 
     tr = {I.identity[x]: identity_functor(fibers[x]) for x in I.objects}
-
-    def decide(i: int) -> bool:
+    # depth first: one iterator per level, like enumerate_functors
+    budget = _TRANSITION_NODES
+    its = [iter(candidates[g]) for g in gens]
+    i = 0
+    while i < n:
+        c = next(its[i], None)
+        if c is None:  # level i is exhausted: back to the one above
+            if i == 0:
+                return None
+            i -= 1
+            continue
+        if budget <= 0:
+            return None
+        budget -= 1
+        tr[gens[i]] = c
         for m, x, word in derived[i]:
             T = tr[I.identity[x]]
             for g in word:
                 T = compose_functors(tr[g], T)
             tr[m] = T
-        return all(compose_functors(tr[g], tr[f]).same_maps(tr[h])
-                   for g, f, h in entries[i])
-
-    def rec(i: int, budget: list[int]) -> bool:
-        if i == n:
-            return True
-        for c in candidates[gens[i]]:
-            if budget[0] <= 0:
-                return False
-            budget[0] -= 1
-            tr[gens[i]] = c
-            if not decide(i):
-                budget[0] -= below[i + 1]
-            elif rec(i + 1, budget):
-                return True
-        return False
-
-    if not rec(0, [_TRANSITION_NODES]):
-        return None
+        if not all(compose_functors(tr[g], tr[f]).same_maps(tr[h])
+                   for g, f, h in entries[i]):
+            budget -= below[i + 1]
+        elif i + 1 < n:
+            i += 1
+            its[i] = iter(candidates[gens[i]])
+        else:
+            break
     order = [I.identity[x] for x in I.objects] + I.nonidentity()
     return {m: tr[m] for m in order}
 

@@ -20,7 +20,6 @@ the correctness burden.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -55,16 +54,9 @@ from .errors import InvariantViolation, MalformedTable
 
 def set_limit(F: SetDiagram) -> list[tuple]:
     """Compatible families, as tuples ordered by base object id."""
-    B = F.base
-    objs = list(B.objects)
-    out = []
-    for combo in itertools.product(*(F.values[x] for x in objs)):
-        at = dict(zip(objs, combo))
-        if all(
-            F.action[m.name][at[m.src]] == at[m.tgt] for m in B.morphisms
-        ):
-            out.append(combo)
-    return out
+    fams = FamilyPlan(F.base).families(lambda b: F.values[b],
+                                       lambda phi, e: F.action[phi][e])
+    return [tuple(fam.values()) for fam in fams]
 
 
 def set_colimit(F: SetDiagram) -> dict[tuple, int]:

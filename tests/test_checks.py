@@ -19,9 +19,11 @@ from laxcat.checks import (
 )
 from laxcat.constructions import SizeCaps
 from laxcat.core import Functor
-from laxcat.errors import InvalidDiagram, InvariantViolation, MalformedTable
-from laxcat.generator import GenParams, gen_category, gen_diagram, gen_marking
-from laxcat.io_formats import canonical_json, diagram_to_data
+from laxcat.errors import (InvalidDiagram, InvariantViolation, MalformedTable,
+                           SizeBoundExceeded)
+from laxcat.generator import (GenParams, gen_category, gen_diagram, gen_marking,
+                              gen_set_diagram)
+from laxcat.io_formats import canonical_json, category_to_data, diagram_to_data
 from laxcat.localization import Bounds
 
 
@@ -220,17 +222,18 @@ def _two_object_diagram():
 def test_marked_limit_check_raises_a_bug_instead_of_failing(monkeypatch):
     params, ctx = theorem_defaults("marked-limit")
     p = replace(params, seed=instance_seed(0, 0))
-    assert checks._marked_limit_ok(p, ctx)
-    for error, verdict in ((MalformedTable, False), (InvariantViolation, None)):
+    assert checks._marked_limit(p, ctx) is None
+    reason = "marked limit marking invalid or not compatible with products"
+    for error, verdict in ((MalformedTable, reason), (InvariantViolation, None)):
         class Planted(Functor):
             validate = _planted(error)
 
         monkeypatch.setattr(checks, "Functor", Planted)
         if verdict is None:
             with pytest.raises(InvariantViolation):
-                checks._marked_limit_ok(p, ctx)
+                checks._marked_limit(p, ctx)
         else:  # the comparison map is not a functor: a counterexample
-            assert checks._marked_limit_ok(p, ctx) is verdict
+            assert checks._marked_limit(p, ctx) == verdict
 
 
 def test_minimize_diagram_raises_a_bug_in_an_object_deletion(monkeypatch):
@@ -263,3 +266,112 @@ def test_run_check_raises_a_bug_in_a_failure_replay(monkeypatch, tmp_path):
         else:  # a replay that raises an input error does not fail again
             r = run_check("planted", seed=0, count=1, out_dir=str(tmp_path))
             assert len(r.failures) == 1
+
+
+# -- one runner: each check is a draw, a decision and a dump kind ---------------
+
+
+def _forced(reason):
+    def decide(instance, ctx):
+        return reason
+    return decide
+
+
+def _parent_dump(theorem, p):
+    """The data a failure of theorem at p dumped before the checks shared
+    one runner, rebuilt the way each check's own wrapper built it."""
+    if theorem.startswith("cofinality"):
+        C = gen_category(p)
+        S = gen_set_diagram(C, p)
+        return {"category": category_to_data(C),
+                "values": {x: list(v) for x, v in S.values.items()},
+                "action": {m: {str(k): v for k, v in f.items()}
+                           for m, f in S.action.items()}}
+    if theorem in ("marked-limit", "pullback-remark", "ff-lemma", "monotonicity"):
+        return {"seed": p.seed}
+    return diagram_to_data(checks._gen_instance(p))
+
+
+@pytest.mark.parametrize("theorem, kind", [
+    ("thm-lax-lim", "diagram"), ("thm-oplax-colim-probe", "diagram"),
+    ("cofinality-left", "set-diagram"), ("cofinality-right", "set-diagram"),
+    ("marked-limit", "params"), ("monotonicity", "params")])
+def test_a_forced_failure_dumps_what_its_check_dumped(monkeypatch, theorem, kind):
+    params, ctx = theorem_defaults(theorem)
+    p = replace(params, seed=instance_seed(0, 1))
+    monkeypatch.setitem(CHECKS, theorem,
+                        replace(CHECKS[theorem], decide=_forced("forced")))
+    status, failure = CHECKS[theorem](p, ctx)
+    assert status == "fail"
+    assert (failure.kind, failure.reason) == (kind, "forced")
+    assert canonical_json(failure.data) == canonical_json(_parent_dump(theorem, p))
+    assert (failure.reeval is None) == (kind != "diagram")
+    if kind == "set-diagram":
+        assert list(failure.data) == ["category", "values", "action"]
+
+
+def test_every_check_passes_through_the_decision_it_names(monkeypatch):
+    # each check decides its instance with its own decision, and a pass
+    # carries no failure
+    p = replace(GenParams(), seed=instance_seed(0, 0))
+    for theorem, check in CHECKS.items():
+        assert isinstance(check, checks.Check)
+        seen = []
+        monkeypatch.setitem(CHECKS, theorem, replace(
+            check, decide=lambda x, ctx, seen=seen: seen.append((x, ctx))))
+        _, ctx = theorem_defaults(theorem)
+        assert CHECKS[theorem](p, ctx) == ("pass", None)
+        [(instance, used)] = seen
+        assert used is ctx
+        assert (instance is p) == (check.dump == "params")
+
+
+def test_the_decisions_keep_their_reasons(monkeypatch):
+    # no equivalence and no full faithfulness holds: each decision reports
+    # the reason its check always gave
+    monkeypatch.setattr(checks, "is_equivalent", lambda *args: False)
+    monkeypatch.setattr(checks, "is_fully_faithful", lambda *args: False)
+    reasons = {
+        "thm-lax-lim": "end-formula lax limit not equivalent to marked sections",
+        "thm-oplax-lim": "oplax limit not equivalent to cartesian marked sections",
+        "prop-sharp-limit":
+            "sharp lax/oplax limit does not collapse to the pseudo-limit",
+        "ghn-flat": "flat reduction failed (full sections or identity localization)",
+        "ff-lemma":
+            "limit of full inclusions not fully faithful with componentwise image",
+    }
+    for theorem, reason in reasons.items():
+        params, ctx = theorem_defaults(theorem)
+        status, failure = CHECKS[theorem](replace(params, seed=1), ctx)
+        assert (status, failure.reason) == ("fail", reason), theorem
+
+
+def test_a_diagram_failure_replays_the_same_decision():
+    seen = []
+
+    def decide(F, ctx):
+        seen.append((F, ctx))
+        return "forced" if F.base.cat.n_objects == 2 else None
+
+    _, ctx = theorem_defaults("thm-lax-lim")
+    check = replace(CHECKS["thm-lax-lim"], decide=decide)
+    F = _two_object_diagram()
+    status, failure = check(GenParams(seed=7), ctx)
+    assert status == "fail" and failure.data == diagram_to_data(F)
+    smaller = checks._delete_base_object(F, F.base.cat.objects[0])
+    assert failure.reeval(F) is True and failure.reeval(smaller) is False
+    assert len(seen) == 3 and seen[1][0] is F and seen[2][0] is smaller
+    assert all(used is ctx for _, used in seen)
+
+
+def test_ghn_flat_skips_a_localization_bound():
+    # a localization stopped at a bound is a skip, never a counterexample
+    _, ctx = theorem_defaults("ghn-flat")
+    tight = replace(ctx, bounds=Bounds(word_length=0))
+    r = run_check("ghn-flat", seed=0, count=3, ctx=tight)
+    assert (r.passes, r.bound_exceeded, r.failures) == (0, 3, [])
+    F = checks._flat_instance(GenParams(seed=instance_seed(0, 0)))
+    with pytest.raises(SizeBoundExceeded) as bound:
+        checks._ghn_flat(F, tight)
+    assert (bound.value.what, bound.value.kind, bound.value.cap) == (
+        "localization", "word_length", 0)

@@ -1,5 +1,6 @@
 """Seeded generation: determinism, validity, and distribution sanity."""
 
+import gc
 import random
 from dataclasses import replace
 
@@ -213,6 +214,23 @@ def test_backtrack_transitions_budget_matches_unpruned_search(monkeypatch):
             got, ran_out = _same_as_unpruned(I, fibers, random.Random(s), limit)
             outcomes.add((got is None, ran_out))
     assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def test_gen_diagram_leaves_no_cyclic_garbage():
+    # with the cyclic collector off, the transition search frees everything
+    # it made once nothing holds it: no closure of it refers to itself
+    p = GenParams(seed=3)
+    I = gen_marking(gen_category(p), p)
+    gc.collect()
+    gc.disable()
+    try:
+        F = gen_diagram(I, p)
+        n_objects = F.base.cat.n_objects
+        del F
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert n_objects == I.cat.n_objects
 
 
 # -- gen_category against the union-find quotient it replaced ------------------------

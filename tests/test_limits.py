@@ -230,9 +230,9 @@ def test_monotonicity_of_marking_via_sections():
 
 def test_cat_limit_map_of_inclusions_is_fully_faithful():
     # full-subcategory inclusions componentwise, limit compared by inclusion
-    from laxcat.checks import _ff_lemma_ok, Ctx
+    from laxcat.checks import _ff_lemma, Ctx
     for s in range(10):
-        assert _ff_lemma_ok(GenParams(seed=s), Ctx())
+        assert _ff_lemma(GenParams(seed=s), Ctx()) is None
 
 
 def test_lax_limit_raises_on_a_corrupted_transport(monkeypatch):
@@ -873,14 +873,17 @@ def _same_families(B, candidates, force, rng, reordered):
     return expected
 
 
+def _family_bases():
+    return [walking_iso(), _monoid3(), parallel_pair(), chain_cat(2),
+            opposite_cat(chain_cat(2)), _cospan_base(), discrete_cat(["l", "r"])
+            ] + [gen_category(GenParams(seed=s)) for s in range(12)]
+
+
 def test_the_family_search_finds_the_brute_force_families_in_any_object_order():
     rng = random.Random(20)
-    bases = [walking_iso(), _monoid3(), parallel_pair(), chain_cat(2),
-             opposite_cat(chain_cat(2)), _cospan_base(), discrete_cat(["l", "r"])]
-    bases += [gen_category(GenParams(seed=s)) for s in range(12)]
     found = empty = 0
     reordered: list[bool] = []
-    for B in bases:
+    for B in _family_bases():
         for values, action in _set_valued(B, range(4)):
             fams = _same_families(B, lambda b: list(values[b]),
                                   lambda phi, v: action[phi][v], rng, reordered)
@@ -904,6 +907,22 @@ def test_the_family_search_finds_the_brute_force_families_in_any_object_order():
     assert found > 200 and empty > 25 and homs > 100
     # the renamed copies did branch in another order
     assert sum(reordered) > 20
+
+
+def test_set_limit_finds_the_brute_force_families():
+    # the same families as the product of the value sets filtered by every
+    # action, each once, also where a value set is empty
+    found = empty = 0
+    for B in _family_bases():
+        for values, action in _set_valued(B, range(4)):
+            want = [tuple(fam.values()) for fam in _brute_force_families(
+                B, lambda b: values[b], lambda phi, e: action[phi][e])]
+            got = set_limit(SetDiagram(B, values, action))
+            assert sorted(got) == sorted(want)
+            assert len(set(got)) == len(got)
+            found += len(got)
+            empty += not got
+    assert found > 200 and empty > 25
 
 
 def test_the_probe_check_enumerates_only_the_homs_its_limit_reads(monkeypatch):

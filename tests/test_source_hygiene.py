@@ -28,7 +28,8 @@
   ``try`` catches ``InvariantViolation``.  ``InvariantViolation`` is a
   ``LaxcatError`` but marks a program bug, so it must surface as an error and
   never be swallowed as a verdict, a skip or a failed step.  A module-level
-  tuple of exception classes counts as the classes it names.
+  tuple of exception classes counts as the classes it names, and so does one
+  imported from ``errors.py`` (``errors.BOUND_ERRORS``).
 - ``_by_construction`` is called only in ``skeleton`` and ``is_equivalent``,
   whose docstrings prove that the functors they mark preserve composites;
   every other functor is checked on generator pairs.
@@ -211,13 +212,24 @@ def test_fincat_called_only_where_a_table_is_given(path):
 CATCH_ALL = {"LaxcatError", "Exception", "BaseException"}
 
 
+def _module_tuples(tree: ast.AST) -> dict[str, list[ast.expr]]:
+    return {node.targets[0].id: node.value.elts for node in tree.body
+            if isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Tuple)}
+
+
+ERROR_TUPLES = _module_tuples(ast.parse((SRC / "errors.py").read_text()))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_invariant_violation_is_never_caught_as_a_laxcat_error(path):
     tree = ast.parse(path.read_text(), str(path))
-    tuples = {node.targets[0].id: node.value.elts for node in tree.body
-              if isinstance(node, ast.Assign) and len(node.targets) == 1
-              and isinstance(node.targets[0], ast.Name)
-              and isinstance(node.value, ast.Tuple)}
+    tuples = _module_tuples(tree)
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "errors":
+            tuples.update({alias.asname or alias.name: ERROR_TUPLES[alias.name]
+                           for alias in node.names if alias.name in ERROR_TUPLES})
 
     def caught(expr) -> set[str]:
         if expr is None:  # a bare except
