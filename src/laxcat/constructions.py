@@ -21,7 +21,6 @@ from .core import (
     MarkedFinCat,
     NatTrans,
     build_category,
-    opposite_cat,
     short_id,
 )
 from .errors import SizeBoundExceeded, UnknownObject
@@ -331,8 +330,8 @@ class FunHoms:
     """Functors C -> D as objects, natural transformations (with components
     passing component_filter) as morphisms, each hom enumerated when first
     read (``hom``) and kept.  This is the one transformation enumerator: a
-    functor category reads every hom through it (``_assemble_funcat``), and
-    the end formula only the homs its limit reads (``limits.end_limit``).
+    functor category reads every hom through it (``category``), and the end
+    formula only the homs its limit reads (``limits.end_limit``).
 
     Object ids are ``key()``s; this is the one place transformation ids,
     ``N{src=>tgt;cs}``, are formatted.  ``hom_of`` maps a transformation to
@@ -456,20 +455,11 @@ class FunHoms:
         return FunCat(cat, self.functors, self.hom_of)
 
 
-def _assemble_funcat(C: FinCat, functors: list[Functor], D: FinCat,
-                     what: str, caps: SizeCaps,
-                     component_filter: Callable[[str, str], bool] | None = None,
-                     check: bool = False) -> FunCat:
-    """The functor category on these functors, every hom read through one
-    FunHoms; see there."""
-    return FunHoms(C, functors, D, what, caps, component_filter).category(check)
-
-
 def functor_category(C: FinCat, D: FinCat, caps: SizeCaps = DEFAULT_CAPS) -> FunCat:
     """Objects: all functors C -> D; morphisms: all natural transformations."""
     functors = list(enumerate_functors(C, D, max_candidates=caps.max_candidates))
-    return _assemble_funcat(C, functors, D,
-                            f"Fun({C.n_objects}o,{D.n_objects}o)", caps)
+    return FunHoms(C, functors, D, f"Fun({C.n_objects}o,{D.n_objects}o)",
+                   caps).category()
 
 
 def _marked_functors(Cm: MarkedFinCat, Dm: MarkedFinCat,
@@ -499,8 +489,8 @@ def marked_functor_category(
     Cm: MarkedFinCat, Dm: MarkedFinCat, caps: SizeCaps = DEFAULT_CAPS
 ) -> FunCat:
     """Full subcategory of functor_category(C, D) on the marked functors."""
-    return _assemble_funcat(Cm.cat, _marked_functors(Cm, Dm, caps), Dm.cat,
-                            "Fun†", caps)
+    return FunHoms(Cm.cat, _marked_functors(Cm, Dm, caps), Dm.cat, "Fun†",
+                   caps).category()
 
 
 # -- twisted arrow category -------------------------------------------------------
@@ -509,9 +499,7 @@ def marked_functor_category(
 @dataclass
 class TwistedArrowCat:
     cat: FinCat
-    base: FinCat
-    proj_src: Functor  # to base, first coordinate (covariant)
-    proj_tgt: Functor  # to opposite(base), second coordinate
+    proj_src: Functor  # to the base, first coordinate (covariant)
     legs: dict[str, tuple[str, str]]  # morphism id -> (a, b)
 
 
@@ -544,14 +532,8 @@ def twisted_arrow(I: FinCat, caps: SizeCaps = DEFAULT_CAPS) -> TwistedArrowCat:
         {f: I.src(f) for f in objects},
         {name: ab[0] for name, ab in legs.items()},
     )
-    proj_tgt = Functor(
-        cat, opposite_cat(I),
-        {f: I.tgt(f) for f in objects},
-        {name: ab[1] for name, ab in legs.items()},
-    )
     proj_src.validate()
-    proj_tgt.validate()
-    return TwistedArrowCat(cat, I, proj_src, proj_tgt, legs)
+    return TwistedArrowCat(cat, proj_src, legs)
 
 
 # -- slices and coslices ------------------------------------------------------------
@@ -559,11 +541,10 @@ def twisted_arrow(I: FinCat, caps: SizeCaps = DEFAULT_CAPS) -> TwistedArrowCat:
 
 @dataclass
 class SliceCat:
-    """I_{/i} or I_{i/} with the marking pulled back along the forgetful functor."""
+    """I_{/i} or I_{i/} with the marking pulled back along the forgetful
+    functor, whose morphism map is witness."""
 
     marked: MarkedFinCat
-    forget: Functor  # to the underlying base category
-    base_object: str
     kind: str  # "slice" | "coslice"
     witness: dict[str, str]  # slice morphism id -> underlying morphism of I
 
@@ -599,14 +580,7 @@ def _slice_like(Im: MarkedFinCat, i: str, kind: str) -> SliceCat:
     cat = build_category(objects, homs, I.compose, I.is_identity)
     witness = {name: a for name, _, _, a in homs}
     mk = frozenset(m for m in witness if witness[m] in Im.marked)
-    marked = MarkedFinCat(cat, mk)
-    forget = Functor(
-        cat, I,
-        {f: (I.src(f) if kind == "slice" else I.tgt(f)) for f in objects},
-        dict(witness),
-    )
-    forget.validate()
-    return SliceCat(marked, forget, i, kind, witness)
+    return SliceCat(MarkedFinCat(cat, mk), kind, witness)
 
 
 def slice_cat(Im: MarkedFinCat, i: str) -> SliceCat:

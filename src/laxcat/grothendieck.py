@@ -16,21 +16,18 @@ from .core import (
     is_iso,
     opposite,
     opposite_functor,
+    pair_id,
     short_id,
     subcategory,
 )
 from .constructions import (
     DEFAULT_CAPS,
+    FunCat,
+    FunHoms,
     SizeCaps,
     enumerate_functors,
-    _assemble_funcat,
-    FunCat,
 )
 from .diagrams import CatDiagram, fiberwise_op
-
-
-def total_obj_id(i: str, x: str) -> str:
-    return short_id(f"({i}|{x})")
 
 
 def total_mor_id(phi: str, f: str, x: str) -> str:
@@ -62,7 +59,7 @@ def grothendieck_cocart(F: CatDiagram, caps: SizeCaps = DEFAULT_CAPS) -> Fibered
     obj_part: dict[str, tuple[str, str]] = {}
     for i in I.objects:
         for x in F.fiber[i].objects:
-            oid = total_obj_id(i, x)
+            oid = pair_id(i, x)
             objects.append(oid)
             obj_part[oid] = (i, x)
     caps.check_objects("grothendieck total", len(objects))
@@ -77,8 +74,8 @@ def grothendieck_cocart(F: CatDiagram, caps: SizeCaps = DEFAULT_CAPS) -> Fibered
                 if Fj.src(f.name) != fx:
                     continue
                 homs.append((total_mor_id(phi.name, f.name, x),
-                             total_obj_id(phi.src, x),
-                             total_obj_id(phi.tgt, f.tgt),
+                             pair_id(phi.src, x),
+                             pair_id(phi.tgt, f.tgt),
                              (phi.name, f.name)))
     caps.check_morphisms("grothendieck total", len(homs))
 
@@ -176,9 +173,8 @@ def marked_sections(E: FiberedCat, caps: SizeCaps = DEFAULT_CAPS,
 
     # morphisms are the vertical transformations: components over identities
     idents = base.cat.identity
-    return _assemble_funcat(
-        base.cat, sections, total.cat, "section category", caps,
-        component_filter=lambda x, c: E.proj.mor(c) == idents[x], check=True)
+    return FunHoms(base.cat, sections, total.cat, "section category", caps,
+                   lambda x, c: E.proj.mor(c) == idents[x]).category(check=True)
 
 
 def all_sections(E: FiberedCat, caps: SizeCaps = DEFAULT_CAPS) -> FunCat:
@@ -211,7 +207,7 @@ def pullback_fibered(t: Functor, t_marked: MarkedFinCat, E: FiberedCat,
     for i in I.objects:
         for e, (j, x) in E.obj_part.items():
             if j == t.obj(i):
-                oid = total_obj_id(i, x)
+                oid = pair_id(i, x)
                 objects.append(oid)
                 obj_part[oid] = (i, x)
                 pair_oid[(i, e)] = oid

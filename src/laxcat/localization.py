@@ -21,6 +21,7 @@ from .core import (
     flat_marking,
     identity_functor,
     is_iso,
+    opposite,
     opposite_cat,
     pair_id,
     product,
@@ -38,8 +39,7 @@ from .constructions import (
 )
 from .diagrams import CatDiagram, fiberwise_op
 from .errors import InvariantViolation, MalformedTable, SizeBoundExceeded
-from .grothendieck import (grothendieck_cart, grothendieck_cocart, total_mor_id,
-                           total_obj_id)
+from .grothendieck import grothendieck_cart, grothendieck_cocart, total_mor_id
 from .limits import (FamilyPlan, LimitReader, _family_obj_id, _Whiskering,
                      end_reader, limit_hom)
 
@@ -473,7 +473,7 @@ def localize(Cm: MarkedFinCat, bounds: Bounds = Bounds()) -> LocalizationResult:
     quotient = Functor(
         C, cat,
         {x: x for x in C.objects},
-        {m.name: ("id_" + C.src(m.name) if C.is_identity(m.name)
+        {m.name: (cat.identity[C.src(m.name)] if C.is_identity(m.name)
                   else image[m.name])
          for m in C.morphisms},
     )
@@ -664,18 +664,11 @@ def probe_check_colimit_theorem(F, probes: dict[str, FinCat],
     (coslice at t) x (flat fiber at s) is an equivalence: fully faithful and
     essentially surjective.  The end is read hom by hom and neither side is
     built as a category; comparison_failure proves the decision exact.  No
-    localization is computed.
+    localization is computed.  The oplax comparison (cartesian) reduces to
+    the lax one in _mapping_out.
     """
-    if cartesian:
-        # oplax side reduces to the lax side of the fiberwise-opposite diagram
-        # against opposite probes (op of both comparison categories)
-        return probe_check_colimit_theorem(
-            fiberwise_op(F),
-            {n: opposite_cat(D) for n, D in probes.items()},
-            caps, cartesian=False)
-
-    E = grothendieck_cocart(F, caps)
-    failures = [(name, reason) for name, _, reason in _mapping_out(F, E, probes, caps)
+    _, compared = _mapping_out(F, probes, caps, cartesian)
+    failures = [(name, reason) for name, _, reason in compared
                 if reason is not None]
     return ProbeVerdict(not failures, failures)
 
@@ -698,7 +691,7 @@ def _inclusion(F, E: "FiberedCat", co: SliceCat, P: MarkedFinCat,
     T = F.transition
     after = {c: T[I.compose(c, f)] for c in co.cat.objects}
     X = F.fiber[I.src(f)]
-    omap = {pair_id(c, x): total_obj_id(I.tgt(c), after[c].obj(x))
+    omap = {pair_id(c, x): pair_id(I.tgt(c), after[c].obj(x))
             for c in co.cat.objects for x in X.objects}
     mmap = {pair_id(k.name, phi.name):
             total_mor_id(co.witness[k.name], after[k.tgt].mor(phi.name),
@@ -827,11 +820,23 @@ def _end_diagram(F, E: "FiberedCat", caps: SizeCaps):
     return tw, pcats, pre_diagram, iota, FamilyPlan(opposite_cat(tw.cat))
 
 
-def _mapping_out(F, E: "FiberedCat", probes: dict[str, FinCat], caps: SizeCaps):
-    """For each probe D, in turn: its name, the marked functors E.total -> D♭
-    (a FunHoms, none of whose homs is read) and why the comparison functor
-    from them to the end is no equivalence, or None (comparison_failure).
-    E is grothendieck_cocart(F)."""
+def _mapping_out(F, probes: dict[str, FinCat], caps: SizeCaps,
+                 cartesian: bool = False):
+    """The total the colimit theorem localizes, E.total for
+    E = grothendieck_cocart(F), and for each probe D in turn its name, side
+    A and why the comparison functor from side A to the end is no
+    equivalence, or None (comparison_failure).  Side A is the marked
+    functors E.total -> D♭, a FunHoms none of whose homs is read.
+
+    With cartesian, the oplax side reduces to the lax side of the
+    fiberwise-opposite diagram against opposite probes, here and nowhere
+    else.  The cartesian total is opposite(E.total) for E the cocartesian
+    total of fiberwise_op(F), and it is the total returned.  A marked
+    functor opposite(E.total) -> D♭ is one E.total -> D^op♭ with the same
+    maps, so side A lists the functors out of the returned total."""
+    if cartesian:
+        F, probes = fiberwise_op(F), {n: opposite_cat(D) for n, D in probes.items()}
+    E = grothendieck_cocart(F, caps)
     I = F.base.cat
     tw, pcats, pre_diagram, iota, plan = _end_diagram(F, E, caps)
     at = {x: i for i, x in enumerate(E.total.cat.objects)}
@@ -846,6 +851,7 @@ def _mapping_out(F, E: "FiberedCat", probes: dict[str, FinCat], caps: SizeCaps):
         raise InvariantViolation("comparison: an object of the total is no "
                                  "identity component")
 
+    compared = []
     for name, D in probes.items():
         Dm = flat_marking(D)
         side_a = marked_functor_homs(E.total, Dm, caps)
@@ -854,5 +860,6 @@ def _mapping_out(F, E: "FiberedCat", probes: dict[str, FinCat], caps: SizeCaps):
         fun_at = {f: fun[I.src(f), I.tgt(f)] for f in tw.cat.objects}
         end = end_reader(pre_diagram, plan, fun_at,
                          {m.name: post for m in tw.cat.morphisms}, caps)
-        yield name, side_a, comparison_failure(side_a, end, fun_at, iota, post,
-                                               ident)
+        compared.append((name, side_a, comparison_failure(side_a, end, fun_at,
+                                                          iota, post, ident)))
+    return (opposite(E.total) if cartesian else E.total), compared

@@ -364,6 +364,46 @@ def test_a_diagram_failure_replays_the_same_decision():
     assert all(used is ctx for _, used in seen)
 
 
+def _sharp_cospan_without(delete, part):
+    F = checks._sharp_instance(GenParams(seed=1))
+    assert set(F.base.cat.objects) == {"a", "b", "c"}
+    return delete(F, part)
+
+
+@pytest.mark.parametrize("delete, part", [
+    (checks._delete_base_object, "c"),
+    (checks._delete_base_morphism, "f"),
+    (checks._delete_base_morphism, "g"),
+], ids=["object c", "morphism f", "morphism g"])
+def test_sharp_collapse_rejects_a_base_that_is_no_arrow_or_cospan(delete, part):
+    # deleting c leaves the discrete base {a, b}, and deleting f or g a
+    # three-object base with one arrow: none is an instance of the
+    # proposition, so a replay can never keep one as a counterexample
+    _, ctx = theorem_defaults("prop-sharp-limit")
+    with pytest.raises(InvalidDiagram, match="walking arrow or a cospan"):
+        checks._sharp_collapse(_sharp_cospan_without(delete, part), ctx)
+
+
+def test_sharp_collapse_decides_the_arrow_left_by_deleting_a():
+    # deleting a leaves the walking arrow g: b -> c, which passes
+    _, ctx = theorem_defaults("prop-sharp-limit")
+    F = _sharp_cospan_without(checks._delete_base_object, "a")
+    assert checks._sharp_collapse(F, ctx) is None
+
+
+def test_a_sharp_limit_failure_replay_shrinks_to_the_walking_arrow(
+        monkeypatch, tmp_path):
+    # with every comparison failing, the replay of instance 0 (an arrow) and
+    # instance 1 (a cospan) deletes all it can and stops at the arrow
+    monkeypatch.setattr(checks, "is_equivalent", lambda *args: False)
+    r = run_check("prop-sharp-limit", seed=0, count=2, out_dir=str(tmp_path))
+    assert [e["instance"] for e in r.failures] == [0, 1]
+    for entry in r.failures:
+        with open(entry["path"]) as fh:
+            base = json.load(fh)["instance"]["base"]
+        assert len(base["objects"]) == 2 and len(base["morphisms"]) == 1
+
+
 def test_ghn_flat_skips_a_localization_bound():
     # a localization stopped at a bound is a skip, never a counterexample
     _, ctx = theorem_defaults("ghn-flat")

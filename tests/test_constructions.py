@@ -9,7 +9,6 @@ from laxcat.checks import probe_suite
 from laxcat.constructions import (
     FunHoms,
     SizeCaps,
-    _assemble_funcat,
     _forward_schedule,
     coslice_cat,
     enumerate_functors,
@@ -30,6 +29,7 @@ from laxcat.core import (
     flat_marking,
     is_iso,
     marked,
+    opposite_cat,
     saturate_marking,
     sharp_marking,
     short_id,
@@ -62,13 +62,20 @@ def test_twisted_arrow_discrete():
     assert is_isomorphic(twisted_arrow(D).cat, D)
 
 
+def _bases() -> list[FinCat]:
+    """Fifteen generated categories and the probe suite."""
+    return ([gen_category(GenParams(seed=s)) for s in range(15)]
+            + list(probe_suite().values()))
+
+
 def test_twisted_arrow_object_count_and_projections():
-    for s in range(15):
-        I = gen_category(GenParams(seed=s))
+    for I in _bases():
         tw = twisted_arrow(I)
         assert tw.cat.n_objects == I.n_morphisms
         tw.proj_src.validate()
-        tw.proj_tgt.validate()
+        # the second leg is a functor to opposite(I)
+        Functor(tw.cat, opposite_cat(I), {f: I.tgt(f) for f in tw.cat.objects},
+                {m: b for m, (_, b) in tw.legs.items()}).validate()
         # (first leg, second leg) is jointly injective on morphisms
         seen = set()
         for m in tw.cat.morphisms:
@@ -97,6 +104,16 @@ def test_coslice_examples():
     assert lift[0] in co.marked.marked
     with pytest.raises(UnknownObject):
         coslice_cat(flat1, "nope")
+
+
+def test_slices_and_coslices_forget_along_their_witnesses():
+    for I in _bases():
+        Im = flat_marking(I)
+        for i in I.objects:
+            for sl in (slice_cat(Im, i), coslice_cat(Im, i)):
+                end = I.src if sl.kind == "slice" else I.tgt
+                Functor(sl.cat, I, {f: end(f) for f in sl.cat.objects},
+                        sl.witness).validate()
 
 
 def test_slice_transition_images():
@@ -532,7 +549,7 @@ def test_a_missing_composite_in_a_naturality_square_is_unknown():
     F = Functor(A, D, {x: x for x in A.objects},
                 {m.name: m.name for m in A.morphisms})
     with pytest.raises(UnknownMorphism, match=r"a01 after id_0"):
-        _assemble_funcat(A, [F], D, "broken", ROOMY)
+        FunHoms(A, [F], D, "broken", ROOMY).category()
     H = FunHoms(A, [F], D, "broken", ROOMY)
     with pytest.raises(UnknownMorphism, match=r"a01 after id_0"):
         H.is_natural(F.key(), F.key(), ("id_0", "id_1"))

@@ -185,8 +185,8 @@ def _stream_136_sides():
     params, ctx = theorem_defaults("thm-lax-colim-probe")
     F = _gen_instance(replace(params, seed=instance_seed(136, 0)))
     E = grothendieck_cocart(F, ctx.caps)
-    verdicts = {name: reason for name, _, reason
-                in _mapping_out(F, E, ctx.probes, ctx.caps)}
+    _, compared = _mapping_out(F, ctx.probes, ctx.caps)
+    verdicts = {name: reason for name, _, reason in compared}
     return [(side_a.cat, end[0], verdicts[name]) for name, side_a, end, _
             in _whole_category_mapping_out(F, E, ctx.probes, ctx.caps)]
 

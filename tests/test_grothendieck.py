@@ -7,6 +7,7 @@ from laxcat.core import (
     identity_functor,
     is_iso,
     marked,
+    pair_id,
     saturate_marking,
     sharp_marking,
     terminal_cat,
@@ -24,7 +25,6 @@ from laxcat.grothendieck import (
     marked_sections,
     pullback_fibered,
     strict_fiber,
-    total_obj_id,
 )
 
 
@@ -56,8 +56,8 @@ def test_three_object_example_cocart():
     non_id = E.total.cat.nonidentity()
     assert len(non_id) == 1
     [m] = non_id
-    assert E.total.cat.src(m) == total_obj_id("0", "x")
-    assert E.total.cat.tgt(m) == total_obj_id("1", "a")
+    assert E.total.cat.src(m) == pair_id("0", "x")
+    assert E.total.cat.tgt(m) == pair_id("1", "a")
     assert m not in E.total.marked  # u unmarked in the base
 
 

@@ -12,7 +12,6 @@ from laxcat.constructions import (
     FunCat,
     FunHoms,
     SizeCaps,
-    _assemble_funcat,
     coslice_cat,
     marked_functor_category,
     marked_functor_homs,
@@ -328,8 +327,8 @@ def test_whisker_functor_raises_on_a_missing_whiskered_transformation():
     # the same functors, with only the transformations whose components are
     # identities: the whiskered image of a non-identity is missing
     A, B = pre.dom, post.cod
-    partial = _assemble_funcat(A, list(dst.functors.values()), B, "partial",
-                               BIG, component_filter=lambda x, c: B.is_identity(c))
+    partial = FunHoms(A, list(dst.functors.values()), B, "partial", BIG,
+                      lambda x, c: B.is_identity(c)).category()
     with pytest.raises(InvariantViolation, match="has no image"):
         whisker_functor(src, partial, pre, post)
 
@@ -629,20 +628,23 @@ def test_the_hom_by_hom_decision_agrees_with_the_whole_category_oracle():
     params, ctx = theorem_defaults("thm-lax-colim-probe")
     decided = failed = 0
     capped = {"both": 0, "shipped": 0, "oracle": 0}
+    suite = probe_suite()
     for s in range(100):
         F = _gen_instance(replace(params, seed=s))
-        for G, probes in ((F, probe_suite()),
-                          (fiberwise_op(F), {n: opposite_cat(D)
-                                             for n, D in probe_suite().items()})):
+        for G, probes, cartesian in (
+                (F, suite, False),
+                (fiberwise_op(F), {n: opposite_cat(D) for n, D in suite.items()},
+                 True)):
             E = grothendieck_cocart(G, caps)
-            for name, D in probes.items():
+            for name, D in suite.items():
                 try:
-                    [(_, _, shipped)] = localization._mapping_out(G, E, {name: D}, caps)
+                    _, [(_, _, shipped)] = localization._mapping_out(
+                        F, {name: D}, caps, cartesian)
                 except SizeBoundExceeded:
                     shipped = capped
                 try:
                     [(_, _, _, oracle)] = _whole_category_mapping_out(
-                        G, E, {name: D}, caps)
+                        G, E, {name: probes[name]}, caps)
                 except SizeBoundExceeded:
                     oracle = capped
                 if shipped is capped or oracle is capped:
@@ -668,7 +670,7 @@ def test_the_end_read_hom_by_hom_is_the_oracle_end():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(localization, "end_reader",
                    lambda *args: ends.append(real(*args)) or ends[-1])
-        shipped = list(localization._mapping_out(F, E, _probes(), BIG))
+        _, shipped = localization._mapping_out(F, _probes(), BIG)
     oracle = list(_whole_category_mapping_out(F, E, _probes(), BIG))
     for lim, (_, side_a, (end, obj_family, _), reason), (_, _, r) in zip(
             ends, oracle, shipped, strict=True):
@@ -733,11 +735,11 @@ def test_a_corrupted_end_family_with_unnatural_components_is_rejected(monkeypatc
     # no natural transformation: only the naturality check sees it
     F, E, iota = _arrow_against_parallel()
     probes = {"parallel": parallel_pair()}
-    [(_, _, reason)] = localization._mapping_out(F, E, probes, BIG)
+    _, [(_, _, reason)] = localization._mapping_out(F, probes, BIG)
     assert reason is None
     _with_extra_family(monkeypatch, iota,
                        lambda f, x: "u" if E.proj.obj(x) == "0" else "v")
-    [(_, side_a, reason)] = localization._mapping_out(F, E, probes, BIG)
+    _, [(_, side_a, reason)] = localization._mapping_out(F, probes, BIG)
     assert reason == "comparison not fully faithful on hom(%s, %s)" % tuple(
         _constant_functors(side_a))
 
@@ -752,7 +754,7 @@ def test_a_corrupted_end_family_off_its_identity_components_is_rejected(monkeypa
     probes = {"parallel": parallel_pair()}
     _with_extra_family(monkeypatch, iota,
                        lambda f, x: "v" if f == "a01" else "u")
-    [(_, side_a, reason)] = localization._mapping_out(F, E, probes, BIG)
+    _, [(_, side_a, reason)] = localization._mapping_out(F, probes, BIG)
     assert reason == "comparison not fully faithful on hom(%s, %s)" % tuple(
         _constant_functors(side_a))
 
@@ -762,19 +764,19 @@ def test_a_comparison_missing_an_object_is_rejected(monkeypatch):
     # reaches no object of the end outside one isomorphism class
     F = constant_diagram(flat_marking(walking_arrow()), chain_cat(1))
     probes = {"arrow": walking_arrow()}
-    E = grothendieck_cocart(F, BIG)
-    [(_, _, reason)] = localization._mapping_out(F, E, probes, BIG)
+    total, [(_, _, reason)] = localization._mapping_out(F, probes, BIG)
     assert reason is None
     real = localization.marked_functor_homs
 
     def cut(Cm, Dm, caps):
+        # side A is the one Fun† out of a category with the total's table
         H = real(Cm, Dm, caps)
-        if Cm is not E.total:
+        if not Cm.cat.same_table(total.cat):
             return H
         return FunHoms(Cm.cat, [H.functors[H.objects[0]]], Dm.cat, "Fun†", caps)
 
     monkeypatch.setattr(localization, "marked_functor_homs", cut)
-    [(name, _, reason)] = localization._mapping_out(F, E, probes, BIG)
+    _, [(name, _, reason)] = localization._mapping_out(F, probes, BIG)
     assert name == "arrow"
     assert reason.startswith("comparison not essentially surjective: no image reaches")
 

@@ -30,6 +30,9 @@
   never be swallowed as a verdict, a skip or a failed step.  A module-level
   tuple of exception classes counts as the classes it names, and so does one
   imported from ``errors.py`` (``errors.BOUND_ERRORS``).
+- ``fiberwise_op`` is called only in ``limits.oplax_limit``,
+  ``grothendieck.grothendieck_cart`` and ``localization._mapping_out``, so
+  each oplax construction reduces to its lax twin in one place.
 - ``_by_construction`` is called only in ``skeleton`` and ``is_equivalent``,
   whose docstrings prove that the functors they mark preserve composites;
   every other functor is checked on generator pairs.
@@ -78,6 +81,23 @@ def _imported_names(tree: ast.AST) -> dict[str, int]:
 
 def _used_names(tree: ast.AST) -> set[str]:
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def _calls(path: pathlib.Path, name: str) -> set[tuple[str, str, int]]:
+    """(module, innermost enclosing function or "module level", line) of
+    each call of a function or method called name in the module at path."""
+    found = set()
+
+    def visit(node, scope):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == name):
+            found.add((path.name, scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(ast.parse(path.read_text(), str(path)), "module level")
+    return found
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -166,19 +186,8 @@ COMPOSABLE_PAIRS_CALLERS = {"check_axioms", "validate_marking", "saturate_markin
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_composable_pairs_called_only_by_the_axiom_and_marking_checks(path):
-    tree = ast.parse(path.read_text(), str(path))
-    found = []
-
-    def visit(node, scope):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "composable_pairs"
-                and scope not in COMPOSABLE_PAIRS_CALLERS):
-            found.append((scope, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, child.name if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
-
-    visit(tree, "module level")
+    found = sorted((scope, line) for _, scope, line in _calls(path, "composable_pairs")
+                   if scope not in COMPOSABLE_PAIRS_CALLERS)
     assert not found, f"{path.name}: composable_pairs() called in {found}"
 
 
@@ -193,20 +202,21 @@ FINCAT_CALLERS = {
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "io_formats.py"],
                          ids=lambda p: p.name)
 def test_fincat_called_only_where_a_table_is_given(path):
-    tree = ast.parse(path.read_text(), str(path))
-    found = []
-
-    def visit(node, scope):
-        if (isinstance(node, ast.Call)
-                and getattr(node.func, "id", getattr(node.func, "attr", None))
-                == "fincat" and (path.name, scope) not in FINCAT_CALLERS):
-            found.append((scope, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, child.name if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
-
-    visit(tree, "module level")
+    found = sorted((scope, line) for module, scope, line in _calls(path, "fincat")
+                   if (module, scope) not in FINCAT_CALLERS)
     assert not found, f"{path.name}: fincat() called in {found}"
+
+
+FIBERWISE_OP_CALLERS = {("limits.py", "oplax_limit"),
+                        ("grothendieck.py", "grothendieck_cart"),
+                        ("localization.py", "_mapping_out")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_fiberwise_op_is_called_only_by_the_three_oplax_reductions(path):
+    found = sorted((scope, line) for module, scope, line in _calls(path, "fiberwise_op")
+                   if (module, scope) not in FIBERWISE_OP_CALLERS)
+    assert not found, f"{path.name}: fiberwise_op() called in {found}"
 
 
 CATCH_ALL = {"LaxcatError", "Exception", "BaseException"}
@@ -263,18 +273,7 @@ BY_CONSTRUCTION_CALLERS = {("equiv.py", "skeleton"), ("equiv.py", "is_equivalent
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_by_construction_is_called_only_by_the_proved_makers(path):
-    tree = ast.parse(path.read_text(), str(path))
-    found = set()
-
-    def visit(node, scope):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "_by_construction"):
-            found.add((path.name, scope))
-        for child in ast.iter_child_nodes(node):
-            visit(child, child.name if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
-
-    visit(tree, "module level")
+    found = {(module, scope) for module, scope, _ in _calls(path, "_by_construction")}
     assert found == {c for c in BY_CONSTRUCTION_CALLERS if c[0] == path.name}
 
 
