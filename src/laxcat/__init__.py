@@ -5,7 +5,6 @@ from .core import (
     Functor,
     MarkedFinCat,
     Mor,
-    NatTrans,
     ValidationReport,
     fincat,
     flat_marking,

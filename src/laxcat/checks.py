@@ -417,11 +417,12 @@ def _ff_lemma(p: GenParams, ctx: Ctx) -> str | None:
     chosen = {x: {o for o in F.fiber[x].objects if rng.random() < 0.6}
               for x in I.objects}
     # close under transitions and under isomorphism (replete full subcategories)
+    fiber_classes = {x: iso_classes(F.fiber[x]) for x in I.objects}
     changed = True
     while changed:
         changed = False
         for x in I.objects:
-            classes = iso_classes(F.fiber[x])
+            classes = fiber_classes[x]
             closure = {o for o in F.fiber[x].objects
                        if any(classes[o] == classes[c] for c in chosen[x])}
             if closure - chosen[x]:
@@ -635,7 +636,8 @@ def instance_seed(seed: int, k: int) -> int:
 
 
 def _run_one(theorem: str, p: GenParams, ctx: Ctx) -> str:
-    """Worker for parallel runs; statuses only, Failure closures stay local."""
+    """One instance's status, "pass", "fail" or "skip": statuses only, so a
+    parallel worker sends back no Failure closure."""
     try:
         status, _ = CHECKS[theorem](p, ctx)
     except BOUND_ERRORS:
@@ -651,37 +653,28 @@ def run_check(theorem: str, seed: int = 0, count: int = 50,
     default_params, default_ctx = theorem_defaults(theorem)
     params = params or default_params
     ctx = ctx or default_ctx
-    fn = CHECKS[theorem]
     t0 = time.monotonic()
     passes = 0
     skips = 0
     failures: list[dict] = []
     instances = [replace(params, seed=instance_seed(seed, k))
                  for k in range(count)]
-    statuses: dict[int, str] = {}
+    args = ([theorem] * count, instances, [ctx] * count)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rs = pool.map(_run_one, [theorem] * count, instances,
-                          [ctx] * count)
-            statuses = dict(enumerate(rs))
-    for k in range(count):
-        p = instances[k]
-        if statuses.get(k) == "skip":
-            skips += 1
-            continue
-        if statuses.get(k) == "pass":
-            passes += 1
-            continue
-        # sequential run, or a parallel failure replayed for its witness
-        try:
-            status, failure = fn(p, ctx)
-        except BOUND_ERRORS:
+            statuses = list(pool.map(_run_one, *args))
+    else:
+        statuses = list(map(_run_one, *args))
+    for k, (p, status) in enumerate(zip(instances, statuses)):
+        if status == "skip":
             skips += 1
             continue
         if status == "pass":
             passes += 1
             continue
+        # a failure, replayed for its witness
+        _, failure = CHECKS[theorem](p, ctx)
         entry = {"instance": k, "seed": p.seed, "reason": failure.reason}
         if out_dir is not None:
             data = failure.data

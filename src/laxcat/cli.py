@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 counterexample (or inequivalence), 2 resource bound
-exceeded, 3 invalid input, 4 internal error (a program bug).  Bound hits never
-masquerade as success or failure, and bugs never as invalid input.
+exceeded (or, from argparse, a command-line usage error), 3 invalid input,
+4 internal error (a program bug).  Bound hits never masquerade as success or
+failure, and bugs never as invalid input.
 """
 
 from __future__ import annotations
@@ -78,12 +79,18 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _add_common(sp) -> None:
-    sp.add_argument("--out", help="write the result here instead of stdout")
+def _add_caps(sp):
+    """The size-cap flags, for a command that builds a capped category."""
     sp.add_argument("--max-objects", type=_count, default=None)
     sp.add_argument("--max-morphisms", type=_count, default=None)
+    return sp
+
+
+def _add_bounds(sp):
+    """The localization-bound flags, for a command that localizes."""
     sp.add_argument("--word-bound", type=_count, default=None)
     sp.add_argument("--size-bound", type=_count, default=None)
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,24 +104,29 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help)
         for f in files:
             sp.add_argument(f)
-        _add_common(sp)
+        sp.add_argument("--out", help="write the result here instead of stdout")
         return sp
 
+    # each command takes the cap and bound flags it reads, and no others
     cmd("validate", "validate a category file", "file")
-    cmd("tw", "twisted arrow category of a category file", "file")
+    _add_caps(cmd("tw", "twisted arrow category of a category file", "file"))
     cmd("slice", "slice over an object, marking pulled back", "file", "object")
     cmd("coslice", "coslice under an object, marking pulled back", "file", "object")
-    g = cmd("grothendieck", "total category of a diagram file", "file")
+    g = _add_caps(cmd("grothendieck", "total category of a diagram file", "file"))
     g.add_argument("--cartesian", action="store_true")
-    s = cmd("sections", "sections of the fibration of a diagram file", "file")
+    s = _add_caps(cmd("sections", "sections of the fibration of a diagram file",
+                      "file"))
     s.add_argument("--marked", action="store_true",
                    help="only sections cocartesian on marked base morphisms")
-    cmd("laxlim", "partially lax limit of a diagram file", "file")
-    cmd("oplaxlim", "partially oplax limit of a diagram file", "file")
-    cmd("laxcolim", "partially lax colimit (localized total category)", "file")
-    cmd("oplaxcolim", "partially oplax colimit (cartesian variant)", "file")
-    cmd("localize", "invert marked morphisms (category or presentation file)",
-        "file")
+    _add_caps(cmd("laxlim", "partially lax limit of a diagram file", "file"))
+    _add_caps(cmd("oplaxlim", "partially oplax limit of a diagram file", "file"))
+    _add_bounds(_add_caps(cmd(
+        "laxcolim", "partially lax colimit (localized total category)", "file")))
+    _add_bounds(_add_caps(cmd(
+        "oplaxcolim", "partially oplax colimit (cartesian variant)", "file")))
+    _add_bounds(cmd("localize",
+                    "invert marked morphisms (category or presentation file)",
+                    "file"))
     cmd("equiv", "decide equivalence of two category files", "file", "file2")
     cmd("skeleton", "one object per isomorphism class", "file")
 
@@ -133,13 +145,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="generator cap on base objects")
     ck.add_argument("--max-morphisms", type=_count, default=None,
                     help="generator cap on base morphisms")
-    ck.add_argument("--word-bound", type=_count, default=None)
-    ck.add_argument("--size-bound", type=_count, default=None)
+    _add_bounds(ck)
     return ap
 
 
 def _cmd_compute(args) -> int:
-    caps, bounds = _caps(args, DEFAULT_CAPS), _bounds(args, Bounds())
+    # a command without the cap or bound flags reads no caps or bounds
+    caps = _caps(args, DEFAULT_CAPS) if "max_objects" in args else DEFAULT_CAPS
+    bounds = _bounds(args, Bounds()) if "word_bound" in args else Bounds()
     name = args.command
     if name == "validate":
         cat, mk = category_from_data(_load(args.file))

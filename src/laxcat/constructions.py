@@ -12,18 +12,16 @@ depth-first loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterator
 
 from .core import (
     FinCat,
     Functor,
     MarkedFinCat,
-    NatTrans,
     build_category,
     short_id,
 )
-from .errors import SizeBoundExceeded, UnknownObject
+from .errors import SizeBoundExceeded, UnknownMorphism, UnknownObject
 
 
 @dataclass(frozen=True)
@@ -268,31 +266,6 @@ class FunCat:
     functors: dict[str, Functor]
     hom_of: dict[str, tuple[str, str, str, tuple[str, ...]]]
 
-    @cached_property
-    def transformations(self) -> dict[str, NatTrans]:
-        F = self.functors
-        return {nid: NatTrans(F[s], F[t], dict(zip(F[s].dom.objects, comps)))
-                for nid, s, t, comps in self.hom_of.values()}
-
-
-class _Composites(dict):
-    """The composites of a FunHoms, each composed componentwise in its
-    codomain on first read; a pair that does not compose raises KeyError."""
-
-    def __init__(self, homs: "FunHoms"):
-        super().__init__()
-        self.homs = homs
-
-    def __missing__(self, key):
-        H = self.homs
-        _, s2, t2, c2 = H.hom_of[key[0]]
-        _, s1, t1, c1 = H.hom_of[key[1]]
-        if t1 != s2:
-            raise KeyError(key)
-        dcomp = H.cod.comp
-        h = self[key] = H.find((s1, t2, tuple(map(dcomp.__getitem__, zip(c2, c1)))))
-        return h
-
 
 def _natural_families(cands, squares, fgen, ggen, dcomp) -> Iterator[tuple[str, ...]]:
     """The component tuples of the transformations F => G, in candidate
@@ -336,10 +309,11 @@ class FunHoms:
     Object ids are ``key()``s; this is the one place transformation ids,
     ``N{src=>tgt;cs}``, are formatted.  ``hom_of`` maps a transformation to
     ``(id, src, tgt, components)``, the components a tuple over the objects
-    of C, and ``find`` maps ``(src, tgt, components)`` back to its id;
-    ``comp[g, f]`` composes componentwise in D when first read, as the end
-    reader reads only a few composites.  The morphism cap counts the
-    transformations enumerated so far.
+    of C, and ``find`` maps ``(src, tgt, components)`` back to its id.
+    ``compose(g, f)`` composes componentwise in D and finds the result on
+    the first call for the pair, and memoises it in a plain dict of ids,
+    which holds only strings and so makes no reference cycle.
+    The morphism cap counts the transformations enumerated so far.
 
     Components a_x are chosen object by object of C, each in hom(Fx, Gx) in
     hom order, by one flat loop (_natural_families).  One schedule, C's
@@ -363,19 +337,14 @@ class FunHoms:
         self.hom_of: dict[str, tuple[str, str, str, tuple[str, ...]]] = {}
         # (src, tgt) -> components -> id, for the homs enumerated so far
         self._homs: dict[tuple[str, str], dict[tuple[str, ...], str]] = {}
+        # (g, f) -> the id of g after f, for the pairs composed so far
+        self._composites: dict[tuple[str, str], str] = {}
         self._squares = squares = transformation_squares(C)
         # each functor's objects, and its generators level by level
         self._images = {fid: ([F.obj(x) for x in C.objects],
                               [[F.mor(g) for _, _, g in level]
                                for level in squares])
                         for fid, F in self.functors.items()}
-
-    @property
-    def comp(self) -> _Composites:
-        """The composites, filled on first read; a fresh table per read of
-        this property, so that no FunHoms refers to itself and each is freed
-        as soon as nothing holds it (a caller keeps the table it reads)."""
-        return _Composites(self)
 
     def hom(self, fid: str, gid: str):
         """The transformations F => G, enumerated on the first call."""
@@ -433,6 +402,24 @@ class FunHoms:
         enumerated first; KeyError if there is none."""
         return self._hom(key[0], key[1])[key[2]]
 
+    def compose(self, g: str, f: str) -> str:
+        """g after f, composed componentwise in D on the first call for the
+        pair and kept.  Defined exactly when tgt(f) == src(g), as for
+        FinCat.compose; otherwise UnknownMorphism."""
+        try:
+            return self._composites[g, f]
+        except KeyError:
+            pass
+        hom_of = self.hom_of
+        if g not in hom_of or f not in hom_of or hom_of[f][2] != hom_of[g][1]:
+            raise UnknownMorphism(f"no composite ({g} after {f})")
+        _, _, t2, c2 = hom_of[g]
+        _, s1, _, c1 = hom_of[f]
+        dcomp = self.cod.comp
+        h = self._composites[g, f] = self.find(
+            (s1, t2, tuple(map(dcomp.__getitem__, zip(c2, c1)))))
+        return h
+
     def is_identity(self, nid: str) -> bool:
         return all(map(self.cod.is_identity, self.hom_of[nid][3]))
 
@@ -462,8 +449,9 @@ def functor_category(C: FinCat, D: FinCat, caps: SizeCaps = DEFAULT_CAPS) -> Fun
                    caps).category()
 
 
-def _marked_functors(Cm: MarkedFinCat, Dm: MarkedFinCat,
-                     caps: SizeCaps) -> list[Functor]:
+def marked_functor_homs(Cm: MarkedFinCat, Dm: MarkedFinCat,
+                        caps: SizeCaps = DEFAULT_CAPS) -> FunHoms:
+    """The marked functors C -> D, each hom between them read on demand."""
     C, D = Cm.cat, Dm.cat
 
     def gen_ok(g: str, d: str) -> bool:
@@ -471,26 +459,17 @@ def _marked_functors(Cm: MarkedFinCat, Dm: MarkedFinCat,
         # generators, so a full filter still runs below
         return g not in Cm.marked or d in Dm.marked
 
-    return [
-        F
-        for F in enumerate_functors(C, D, gen_filter=gen_ok,
-                                    max_candidates=caps.max_candidates)
-        if F.is_marked(Cm.marked, Dm.marked)
-    ]
-
-
-def marked_functor_homs(Cm: MarkedFinCat, Dm: MarkedFinCat,
-                        caps: SizeCaps = DEFAULT_CAPS) -> FunHoms:
-    """The marked functors C -> D, each hom between them read on demand."""
-    return FunHoms(Cm.cat, _marked_functors(Cm, Dm, caps), Dm.cat, "Fun†", caps)
+    functors = [F for F in enumerate_functors(C, D, gen_filter=gen_ok,
+                                              max_candidates=caps.max_candidates)
+                if F.is_marked(Cm.marked, Dm.marked)]
+    return FunHoms(C, functors, D, "Fun†", caps)
 
 
 def marked_functor_category(
     Cm: MarkedFinCat, Dm: MarkedFinCat, caps: SizeCaps = DEFAULT_CAPS
 ) -> FunCat:
     """Full subcategory of functor_category(C, D) on the marked functors."""
-    return FunHoms(Cm.cat, _marked_functors(Cm, Dm, caps), Dm.cat, "Fun†",
-                   caps).category()
+    return marked_functor_homs(Cm, Dm, caps).category()
 
 
 # -- twisted arrow category -------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Finite categories, functors, natural transformations, and markings.
+"""Finite categories, functors, and markings.
 
 A finite category is stored as an explicit composition table.  Morphism
 identity is by id string: two morphisms are equal iff their ids are equal,
@@ -516,7 +516,7 @@ def _product_functor(P: MarkedFinCat, P2: MarkedFinCat, g: Functor,
     return Functor(P.cat, P2.cat, omap, mmap)
 
 
-# -- functors and natural transformations -------------------------------------
+# -- functors -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -630,16 +630,6 @@ def opposite_functor(F: Functor, dom_op: FinCat | None = None,
         dict(F.object_map),
         dict(F.morphism_map),
     )
-
-
-@dataclass(frozen=True)
-class NatTrans:
-    src: Functor
-    tgt: Functor
-    components: Mapping[str, str]  # object of dom -> morphism of cod
-
-    def at(self, x: str) -> str:
-        return self.components[x]
 
 
 # -- small standard categories (used by tests and the probe suite) ------------

@@ -112,7 +112,8 @@ def _object_profile(C: FinCat, x: str) -> tuple:
     return (tuple(outs), tuple(ins), endo, iso_endo)
 
 
-def _cat_invariants(C: FinCat) -> dict:
+def _cat_invariants(C: FinCat, profiles: dict[str, tuple]) -> dict:
+    """C's invariants, profiles holding each object's _object_profile."""
     hom_sizes = sorted(
         len(C.hom(x, y)) for x in C.objects for y in C.objects
     )
@@ -120,7 +121,7 @@ def _cat_invariants(C: FinCat) -> dict:
         "objects": C.n_objects,
         "morphisms": C.n_morphisms,
         "hom_multiset": tuple(hom_sizes),
-        "profiles": tuple(sorted(_object_profile(C, x) for x in C.objects)),
+        "profiles": tuple(sorted(profiles.values())),
     }
 
 
@@ -172,15 +173,15 @@ def _morphism_order(C: FinCat) -> list[str]:
 def is_isomorphic(C: FinCat, D: FinCat,
                   budget: int = DEFAULT_BUDGET) -> EquivalenceVerdict:
     """Backtracking search for a bijective functor, pruned by invariants."""
-    inv_c, inv_d = _cat_invariants(C), _cat_invariants(D)
+    prof_c = {x: _object_profile(C, x) for x in C.objects}
+    prof_d = {y: _object_profile(D, y) for y in D.objects}
+    inv_c, inv_d = _cat_invariants(C, prof_c), _cat_invariants(D, prof_d)
     for key in ("objects", "morphisms", "hom_multiset", "profiles"):
         if inv_c[key] != inv_d[key]:
             return EquivalenceVerdict(
                 "inequivalent", certificate=f"invariant mismatch: {key} "
                 f"{inv_c[key]!r} vs {inv_d[key]!r}")
 
-    prof_c = {x: _object_profile(C, x) for x in C.objects}
-    prof_d = {y: _object_profile(D, y) for y in D.objects}
     nodes = 0
 
     objs = sorted(C.objects)

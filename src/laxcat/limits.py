@@ -229,8 +229,10 @@ class LimitReader:
     enumerates the morphism families between two of them.  Both searches
     run the one FamilyPlan of the base.
 
-    fiber[b] is a FinCat or a FunHoms; of it the reader reads ``objects``
-    and ``hom(x, y)``.  obj(phi, x) and mor(phi, m) transport along the
+    fiber[b] is a FinCat or a FunHoms, which share the protocol the limit
+    core reads: ``objects``, ``hom(x, y)``, ``compose(g, f)`` and
+    ``is_identity(m)``; the reader reads the first two, _assemble the last
+    two.  obj(phi, x) and mor(phi, m) transport along the
     transition at phi.  A hom is read only as hom(X_b, Y_b) for object
     families X and Y and a root b of the plan, so a FunHoms enumerates no
     other hom except through the transports.  ``objects`` lists the family
@@ -259,10 +261,11 @@ def limit_hom(lim: LimitReader, xid: str, yid: str) -> Iterator[dict[str, str]]:
 
 def _assemble(lim: LimitReader, check: bool = True):
     """The limit category, hom by hom in the order of ``lim.objects``, with
-    its object and morphism families.  Its composites are componentwise (the
-    fibers' ``comp[g, f]``), each computed when the category is built, and its
-    identities the families of identities (``is_identity``); check is
-    build_category's."""
+    its object and morphism families.  Its composites are componentwise,
+    each fiber composing through its ``compose`` (a FinCat's table lookup,
+    or a FunHoms's componentwise composite, memoised on it), each computed
+    when the category is built; its identities are the families of
+    identities (``is_identity``); check is build_category's."""
     B, ids = lim.plan.base, lim.objects
     # a hom's payload is its family as a tuple over B.objects
     homs = []
@@ -274,10 +277,10 @@ def _assemble(lim: LimitReader, check: bool = True):
                 homs.append((mid, xid, yid, tuple(fam[b] for b in B.objects)))
                 mor_family[mid] = fam
     fibers = [lim.fiber[b] for b in B.objects]
-    tables = [C.comp for C in fibers]
+    composes = [C.compose for C in fibers]
     cat = build_category(
         ids, homs,
-        lambda t2, t1: tuple(map(dict.__getitem__, tables, zip(t2, t1))),
+        lambda t2, t1: tuple([c(g, f) for c, g, f in zip(composes, t2, t1)]),
         lambda t: all(C.is_identity(x) for C, x in zip(fibers, t)),
         check=check)
     return cat, lim.obj_family, mor_family

@@ -381,12 +381,14 @@ def test_the_functor_searches_leave_no_cyclic_garbage():
         functors = list(enumerate_functors(C, D))
         H = marked_functor_homs(flat_marking(C), flat_marking(D))
         homs = H.every_hom()
-        found = (len(functors), len(homs))
-        del C, D, functors, H, homs
+        composed = [H.compose(g, f) for f, _, b, _ in homs
+                    for g, a, _, _ in homs if a == b]
+        found = (len(functors), len(homs), len(composed))
+        del C, D, functors, H, homs, composed
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert found == (8, 64)
+    assert found == (8, 64, 512)
 
 
 def test_marked_functor_category_examples():
@@ -419,8 +421,7 @@ def test_sharp_source_iso_components_are_isos():
             SizeCaps(max_objects=512, max_morphisms=4096,
                      max_candidates=10**6))
         for m in fc.cat.morphisms:
-            eta = fc.transformations[m.name]
-            componentwise = all(is_iso(D, c) for c in eta.components.values())
+            componentwise = all(is_iso(D, c) for c in fc.hom_of[m.name][3])
             assert is_iso(fc.cat, m.name) == componentwise
 
 
@@ -450,34 +451,62 @@ def _brute_transformations(fc, D: FinCat, keep=lambda x, c: True):
 
 
 def _transformations(fc):
-    return [(nid, fc.cat.src(nid), fc.cat.tgt(nid), list(a.components.items()))
-            for nid, a in fc.transformations.items()]
+    """hom_of decoded: the components run over the objects of the domain."""
+    return [(nid, fc.cat.src(nid), fc.cat.tgt(nid),
+             list(zip(fc.functors[fid].dom.objects, comps)))
+            for nid, fid, _, comps in fc.hom_of.values()]
 
 
 def _assert_transformations_match(fc, want):
     assert _transformations(fc) == want
     for nid, fid, gid, _ in want:
-        a = fc.transformations[nid]
-        assert a.src.same_maps(fc.functors[fid])
-        assert a.tgt.same_maps(fc.functors[gid])
+        assert fc.hom_of[nid][:3] == (nid, fid, gid)
 
 
 ROOMY = SizeCaps(max_objects=512, max_morphisms=1 << 16, max_candidates=10**6)
 
 
-def test_transformations_match_the_all_squares_enumeration():
+def _functor_category_corpus():
+    """Pairs (C, D): twenty generated C, each into every probe category and
+    two generated categories without relations."""
     targets = list(probe_suite().values())
     targets += [gen_category(GenParams(seed=s, max_objects=2, max_morphisms=4,
                                        relation_density=0.0))
                 for s in range(2)]
-    checked = 0
     for s in range(20):
         C = gen_category(GenParams(seed=s))
         for D in targets:
-            fc = functor_category(C, D, ROOMY)
-            _assert_transformations_match(fc, _brute_transformations(fc, D))
-            checked += fc.cat.n_morphisms
+            yield C, D
+
+
+def test_transformations_match_the_all_squares_enumeration():
+    checked = 0
+    for C, D in _functor_category_corpus():
+        fc = functor_category(C, D, ROOMY)
+        _assert_transformations_match(fc, _brute_transformations(fc, D))
+        checked += fc.cat.n_morphisms
     assert checked > 5000
+
+
+def test_compose_matches_the_functor_category_table():
+    # a second FunHoms on the same functors composes every composable pair
+    # as the functor category's table does, and refuses every other pair
+    checked = refused = 0
+    for C, D in _functor_category_corpus():
+        functors = list(enumerate_functors(C, D))
+        cat = FunHoms(C, functors, D, "Fun", ROOMY).category().cat
+        H = FunHoms(C, functors, D, "Fun", ROOMY)
+        H.every_hom()
+        for (g, f), h in cat.comp.items():
+            assert H.compose(g, f) == h
+        checked += len(cat.comp)
+        apart = next(((g.name, f.name) for f in cat.morphisms
+                      for g in cat.morphisms if g.src != f.tgt), None)
+        if apart is not None:
+            with pytest.raises(UnknownMorphism, match="no composite"):
+                H.compose(*apart)
+            refused += 1
+    assert checked > 90_000 and refused > 100
 
 
 def test_is_natural_holds_exactly_on_the_enumerated_transformations():

@@ -202,14 +202,26 @@ def test_cli_check_overrides_of_zero_are_honoured(monkeypatch):
 def test_cli_rejects_a_negative_cap_or_bound(tmp_path, capsys, flag):
     arrow = _write(tmp_path, "arrow.json", category_to_data(walking_arrow()))
     runs = [["check", "thm-lax-lim", "--count", "0", flag, "-1"]]
-    if flag not in ("--count", "--jobs", "--max-skip"):  # check-only flags
+    if flag in ("--max-objects", "--max-morphisms"):  # caps: tw reads them
         runs.append(["tw", arrow, flag, "-1"])
+    if flag in ("--word-bound", "--size-bound"):  # bounds: localize reads them
+        runs.append(["localize", arrow, flag, "-1"])
     for argv in runs:
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         assert exit_.value.code == 2
         assert f"argument {flag}: expected a count >= 0, got '-1'" in \
             capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["slice", "{f}", "0"], ["equiv", "{f}", "{f}"]])
+def test_cli_rejects_a_cap_flag_the_command_does_not_read(tmp_path, capsys, argv):
+    # slice and equiv build no capped category, so they take no cap flag
+    arrow = _write(tmp_path, "arrow.json", category_to_data(walking_arrow()))
+    with pytest.raises(SystemExit) as exit_:
+        main([a.format(f=arrow) for a in argv] + ["--max-objects", "1"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --max-objects 1" in capsys.readouterr().err
 
 
 def test_cli_check_and_report(tmp_path, capsys):

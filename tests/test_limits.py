@@ -269,6 +269,12 @@ def test_lax_limit_raises_on_a_corrupted_transport(monkeypatch):
 # -- whiskering whole functor categories: the reference transport -------------------
 
 
+def _components(fc: FunCat, nid: str) -> dict[str, str]:
+    """The components of the transformation nid, by object of the domain."""
+    _, fid, _, comps = fc.hom_of[nid]
+    return dict(zip(fc.functors[fid].dom.objects, comps))
+
+
 def whisker_functor(src_fc: FunCat, dst_fc: FunCat,
                     pre: Functor, post: Functor) -> Functor:
     """Fun(A', B') -> Fun(A, B) by G |-> post . G . pre, for pre: A -> A' and
@@ -311,11 +317,12 @@ def test_whisker_functor_maps_transformations_to_whiskered_ones():
     for gid, G in src.functors.items():
         assert dst.functors[W.obj(gid)].object_map == \
             compose_functors(G, pre).object_map
-    assert any(not src.cat.is_identity(nid) for nid in src.transformations)
-    for nid, a in src.transformations.items():
+    assert any(not src.cat.is_identity(nid) for nid in src.hom_of)
+    for nid in src.hom_of:
         img = W.mor(nid)
-        assert dst.transformations[img].components == \
-            {x: a.at(pre.obj(x)) for x in pre.dom.objects}
+        a = _components(src, nid)
+        assert _components(dst, img) == \
+            {x: a[pre.obj(x)] for x in pre.dom.objects}
         assert dst.cat.src(img) == W.obj(src.cat.src(nid))
         assert dst.cat.tgt(img) == W.obj(src.cat.tgt(nid))
 
@@ -475,7 +482,7 @@ def _whole_fiber_lax_limit(F, caps):
         projections[i] = Functor(
             res.cat, F.fiber[i],
             {x: fc.functors[P.obj(x)].obj(idf) for x in res.cat.objects},
-            {m.name: fc.transformations[P.mor(m.name)].at(idf)
+            {m.name: _components(fc, P.mor(m.name))[idf]
              for m in res.cat.morphisms})
     return res.cat, projections
 

@@ -48,6 +48,9 @@
   it import ``marked_functor_category``, ``unfaithful_pair`` or
   ``unreached_object``: the comparison is decided from the end's homs one
   at a time, and neither of its sides is built as a category.
+- No class defines ``__missing__``: no table is filled lazily.  A
+  composition table is a plain ``dict`` built whole (``build_category``),
+  and a functor category's composites come from ``FunHoms.compose``.
 
 One rule covers the tests themselves:
 
@@ -275,6 +278,16 @@ BY_CONSTRUCTION_CALLERS = {("equiv.py", "skeleton"), ("equiv.py", "is_equivalent
 def test_by_construction_is_called_only_by_the_proved_makers(path):
     found = {(module, scope) for module, scope, _ in _calls(path, "_by_construction")}
     assert found == {c for c in BY_CONSTRUCTION_CALLERS if c[0] == path.name}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_class_defines_missing(path):
+    tree = ast.parse(path.read_text(), str(path))
+    lines = [node.lineno for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for node in cls.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name == "__missing__"]
+    assert not lines, f"{path.name}: __missing__ defined at lines {lines}"
 
 
 def test_the_probe_check_imports_no_isomorphism_search():
