@@ -89,15 +89,16 @@ def _category_parts(data: dict) -> tuple[FinCat, frozenset[str] | None]:
     objects = data.get("objects")
     if not _strings(objects):
         raise MalformedTable("category: objects must be a list of strings")
-    if not (_string_map(data.get("identities") or {})
-            and _strings(data.get("marked") or [])):
+    # a key given must have its type, falsy or not; an absent marked means
+    # no marking, and absent or empty identities mean the ids id_x
+    identities, marked = data.get("identities", {}), data.get("marked", [])
+    if not (_string_map(identities) and _strings(marked)):
         raise MalformedTable("category: identities must map objects to "
                              "strings, and marked must be a list of strings")
     morphisms = [Mor(*e) for e in _entries(data.get("morphisms", []),
                                            ("id", "src", "tgt"),
                                            "category: morphisms")]
-    identity = dict(data.get("identities") or
-                    {x: f"id_{x}" for x in objects})
+    identity = dict(identities or {x: f"id_{x}" for x in objects})
     named = {m.name for m in morphisms}
     for x, i in identity.items():
         if i not in named:
@@ -114,8 +115,7 @@ def _category_parts(data: dict) -> tuple[FinCat, frozenset[str] | None]:
         comp[(identity[m.tgt], m.name)] = m.name
         comp[(m.name, identity[m.src])] = m.name
     C = fincat(objects, morphisms, identity, comp)
-    marked = data.get("marked")
-    if marked is None:
+    if "marked" not in data:
         return C, None
     return C, frozenset(marked) | frozenset(identity.values()) | C.iso_set()
 

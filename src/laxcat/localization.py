@@ -8,7 +8,6 @@ truncating.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -152,10 +151,11 @@ class _Window:
     """Every path of at most ``cap`` arrows, numbered breadth first from the
     empty path at each object (``out_of`` is the arrows by source, from
     ``_out_of``, and its order fixes the numbering): ``nodes[i]`` is path
-    number i and ``tgts[i]`` its target.  The empty path at the j-th object
-    is number j, and ``level[k]`` is the number of paths shorter than k, for
-    k up to cap + 1.  ``widen`` appends the longer paths, so a window is a
-    prefix of every wider window of the same arrows.
+    number i, ``tgts[i]`` its target, ``lens[i]`` its length and
+    ``heads[i]`` its first letter (None for an empty path).  The empty path
+    at the j-th object is number j, and ``level[k]`` is the number of paths
+    shorter than k, for k up to cap + 1.  ``widen`` appends the longer
+    paths, so a window is a prefix of every wider window of the same arrows.
 
     The numbering is arithmetic on both sides.  The one-letter extensions
     p·a of a path p shorter than the cap are contiguous, numbers
@@ -166,10 +166,11 @@ class _Window:
     lexicographic in the places of its letters, so the paths of length k + 1
     that begin with c are those of length k out of the target of c, in the
     same order: c·x is x plus a shift that depends on c and on the length
-    of x only (``left_shifts``)."""
+    of x only (``left_shifts``).  So every one-letter extension of a path
+    has a higher number than the path."""
 
     __slots__ = ("objects", "out_of", "pos", "root", "nodes", "tgts", "pre",
-                 "first_child", "level", "cap")
+                 "lens", "heads", "first_child", "level", "cap")
 
     def __init__(self, objects, out_of: dict[str, list[Arrow]]):
         self.objects = tuple(objects)
@@ -180,6 +181,8 @@ class _Window:
         self.nodes: list[_Node] = [(x, ()) for x in self.objects]
         self.tgts: list[str] = list(self.objects)
         self.pre: list[int] = [-1] * len(self.objects)
+        self.lens: list[int] = [0] * len(self.objects)
+        self.heads: list[str | None] = [None] * len(self.objects)
         self.first_child = [len(self.objects)]  # one past the last, as well
         self.level = [0, len(self.objects)]
         self.cap = 0
@@ -190,26 +193,29 @@ class _Window:
         with the count an enumeration one path at a time stops at (the
         check is made after each path's extensions); the window is then
         left half made."""
-        nodes, tgts, pre, first_child = self.nodes, self.tgts, self.pre, self.first_child
-        out_of, level = self.out_of, self.level
+        nodes, tgts, pre, heads = self.nodes, self.tgts, self.pre, self.heads
+        first_child, level, out_of = self.first_child, self.level, self.out_of
         # the path that crosses the bound is the (max_words + 1)-th, or the
         # first appended when the objects alone outnumber max_words
         limit = max(len(nodes), max_words)
         first_child.pop()
-        for _ in range(self.cap, cap):
+        for k in range(self.cap, cap):
             for i in range(level[-2], level[-1]):
                 first_child.append(len(nodes))
                 arrows = out_of.get(tgts[i])
                 if arrows:
                     s, w = nodes[i]
+                    head = heads[i]
                     for a in arrows:
                         nodes.append((s, w + (a.name,)))
                         tgts.append(a.tgt)
                         pre.append(i)
+                        heads.append(head or a.name)
                     if len(nodes) > limit:
                         raise SizeBoundExceeded("localization words", "word",
                                                 limit + 1, max_words)
             level.append(len(nodes))
+            self.lens.extend([k + 1] * (level[-1] - level[-2]))
         first_child.append(len(nodes))
         self.cap = max(self.cap, cap)
 
@@ -277,56 +283,69 @@ class _Words:
     equivalence on nodes that joins the two sides of each relation and is
     closed under context (u ~ v gives x·u·y ~ x·v·y when both are nodes).
     Each relation whose sides are both nodes is seeded once (an occurrence
-    in a longer word follows by context).  Then a worklist holds every
-    nonempty node once; a node w = p·a = b·q taken from it is joined with
-    rep(p)·a and with b·rep(q).  Each join is sound: p ~ rep(p) gives
-    p·a ~ rep(p)·a by context, and rep(p)·a is a node, no longer than p·a
-    and a path, since each class of a well-typed presentation
-    (``PresentedCat`` checks it) has one source and one target.
+    in a longer word follows by context).  Then every nonempty node is
+    taken once by a sweep in number order, and after it every node on a
+    worklist of requeued nodes; a node w = p·a = b·q that is taken is
+    joined with rep(p)·a and with b·rep(q).  Each join is sound: p ~ rep(p)
+    gives p·a ~ rep(p)·a by context, and rep(p)·a is a node, no longer than
+    p·a and a path, since each class of a well-typed presentation
+    (``PresentedCat`` checks it) has one source and one target.  Every join,
+    seeded or not, puts the two roots under the shortlex-least of them.
 
     A node's representative changes only when a join absorbs its class,
     that is when the class's root loses to a shortlex-smaller root; the
-    winning class keeps its representative.  So each join that absorbs a
-    class puts back on the worklist every one-letter extension x·c and c·x
-    (that is a node) of every member x of the absorbed class, unless it is
-    already there.  Hence every node w = p·a = b·q is taken after the last
-    change of rep(p) and of rep(q), and once the worklist is empty w ~
-    rep(p)·a and w ~ b·rep(q) for the final representatives: the fixpoint
-    is closed under one-letter extension on both sides (p ~ p' puts p·a and
-    p'·a with rep(p)·a), hence under every context x·u·y in the window,
-    every subword of a node being a node, and it is the least congruence.
-    It terminates: a node is queued once at the start and then only by an
-    absorption, of which there are fewer than nodes.  The least congruence
-    is unique and representatives are shortlex-least, so the partition and
-    every representative depend on neither the order of the worklist nor
-    that of the joins: they are those of the closure by repeated full passes
-    that this one replaced.  Member lists are kept for the classes of more
-    than one node only.  When no seed joins two nodes the discrete
-    partition is already that congruence, and no worklist is made.
+    winning class keeps its representative.  When a join absorbs a class
+    while the sweep is at node i (before the sweep, i is the last number it
+    skips, and after it the last node), each member x of the absorbed class
+    puts on the worklist every one-letter extension x·c and c·x (that is a
+    node) numbered i or less, unless it is already there.  An extension
+    numbered above i needs no requeue: the sweep has not taken it yet and
+    takes it later, after this change.  So a member x numbered i or above
+    requeues nothing, as its extensions are longer than x and numbered
+    above it (``_Window``).  Node i itself is requeued when it is
+    an extension of x, since its joins read the representatives from
+    before the change.  Hence every node w = p·a = b·q is taken after the
+    last change of rep(p) and of rep(q), by the sweep or from the
+    worklist, and once the worklist is empty w ~ rep(p)·a and w ~ b·rep(q)
+    for the final representatives: the fixpoint is closed under one-letter
+    extension on both sides (p ~ p' puts p·a and p'·a with rep(p)·a), hence
+    under every context x·u·y in the window, every subword of a node being
+    a node, and it is the least congruence.  It terminates: the sweep takes
+    each node once, and a node is queued only by an absorption, of which
+    there are fewer than nodes.  The least congruence is unique and
+    representatives are shortlex-least, so the partition and every
+    representative depend on neither the order in which nodes are taken
+    nor that of the joins: they are those of the worklist of every node
+    and of the closure by repeated full passes that this one replaced.
+    Member lists are kept for the classes of more than one node only.
+    With no seed and no class of two nodes the discrete partition is
+    already that congruence, and nothing is swept.  ``taken`` counts the nodes taken,
+    by the sweep and from the worklist, over every closure.
 
     The closure runs on node numbers (``_Window``): ``parent`` is a list,
-    and for w = p·a = b·q, p is ``pre[w]``, rep(p)·a is
+    and for w = p·a = b·q, p is ``pre[w]``, b is ``heads[w]``, rep(p)·a is
     ``first_child[rep(p)] + w - first_child[p]`` (a is at the same place
     among the arrows out of the common target), q is w less b's left shift
     at the length of q, and b·rep(q) is rep(q) plus b's left shift at the
-    length of rep(q).  So no word is built or hashed on the way.
-    ``_union`` compares the (length, letters, source) keys of two roots
-    only when they differ.  ``find`` and ``classes`` speak of nodes as
-    (source, letters) pairs, and ``classes`` lists them in the window's
+    length of rep(q).  So no word is built or hashed on the way.  The loop
+    finds roots inline, halving paths, and compares two roots' words only
+    when their lengths are equal.  ``find`` and ``classes`` speak of nodes
+    as (source, letters) pairs, and ``classes`` lists them in the window's
     order.
 
     ``widen`` grows the window in place to a larger cap and closes it again.
     The partition so far stays: its joins are sound in the larger window.
-    Only the relations new to the window are seeded; the new nodes are
-    queued, and so are the extensions of every member of a class that a
-    join, seeded or not, absorbs.  That reaches the same fixpoint: an old
-    node met its conditions when the smaller window closed, and keeps them
-    until a representative of its prefix or suffix changes, which queues
-    it again.  As before, no worklist is made while the partition is
-    discrete.
+    Only the relations new to the window are seeded; the sweep takes the
+    new nodes, and the extensions of every member of a class that a join,
+    seeded or not, absorbs are requeued as above.  That reaches the same
+    fixpoint: an old node met its conditions when the smaller window
+    closed, and keeps them until a representative of its prefix or suffix
+    changes, which requeues it, as an old node is numbered below every new
+    one.  As before, nothing is swept while the partition is discrete and
+    no relation is new to the window.
     """
 
-    __slots__ = ("pres", "window", "nodes", "parent", "members")
+    __slots__ = ("pres", "window", "nodes", "parent", "members", "taken")
 
     def __init__(self, pres: PresentedCat, window: _Window):
         """The closed congruence on ``window``, which must be the window of
@@ -337,6 +356,7 @@ class _Words:
         self.nodes = window.nodes
         self.parent = list(range(len(self.nodes)))
         self.members: dict[int, list[int]] = {}  # classes of 2 or more nodes
+        self.taken = 0
         self._close(-1, 0)
 
     def widen(self, cap: int, max_words: int) -> None:
@@ -358,77 +378,77 @@ class _Words:
     def find(self, nd: _Node) -> _Node:
         return self.nodes[self._find(self.window.index(nd))]
 
-    def _union(self, a: int, b: int) -> list[int] | None:
-        """Join the classes of nodes a and b under the shortlex-least of
-        their roots, and return the members of the class that lost, or None
-        when they were one class already."""
-        ra, rb = self._find(a), self._find(b)
-        if ra == rb:
-            return None
-        (sa, wa), (sb, wb) = self.nodes[ra], self.nodes[rb]
-        if (len(wb), wb, sb) < (len(wa), wa, sa):
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        moved = self.members.pop(rb, None) or [rb]
-        self.members.setdefault(ra, [ra]).extend(moved)
-        return moved
-
     def _close(self, old_cap: int, new: int) -> None:
         """Seed the relations longer than ``old_cap`` on a side and close,
-        queueing the nodes numbered from ``new`` on."""
-        window, nodes = self.window, self.nodes
+        sweeping the nodes numbered from ``new`` on."""
+        window, nodes, parent, members = self.window, self.nodes, self.parent, self.members
         cap, walk, root = window.cap, window.walk, window.root
-        absorbed = []  # the members of each class a seed absorbed
-        for r in self.pres.relations:
-            # both sides are paths (PresentedCat checks it), so nodes
-            if old_cap < max(len(r.lhs), len(r.rhs)) <= cap:
-                moved = self._union(walk(root[r.src], r.lhs), walk(root[r.src], r.rhs))
-                if moved is not None:
-                    absorbed.append(moved)
-        if not self.members:
-            return
-        find, union = self._find, self._union
-        pre, first_child = window.pre, window.first_child
+        pre, lens, heads = window.pre, window.lens, window.heads
+        first_child = window.first_child
+        n = len(nodes)
+        # both sides of a relation are paths (PresentedCat checks it), so nodes
+        todo = [(walk(root[r.src], r.lhs), walk(root[r.src], r.rhs))
+                for r in self.pres.relations
+                if old_cap < max(len(r.lhs), len(r.rhs)) <= cap]
+        if not (todo or members):
+            return  # no seed and no class of two nodes: nothing to close
         shifts = window.left_shifts()
         into: dict[str, list[str]] = {}
         for a in self.pres.arrows:
             into.setdefault(a.tgt, []).append(a.name)
-        start = max(new, window.level[1])
-        queue = deque(range(start, len(nodes)))
-        queued = bytearray(start) + b"\1" * (len(nodes) - start)
-
-        def requeue(moved: list[int]) -> None:
-            """Queue the one-letter extensions of nodes whose rep changed."""
-            for x in moved:
-                s, w = nodes[x]
-                k = len(w)
-                if k == cap:
+        stack: list[int] = []  # the worklist
+        queued = bytearray(n)
+        # the sweep's node (before the sweep the last node it skips, after it
+        # the last node): a join requeues the extensions numbered up to it
+        at = max(new, window.level[1]) - 1
+        taken = n - 1 - at  # the sweep's nodes, and then the worklist's
+        while True:
+            # join the pairs in todo, each under the shortlex-least root
+            for u, v in todo:
+                while parent[u] != u:
+                    parent[u] = u = parent[parent[u]]  # path halving
+                while parent[v] != v:
+                    parent[v] = v = parent[parent[v]]
+                if u == v:
                     continue
-                for ext in range(first_child[x], first_child[x + 1]):
-                    if not queued[ext]:
-                        queued[ext] = 1
-                        queue.append(ext)
-                for c in into.get(s, ()):
-                    ext = x + shifts[k][c]
-                    if not queued[ext]:
-                        queued[ext] = 1
-                        queue.append(ext)
-
-        for moved in absorbed:  # old nodes whose rep changed
-            requeue(moved)
-        while queue:
-            i = queue.popleft()
-            queued[i] = 0
-            w = nodes[i][1]
-            p, b = pre[i], w[0]
-            rp = find(p)
-            rq = find(i - shifts[len(w) - 1][b])
-            for j in (first_child[rp] + i - first_child[p],
-                      rq + shifts[len(nodes[rq][1])][b]):
-                if j != i:
-                    moved = union(i, j)
-                    if moved is not None:
-                        requeue(moved)
+                if lens[v] < lens[u] or (
+                        lens[v] == lens[u] and nodes[v][::-1] < nodes[u][::-1]):
+                    u, v = v, u
+                parent[v] = u
+                moved = members.pop(v, None) or [v]
+                members.setdefault(u, [u]).extend(moved)
+                for x in moved:  # requeue extensions of x numbered <= at
+                    k = lens[x]
+                    if x >= at or k == cap:
+                        continue
+                    for ext in range(first_child[x], min(first_child[x + 1], at + 1)):
+                        if not queued[ext]:
+                            queued[ext] = 1
+                            stack.append(ext)
+                    for c in into.get(nodes[x][0], ()):
+                        ext = x + shifts[k][c]
+                        if ext <= at and not queued[ext]:
+                            queued[ext] = 1
+                            stack.append(ext)
+            # take the next node: the sweep's, or else one from the worklist
+            if at + 1 < n:
+                i = at = at + 1
+            elif stack:
+                i = stack.pop()
+                queued[i] = 0
+                taken += 1
+            else:
+                break
+            p, b, k = pre[i], heads[i], lens[i]
+            rp = p
+            while parent[rp] != rp:
+                parent[rp] = rp = parent[parent[rp]]
+            rq = i - shifts[k - 1][b]
+            while parent[rq] != rq:
+                parent[rq] = rq = parent[parent[rq]]
+            todo = ((i, first_child[rp] + i - first_child[p]),
+                    (i, rq + shifts[lens[rq]][b]))
+        self.taken += taken
 
     def classes(self, max_len: int) -> dict[_Node, list[_Node]]:
         """Representative node -> all nodes of length <= max_len in the class,

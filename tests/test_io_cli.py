@@ -1,6 +1,7 @@
 """File formats, canonical serialization, and the command-line interface."""
 
 import json
+import random
 
 import pytest
 
@@ -16,7 +17,7 @@ from laxcat.core import (
     walking_iso,
 )
 from laxcat.diagrams import constant_diagram
-from laxcat.errors import MalformedTable
+from laxcat.errors import LaxcatError, MalformedTable
 from laxcat.generator import GenParams, gen_category, gen_diagram, gen_marking
 from laxcat.io_formats import (
     canonical_json,
@@ -362,6 +363,11 @@ MALFORMED_INPUT_FILES = {
         "objects": ["x"], "morphisms": [{"id": "f", "src": "x", "tgt": "y"}]}),
     "identities given as a list": (["validate"], {
         "objects": ["x"], "identities": ["id_x"]}),
+    # a falsy value of the wrong type is no absent key
+    **{f"marked given as {v!r}": (["validate"], {"objects": ["x"], "marked": v})
+       for v in (0, False, "", {}, None)},
+    **{f"identities given as {v!r}": (["validate"], {
+        "objects": ["x"], "identities": v}) for v in (0, False, "", [], None)},
     "file to localize that is a number": (["localize"], 5),
     "probe manifest that is a list": (
         ["check", "thm-lax-colim-probe", "--count", "1", "--probes"],
@@ -375,6 +381,73 @@ def test_cli_malformed_input_file_exits_3(tmp_path, capsys, case):
     f = _write(tmp_path, "input.json", data)
     assert main(argv + [f]) == 3
     assert capsys.readouterr().err.startswith("invalid input:")
+
+
+def test_absent_marking_and_identities_keep_their_meaning():
+    # no marked key is no marking, and absent or empty identities are id_x
+    for data in ({"objects": ["x"]}, {"objects": ["x"], "identities": {}}):
+        C, mk = category_from_data(data)
+        assert (C.identity, mk) == ({"x": "id_x"}, None)
+    C, mk = category_from_data({"objects": ["x"], "marked": []})
+    assert mk == frozenset({"id_x"})
+
+
+# values of every JSON shape, falsy ones among them
+_FUZZ_VALUES = (0, 1, -1, 2.5, True, False, "", "zz", None, [], {}, ["zz"],
+                {"zz": "zz"})
+
+
+def _slots(data):
+    """Every (container, key or index) pair of a JSON value, outside in."""
+    if isinstance(data, (dict, list)):
+        for k, v in data.items() if isinstance(data, dict) else enumerate(data):
+            yield data, k
+            yield from _slots(v)
+
+
+def _mutant(text: str, strings: list[str], rng: random.Random):
+    """The JSON value ``text`` with one slot changed: its value replaced by
+    one of _FUZZ_VALUES or by a string of the file, its entry removed, its
+    key renamed to a string of the file, or its list item repeated."""
+    data = json.loads(text)
+    box, key = rng.choice(list(_slots(data)))
+    kind = rng.randrange(4)
+    if kind == 0:
+        box[key] = rng.choice(_FUZZ_VALUES)
+    elif kind == 1:
+        box[key] = rng.choice(strings)
+    elif kind == 2:
+        del box[key]
+    elif isinstance(box, dict):
+        box[rng.choice(strings)] = box.pop(key)
+    else:
+        box.insert(key, box[key])
+    return data
+
+
+def test_a_mutated_file_is_read_or_rejected_with_a_laxcat_error():
+    # single-point mutants of seeded diagram files and of their marked base
+    # categories: a reader accepts each or raises a LaxcatError, never
+    # another exception (a non-list "marked" once escaped as TypeError)
+    rng = random.Random(0)
+    outcomes = {"accepted": 0, "rejected": 0}
+    for s in range(30):
+        p = GenParams(seed=s)
+        data = diagram_to_data(gen_diagram(gen_marking(gen_category(p), p), p))
+        for reader, doc in ((diagram_from_data, data),
+                            (category_from_data, data["base"])):
+            text = json.dumps(doc)
+            strings = sorted({x for box, k in _slots(doc)
+                              for x in (k, box[k]) if isinstance(x, str)})
+            for _ in range(80):
+                mutant = _mutant(text, strings, rng)
+                try:
+                    reader(mutant)
+                    outcomes["accepted"] += 1
+                except LaxcatError:
+                    outcomes["rejected"] += 1
+    assert sum(outcomes.values()) == 4800
+    assert min(outcomes.values()) > 0, outcomes
 
 
 @pytest.mark.parametrize("command", ["grothendieck", "laxlim"])
