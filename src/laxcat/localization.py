@@ -210,7 +210,7 @@ class _Window:
                         nodes.append((s, w + (a.name,)))
                         tgts.append(a.tgt)
                         pre.append(i)
-                        heads.append(head or a.name)
+                        heads.append(a.name if head is None else head)
                     if len(nodes) > limit:
                         raise SizeBoundExceeded("localization words", "word",
                                                 limit + 1, max_words)
