@@ -5,7 +5,6 @@ from .core import (
     Functor,
     MarkedFinCat,
     Mor,
-    ValidationReport,
     fincat,
     flat_marking,
     is_iso,
@@ -15,7 +14,6 @@ from .core import (
     product,
     saturate_marking,
     sharp_marking,
-    validate_category,
     validate_marking,
 )
 from .constructions import (

@@ -253,8 +253,10 @@ def _sharp_collapse(F: CatDiagram, ctx: Ctx) -> str | None:
 
 def _ghn_flat(F: CatDiagram, ctx: Ctx) -> str | None:
     """Over a flat base the lax limit is the category of all sections, and
-    the total category localizes to itself.  A localization that stops at
-    a bound raises the bound it names: it is never a counterexample."""
+    the total category localizes to itself: the quotient E.total -> L, the
+    identity on objects, is then an isomorphism, which holds exactly when it
+    is fully faithful.  A localization that stops at a bound raises the
+    bound it names: it is never a counterexample."""
     reason = "flat reduction failed (full sections or identity localization)"
     lax = lax_limit(F, ctx.caps)
     E = grothendieck_cocart(F, ctx.caps)
@@ -265,7 +267,7 @@ def _ghn_flat(F: CatDiagram, ctx: Ctx) -> str | None:
         b = r.bound
         raise SizeBoundExceeded("localization", b["which"],
                                 b.get("at", b["cap"] + 1), b["cap"])
-    if not is_equivalent(r.cat, E.total.cat):
+    if not is_fully_faithful(r.quotient):
         return reason
     return None
 

@@ -22,7 +22,7 @@ from .constructions import (
     twisted_arrow,
 )
 from .equiv import is_equivalent, skeleton
-from .errors import BOUND_ERRORS, InvariantViolation, LaxcatError, MalformedTable
+from .errors import BOUND_ERRORS, InvariantViolation, LaxcatError
 from .grothendieck import all_sections, grothendieck_cart, grothendieck_cocart, marked_sections
 from .io_formats import (
     canonical_json,
@@ -33,6 +33,7 @@ from .io_formats import (
     localization_to_data,
     marked_category_from_data,
     presentation_from_data,
+    probes_from_data,
     verdict_to_data,
 )
 from .limits import lax_limit, oplax_limit
@@ -232,12 +233,7 @@ def _cmd_check(args) -> int:
     params = _caps(args, params)
     ctx = replace(ctx, bounds=_bounds(args, ctx.bounds))
     if args.probes:
-        manifest = _load(args.probes)
-        if not isinstance(manifest, dict):
-            raise MalformedTable("probes: expected a JSON object "
-                                 "{name: category}")
-        ctx = replace(ctx, probes={nm: category_from_data(d)[0]
-                                   for nm, d in manifest.items()})
+        ctx = replace(ctx, probes=probes_from_data(_load(args.probes)))
     report = run_check(args.theorem, seed=args.seed, count=args.count,
                        params=params, ctx=ctx, out_dir=args.out,
                        jobs=args.jobs)

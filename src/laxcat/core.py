@@ -40,24 +40,6 @@ class Mor:
     tgt: str
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "associativity" | "unit" | "dangling" | "composite"
-    detail: str
-
-
-@dataclass
-class ValidationReport:
-    violations: list[Violation]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        return "\n".join(f"{v.kind}: {v.detail}" for v in self.violations)
-
-
 class FinCat:
     """A finite category: objects, morphisms, identities, composition table.
 
@@ -239,44 +221,51 @@ def is_iso(C: FinCat, f: str) -> bool:
 # -- validation ------------------------------------------------------------
 
 
-def check_axioms(C: FinCat) -> ValidationReport:
-    """Exhaustive associativity, unit, and totality check."""
-    bad: list[Violation] = []
+def check_axioms(C: FinCat) -> None:
+    """Raise MalformedTable unless C is a category: an identity table with
+    one endomorphism per object and no other key, endpoints and composites
+    among the ids, a total table, and the unit and associativity laws on
+    every pair and triple.  The message lists every violation, one
+    ``kind: detail`` line each; a stage that finds any stops the check."""
+    bad: list[str] = []
+    objects = set(C.objects)
     for o in C.objects:
         if o not in C.identity:
-            bad.append(Violation("dangling", f"object {o} has no identity"))
+            bad.append(f"dangling: object {o} has no identity")
         elif not C.has_mor(C.identity[o]):
-            bad.append(Violation("dangling", f"identity of {o} is unknown"))
-    objects = set(C.objects)
+            bad.append(f"dangling: identity of {o} is unknown")
+        elif (C.src(C.identity[o]), C.tgt(C.identity[o])) != (o, o):
+            bad.append(f"unit: identity {C.identity[o]} of {o} is no "
+                       f"endomorphism of {o}")
+    for o in sorted(set(C.identity) - objects):
+        bad.append(f"dangling: identity given for non-object {o}")
     for m in C.morphisms:
         if m.src not in objects or m.tgt not in objects:
-            bad.append(Violation("dangling", f"morphism {m.name} has bad endpoints"))
+            bad.append(f"dangling: morphism {m.name} has bad endpoints")
     for (g, f), h in C.comp.items():
         if not (C.has_mor(g) and C.has_mor(f) and C.has_mor(h)):
-            bad.append(Violation("dangling", f"comp entry ({g},{f})={h} unknown id"))
+            bad.append(f"dangling: comp entry ({g},{f})={h} unknown id")
             continue
         if C.tgt(f) != C.src(g):
-            bad.append(Violation("composite", f"({g},{f}) not composable"))
+            bad.append(f"composite: ({g},{f}) not composable")
             continue
         if C.src(h) != C.src(f) or C.tgt(h) != C.tgt(g):
-            bad.append(Violation("composite", f"({g},{f})={h} has wrong endpoints"))
-    if bad:
-        return ValidationReport(bad)
+            bad.append(f"composite: ({g},{f})={h} has wrong endpoints")
+    _fail_on(bad)
     # totality
     entries = C.comp.keys()
     for g, f in C.composable_pairs():
         if (g, f) not in entries:
-            bad.append(Violation("composite", f"missing composite ({g},{f})"))
-    if bad:
-        return ValidationReport(bad)
+            bad.append(f"composite: missing composite ({g},{f})")
+    _fail_on(bad)
     # units
     for m in C.morphisms:
         e_src = C.identity[m.src]
         e_tgt = C.identity[m.tgt]
         if C.compose(m.name, e_src) != m.name:
-            bad.append(Violation("unit", f"({m.name}, {e_src})"))
+            bad.append(f"unit: ({m.name}, {e_src})")
         if C.compose(e_tgt, m.name) != m.name:
-            bad.append(Violation("unit", f"({e_tgt}, {m.name})"))
+            bad.append(f"unit: ({e_tgt}, {m.name})")
     # associativity on every composable triple
     by_src: dict[str, list[str]] = {}
     for m in C.morphisms:
@@ -286,8 +275,13 @@ def check_axioms(C: FinCat) -> ValidationReport:
             gf = C.comp[(g, f.name)]
             for h in by_src.get(C.tgt(g), []):
                 if C.comp[(h, gf)] != C.comp[(C.comp[(h, g)], f.name)]:
-                    bad.append(Violation("associativity", f"({h}, {g}, {f.name})"))
-    return ValidationReport(bad)
+                    bad.append(f"associativity: ({h}, {g}, {f.name})")
+    _fail_on(bad)
+
+
+def _fail_on(violations: list[str]) -> None:
+    if violations:
+        raise MalformedTable("axiom failure:\n" + "\n".join(violations))
 
 
 def fincat(
@@ -305,9 +299,7 @@ def fincat(
     if len(set(C.objects)) != len(C.objects):
         raise MalformedTable("duplicate object ids")
     if check:
-        report = check_axioms(C)
-        if not report.ok:
-            raise MalformedTable(f"axiom failure:\n{report}")
+        check_axioms(C)
     return C
 
 
@@ -367,29 +359,6 @@ def subcategory(C: FinCat, objects: Iterable[str], morphisms: Iterable[Mor],
             for f in morphisms for g in by_src.get(f.tgt, ())}
     return fincat(objects, morphisms, {o: C.identity[o] for o in objects},
                   comp, check=check)
-
-
-def validate_category(data: Mapping) -> FinCat | ValidationReport:
-    """Validate FinCat-shaped data.
-
-    Returns a FinCat when all axioms hold, or a ValidationReport listing
-    every violated axiom.  Structural junk (duplicate ids, composites of
-    non-composable pairs) raises MalformedTable.
-    """
-    objects = list(data["objects"])
-    if len(set(objects)) != len(objects):
-        raise MalformedTable(f"duplicate object ids: {sorted(objects)}")
-    morphisms = [Mor(m["id"], m["src"], m["tgt"]) for m in data["morphisms"]]
-    names = [m.name for m in morphisms]
-    if len(set(names)) != len(names):
-        raise MalformedTable("duplicate morphism ids")
-    identity = dict(data["identity"])
-    comp = {(g, f): h for (g, f), h in data["comp"].items()}
-    C = FinCat(objects, morphisms, identity, comp)
-    report = check_axioms(C)
-    if report.ok:
-        return C
-    return report
 
 
 # -- markings ---------------------------------------------------------------

@@ -120,6 +120,13 @@ def _category_parts(data: dict) -> tuple[FinCat, frozenset[str] | None]:
     return C, frozenset(marked) | frozenset(identity.values()) | C.iso_set()
 
 
+def probes_from_data(data: dict) -> dict[str, FinCat]:
+    """The checked categories of a probe manifest ``{name: category}``."""
+    if not isinstance(data, dict):
+        raise MalformedTable("probes: expected a JSON object {name: category}")
+    return {name: category_from_data(d)[0] for name, d in data.items()}
+
+
 def functor_to_data(F: Functor) -> dict:
     return {"object_map": dict(F.object_map),
             "morphism_map": dict(F.morphism_map)}

@@ -18,13 +18,13 @@ from laxcat.checks import (
     theorem_defaults,
 )
 from laxcat.constructions import SizeCaps
-from laxcat.core import Functor
+from laxcat.core import Functor, sharp_marking
 from laxcat.errors import (InvalidDiagram, InvariantViolation, MalformedTable,
                            SizeBoundExceeded)
 from laxcat.generator import (GenParams, gen_category, gen_diagram, gen_marking,
                               gen_set_diagram)
 from laxcat.io_formats import canonical_json, category_to_data, diagram_to_data
-from laxcat.localization import Bounds
+from laxcat.localization import Bounds, localize
 
 
 def test_probe_suite_is_versioned():
@@ -344,6 +344,18 @@ def test_the_decisions_keep_their_reasons(monkeypatch):
         params, ctx = theorem_defaults(theorem)
         status, failure = CHECKS[theorem](replace(params, seed=1), ctx)
         assert (status, failure.reason) == ("fail", reason), theorem
+
+
+def test_ghn_flat_fails_on_a_quotient_that_is_not_fully_faithful(monkeypatch):
+    # the sections half passes, and a localization at every morphism of the
+    # total inverts a non-isomorphism, so its quotient, the identity on
+    # objects, is not fully faithful: the localization half fails
+    monkeypatch.setattr(checks, "localize", lambda Cm, bounds: localize(
+        sharp_marking(Cm.cat), bounds))
+    params, ctx = theorem_defaults("ghn-flat")
+    status, failure = CHECKS["ghn-flat"](replace(params, seed=1), ctx)
+    assert (status, failure.reason) == (
+        "fail", "flat reduction failed (full sections or identity localization)")
 
 
 def test_a_diagram_failure_replays_the_same_decision():

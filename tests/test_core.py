@@ -11,9 +11,9 @@ from laxcat.core import (
     Functor,
     MarkedFinCat,
     Mor,
-    ValidationReport,
     build_category,
     chain_cat,
+    check_axioms,
     compose_functors,
     discrete_cat,
     fincat,
@@ -32,7 +32,6 @@ from laxcat.core import (
     short_id,
     subcategory,
     terminal_cat,
-    validate_category,
     validate_marking,
     walking_arrow,
     walking_iso,
@@ -47,13 +46,9 @@ from laxcat.io_formats import functor_from_data, functor_to_data
 
 
 def test_validate_terminal():
-    C = validate_category({
-        "objects": ["*"],
-        "morphisms": [{"id": "id_*", "src": "*", "tgt": "*"}],
-        "identity": {"*": "id_*"},
-        "comp": {("id_*", "id_*"): "id_*"},
-    })
-    assert isinstance(C, FinCat)
+    C = FinCat(["*"], [Mor("id_*", "*", "*")], {"*": "id_*"},
+               {("id_*", "id_*"): "id_*"})
+    assert check_axioms(C) is None
 
 
 def test_validate_walking_arrow():
@@ -62,31 +57,38 @@ def test_validate_walking_arrow():
 
 
 def test_validate_reports_unit_law_failure():
-    report = validate_category({
-        "objects": ["0", "1"],
-        "morphisms": [{"id": "id_0", "src": "0", "tgt": "0"},
-                      {"id": "id_1", "src": "1", "tgt": "1"},
-                      {"id": "u", "src": "0", "tgt": "1"},
-                      {"id": "w", "src": "0", "tgt": "1"}],
-        "identity": {"0": "id_0", "1": "id_1"},
-        "comp": {("id_0", "id_0"): "id_0", ("id_1", "id_1"): "id_1",
-                 ("u", "id_0"): "w", ("id_1", "u"): "u",
-                 ("w", "id_0"): "w", ("id_1", "w"): "w"},
-    })
-    assert isinstance(report, ValidationReport)
-    assert any(v.kind == "unit" and "u" in v.detail for v in report.violations)
+    C = FinCat(["0", "1"],
+               [Mor("id_0", "0", "0"), Mor("id_1", "1", "1"),
+                Mor("u", "0", "1"), Mor("w", "0", "1")],
+               {"0": "id_0", "1": "id_1"},
+               {("id_0", "id_0"): "id_0", ("id_1", "id_1"): "id_1",
+                ("u", "id_0"): "w", ("id_1", "u"): "u",
+                ("w", "id_0"): "w", ("id_1", "w"): "w"})
+    with pytest.raises(MalformedTable, match=r"(?m)^unit: \(u, id_0\)$"):
+        check_axioms(C)
     # a composite with mismatched endpoints is flagged too
-    bad = validate_category({
-        "objects": ["0", "1"],
-        "morphisms": [{"id": "id_0", "src": "0", "tgt": "0"},
-                      {"id": "id_1", "src": "1", "tgt": "1"},
-                      {"id": "u", "src": "0", "tgt": "1"}],
-        "identity": {"0": "id_0", "1": "id_1"},
-        "comp": {("id_0", "id_0"): "id_0", ("id_1", "id_1"): "id_1",
-                 ("u", "id_0"): "id_0", ("id_1", "u"): "u"},
-    })
-    assert isinstance(bad, ValidationReport)
-    assert any(v.kind == "composite" for v in bad.violations)
+    bad = FinCat(["0", "1"],
+                 [Mor("id_0", "0", "0"), Mor("id_1", "1", "1"),
+                  Mor("u", "0", "1")],
+                 {"0": "id_0", "1": "id_1"},
+                 {("id_0", "id_0"): "id_0", ("id_1", "id_1"): "id_1",
+                  ("u", "id_0"): "id_0", ("id_1", "u"): "u"})
+    with pytest.raises(MalformedTable,
+                       match=r"(?m)^composite: \(u,id_0\)=id_0 has wrong endpoints$"):
+        check_axioms(bad)
+    # an identity table with one morphism for two objects and a key that is
+    # no object: one line per violation of the first stage that finds any
+    C = FinCat(["x", "y"], [Mor("i", "x", "x"), Mor("f", "x", "z")],
+               {"x": "i", "y": "i", "zzz": "i"},
+               {("i", "i"): "i", ("g", "i"): "i"})
+    with pytest.raises(MalformedTable) as exc:
+        check_axioms(C)
+    assert str(exc.value) == (
+        "axiom failure:\n"
+        "unit: identity i of y is no endomorphism of y\n"
+        "dangling: identity given for non-object zzz\n"
+        "dangling: morphism f has bad endpoints\n"
+        "dangling: comp entry (g,i)=i unknown id")
 
 
 def test_duplicate_ids_rejected():
@@ -253,10 +255,8 @@ def test_marked_functor_restricts_to_marked_subcategories():
 
 
 def test_generated_categories_pass_axioms():
-    from laxcat.core import check_axioms
     for s in range(30):
-        C = gen_category(GenParams(seed=s))
-        assert not check_axioms(C).violations
+        check_axioms(gen_category(GenParams(seed=s)))  # raises on a violation
 
 
 def test_discrete_and_opposite_cat():

@@ -48,7 +48,7 @@ def test_generated_artifacts_validate():
     for s in range(40):
         p = GenParams(seed=s)
         C = gen_category(p)
-        assert check_axioms(C).ok
+        check_axioms(C)  # raises MalformedTable on a violation
         Cm = gen_marking(C, p)
         validate_marking(Cm.cat, Cm.marked)
         F = gen_diagram(Cm, p)

@@ -25,8 +25,10 @@ from laxcat.io_formats import (
     category_to_data,
     diagram_from_data,
     diagram_to_data,
+    functor_from_data,
     presentation_from_data,
     presentation_to_data,
+    probes_from_data,
 )
 from laxcat.localization import present
 
@@ -369,6 +371,11 @@ MALFORMED_INPUT_FILES = {
     **{f"identities given as {v!r}": (["validate"], {
         "objects": ["x"], "identities": v}) for v in (0, False, "", [], None)},
     "file to localize that is a number": (["localize"], 5),
+    # one morphism is the identity of two objects, or of a non-object
+    "identity shared by two objects": (["validate"], {
+        "objects": ["x", "y"], "identities": {"x": "i", "y": "i"}}),
+    "identity of a non-object": (["validate"], {
+        "objects": ["x"], "identities": {"x": "id_x", "zzz": "id_x"}}),
     "probe manifest that is a list": (
         ["check", "thm-lax-colim-probe", "--count", "1", "--probes"],
         [category_to_data(terminal_cat())]),
@@ -425,29 +432,65 @@ def _mutant(text: str, strings: list[str], rng: random.Random):
     return data
 
 
+def _has_identity_table(C) -> bool:
+    """Whether C's identity table gives each object, and nothing else, one
+    endomorphism of that object."""
+    return set(C.identity) == set(C.objects) and all(
+        C.has_mor(i) and (C.src(i), C.tgt(i)) == (x, x)
+        for x, i in C.identity.items())
+
+
+def _fuzz_inputs(s: int):
+    """The files of seed s, each with its kind, its reader and the categories
+    an accepted read holds: a diagram, its marked base category, a probe
+    manifest of its categories, the presentation of its base and, when it
+    has a non-identity transition, the first one's functor file."""
+    p = GenParams(seed=s)
+    F = gen_diagram(gen_marking(gen_category(p), p), p)
+    data = diagram_to_data(F)
+    yield ("diagram", diagram_from_data, data,
+           lambda D: [D.base.cat, *D.fiber.values()])
+    yield "category", category_from_data, data["base"], lambda r: [r[0]]
+    yield ("probe manifest", probes_from_data,
+           {**data["fibers"], "base": data["base"]}, dict.values)
+    yield ("presentation", presentation_from_data,
+           presentation_to_data(present(F.base)), lambda pres: [])
+    I = F.base.cat
+    for m in sorted(data["transitions"])[:1]:
+        dom, cod = F.fiber[I.src(m)], F.fiber[I.tgt(m)]
+        yield ("functor", lambda d: functor_from_data(d, dom, cod),
+               data["transitions"][m], lambda T: [])
+
+
 def test_a_mutated_file_is_read_or_rejected_with_a_laxcat_error():
-    # single-point mutants of seeded diagram files and of their marked base
-    # categories: a reader accepts each or raises a LaxcatError, never
-    # another exception (a non-list "marked" once escaped as TypeError)
+    # single-point mutants of seeded files of every kind: a reader accepts
+    # each or raises a LaxcatError, never another exception (a non-list
+    # "marked" once escaped as TypeError), and every category it accepts has
+    # one identity endomorphism per object (one morphism once stood as the
+    # identity of two objects)
     rng = random.Random(0)
-    outcomes = {"accepted": 0, "rejected": 0}
+    outcomes = {}  # kind: [accepted, rejected]
     for s in range(30):
-        p = GenParams(seed=s)
-        data = diagram_to_data(gen_diagram(gen_marking(gen_category(p), p), p))
-        for reader, doc in ((diagram_from_data, data),
-                            (category_from_data, data["base"])):
+        for kind, reader, doc, categories in _fuzz_inputs(s):
+            counts = outcomes.setdefault(kind, [0, 0])
             text = json.dumps(doc)
             strings = sorted({x for box, k in _slots(doc)
                               for x in (k, box[k]) if isinstance(x, str)})
             for _ in range(80):
                 mutant = _mutant(text, strings, rng)
                 try:
-                    reader(mutant)
-                    outcomes["accepted"] += 1
+                    value = reader(mutant)
                 except LaxcatError:
-                    outcomes["rejected"] += 1
-    assert sum(outcomes.values()) == 4800
-    assert min(outcomes.values()) > 0, outcomes
+                    counts[1] += 1
+                    continue
+                counts[0] += 1
+                bad = [C.objects for C in categories(value)
+                       if not _has_identity_table(C)]
+                assert not bad, (kind, mutant)
+    assert {kind: sum(n) for kind, n in outcomes.items()} == {
+        "diagram": 2400, "category": 2400, "probe manifest": 2400,
+        "presentation": 2400, "functor": 1600}
+    assert all(min(n) > 0 for n in outcomes.values()), outcomes
 
 
 @pytest.mark.parametrize("command", ["grothendieck", "laxlim"])

@@ -13,6 +13,8 @@
   their maps.
 - ``validate_marking`` is called only in ``core.py``: the ``MarkedFinCat``
   constructor checks every marking once, so no other module checks one.
+- ``check_axioms`` is called only in ``core.fincat``: one place checks a
+  category's table, and io_formats is the one reader of category data.
 - ``composable_pairs()`` is called only inside ``check_axioms``,
   ``validate_marking`` and ``saturate_marking``.  A functor or a diagram is
   checked on the pairs whose left factor is a generator
@@ -170,6 +172,13 @@ def test_validate_marking_called_only_in_core(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Call) and callee(node) == "validate_marking"]
     assert not lines, f"{path.name}: validate_marking called at lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_check_axioms_called_only_in_fincat(path):
+    found = sorted((scope, line) for module, scope, line in _calls(path, "check_axioms")
+                   if (module, scope) != ("core.py", "fincat"))
+    assert not found, f"{path.name}: check_axioms() called in {found}"
 
 
 CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.Tuple, ast.DictComp, ast.ListComp,
