@@ -90,20 +90,32 @@ def gen_category(p: GenParams) -> FinCat:
         except SizeBoundExceeded:
             del edges[rng.choice(sorted(edges))]
 
-    # random identifications of parallel nonempty paths
-    groups: dict[tuple[str, str], list[tuple[str, ...]]] = {}
-    for (s, w), t in zip(window.nodes, window.tgts):
-        groups.setdefault((s, t), []).append(w)
+    # random identifications of parallel nonempty paths: those numbered from
+    # n on (_Window), each from the source of its first letter; a path's
+    # word is built only for a relation
+    heads, tgts, word = window.heads, window.tgts, window.word
+    groups: dict[tuple[str, str], list[int]] = {}
+    for i in range(n, len(tgts)):
+        groups.setdefault((edges[heads[i]][0], tgts[i]), []).append(i)
     relations = []
     for s, t in sorted(groups):
         grp = groups[s, t]
         for a in range(len(grp)):
             for b in range(a + 1, len(grp)):
-                if grp[a] and grp[b] and rng.random() < p.relation_density:
-                    relations.append(Relation(s, t, grp[a], grp[b]))
+                if rng.random() < p.relation_density:
+                    relations.append(Relation(s, t, word(grp[a])[1], word(grp[b])[1]))
     words = _Words(PresentedCat(tuple(objects), arrows, tuple(relations)), window)
-    return _quotient(words, words.classes(n),
-                     lambda r2, r1: words.find((r1[0], r1[1] + r2[1])))
+    # the classes in the order of their first paths, as _Words.classes lists
+    # them, with only the representatives' words built; every path is
+    # shorter than n, so every composite r1·r2 is a path of the window
+    find, walk = words._find, window.walk
+    rep: dict[int, tuple] = {}  # a class's word, by its root
+    for i in range(len(tgts)):
+        r = find(i)
+        if r not in rep:
+            rep[r] = word(r)
+    number = {w: r for r, w in rep.items()}
+    return _quotient(words, number, lambda r2, r1: rep[find(walk(number[r1], r2[1]))])
 
 
 def gen_marking(C: FinCat, p: GenParams) -> MarkedFinCat:

@@ -150,12 +150,14 @@ def _out_of(arrows) -> dict[str, list[Arrow]]:
 class _Window:
     """Every path of at most ``cap`` arrows, numbered breadth first from the
     empty path at each object (``out_of`` is the arrows by source, from
-    ``_out_of``, and its order fixes the numbering): ``nodes[i]`` is path
-    number i, ``tgts[i]`` its target, ``lens[i]`` its length and
-    ``heads[i]`` its first letter (None for an empty path).  The empty path
-    at the j-th object is number j, and ``level[k]`` is the number of paths
-    shorter than k, for k up to cap + 1.  ``widen`` appends the longer
-    paths, so a window is a prefix of every wider window of the same arrows.
+    ``_out_of``, and its order fixes the numbering): path number i has
+    target ``tgts[i]``, length ``lens[i]`` and first letter ``heads[i]``
+    (None for an empty path).  The empty path at the j-th object is number
+    j, and ``level[k]`` is the number of paths shorter than k, for k up to
+    cap + 1.  ``widen`` appends the longer paths, so a window is a prefix
+    of every wider window of the same arrows.  The window keeps these
+    arrays only: a path's ``(source, letters)`` is built when it is asked
+    for, by ``word`` for one path and by ``words`` for the first n.
 
     The numbering is arithmetic on both sides.  The one-letter extensions
     p·a of a path p shorter than the cap are contiguous, numbers
@@ -167,9 +169,14 @@ class _Window:
     that begin with c are those of length k out of the target of c, in the
     same order: c·x is x plus a shift that depends on c and on the length
     of x only (``left_shifts``).  So every one-letter extension of a path
-    has a higher number than the path."""
+    has a higher number than the path, and the paths in number order are
+    the empty paths and then the extensions of each path in turn.  This is
+    why the closure (``_Words``) links a fresh path p·a under the root of
+    rep(p)·a with no tie-break and no requeue: that root is shortlex-
+    smaller, and the only path whose representative changes is p·a, the
+    sweep's own, whose extensions are numbered above it."""
 
-    __slots__ = ("objects", "out_of", "pos", "root", "nodes", "tgts", "pre",
+    __slots__ = ("objects", "out_of", "pos", "root", "tgts", "pre",
                  "lens", "heads", "first_child", "level", "cap")
 
     def __init__(self, objects, out_of: dict[str, list[Arrow]]):
@@ -178,7 +185,6 @@ class _Window:
         self.pos = {a.name: k for arrows in out_of.values()
                     for k, a in enumerate(arrows)}
         self.root = {x: j for j, x in enumerate(self.objects)}
-        self.nodes: list[_Node] = [(x, ()) for x in self.objects]
         self.tgts: list[str] = list(self.objects)
         self.pre: list[int] = [-1] * len(self.objects)
         self.lens: list[int] = [0] * len(self.objects)
@@ -193,31 +199,55 @@ class _Window:
         with the count an enumeration one path at a time stops at (the
         check is made after each path's extensions); the window is then
         left half made."""
-        nodes, tgts, pre, heads = self.nodes, self.tgts, self.pre, self.heads
+        tgts, pre, heads = self.tgts, self.pre, self.heads
         first_child, level, out_of = self.first_child, self.level, self.out_of
         # the path that crosses the bound is the (max_words + 1)-th, or the
         # first appended when the objects alone outnumber max_words
-        limit = max(len(nodes), max_words)
+        limit = max(len(tgts), max_words)
         first_child.pop()
         for k in range(self.cap, cap):
             for i in range(level[-2], level[-1]):
-                first_child.append(len(nodes))
+                first_child.append(len(tgts))
                 arrows = out_of.get(tgts[i])
                 if arrows:
-                    s, w = nodes[i]
                     head = heads[i]
                     for a in arrows:
-                        nodes.append((s, w + (a.name,)))
                         tgts.append(a.tgt)
                         pre.append(i)
                         heads.append(a.name if head is None else head)
-                    if len(nodes) > limit:
+                    if len(tgts) > limit:
                         raise SizeBoundExceeded("localization words", "word",
                                                 limit + 1, max_words)
-            level.append(len(nodes))
+            level.append(len(tgts))
             self.lens.extend([k + 1] * (level[-1] - level[-2]))
-        first_child.append(len(nodes))
+        first_child.append(len(tgts))
         self.cap = max(self.cap, cap)
+
+    def word(self, i: int) -> _Node:
+        """Path number i as ``(source, letters)``."""
+        pre, first_child, tgts, out_of = (self.pre, self.first_child,
+                                          self.tgts, self.out_of)
+        letters = []
+        while pre[i] >= 0:
+            p = pre[i]
+            letters.append(out_of[tgts[p]][i - first_child[p]].name)
+            i = p
+        return self.objects[i], tuple(reversed(letters))
+
+    def words(self, n: int) -> list[_Node]:
+        """The paths numbered below n, as ``(source, letters)``, in order:
+        the empty paths, then the extensions of each path in turn."""
+        out: list[_Node] = [(x, ()) for x in self.objects]
+        append, tgts, out_of, p = out.append, self.tgts, self.out_of, 0
+        while len(out) < n:
+            arrows = out_of.get(tgts[p])
+            if arrows:
+                s, w = out[p]
+                for a in arrows:
+                    append((s, w + (a.name,)))
+            p += 1
+        del out[n:]
+        return out
 
     def walk(self, i: int, letters: tuple[str, ...]) -> int:
         """The number of path i followed by ``letters``, which must continue
@@ -229,13 +259,24 @@ class _Window:
 
     def index(self, nd: _Node) -> int:
         """The number of path ``nd``; KeyError when it is no path of the
-        window."""
-        try:
-            i = self.walk(self.root[nd[0]], nd[1])
-            if self.nodes[i] == nd:
+        window: an unknown source or letter, a letter that does not leave
+        from the target of the letters before it, or more letters than the
+        cap."""
+        s, letters = nd
+        if len(letters) <= self.cap and s in self.root:
+            first_child, pos, tgts, out_of = (self.first_child, self.pos,
+                                              self.tgts, self.out_of)
+            i = self.root[s]
+            for a in letters:
+                # a leaves from the walk's object, where its place holds it
+                # (arrow ids are distinct)
+                k = pos.get(a)
+                arrows = out_of.get(tgts[i], ())
+                if k is None or k >= len(arrows) or arrows[k].name != a:
+                    break
+                i = first_child[i] + k
+            else:
                 return i
-        except (KeyError, IndexError):
-            pass
         raise KeyError(nd)
 
     def left_shifts(self) -> list[dict[str, int]]:
@@ -319,8 +360,19 @@ class _Words:
     and of the closure by repeated full passes that this one replaced.
     Member lists are kept for the classes of more than one node only.
     With no seed and no class of two nodes the discrete partition is
-    already that congruence, and nothing is swept.  ``taken`` counts the nodes taken,
-    by the sweep and from the worklist, over every closure.
+    already that congruence, and nothing is swept.  ``taken`` counts the
+    nodes taken, by the sweep and from the worklist, over every closure.
+
+    A fresh node needs no tie-break.  Say the sweep's node i = p·a is still
+    a class of its own (a root with no members) and p is not its own
+    representative.  Then i goes straight under the root of rep(p)·a, the
+    join of the two that the loop would make anyway, and it is then joined
+    with b·rep(q) as any node.  No words are compared: rep(p) has p's
+    source (one source per class) and is shortlex-smaller than p, so
+    rep(p)·a is shortlex-smaller than p·a, and the root of its class, the
+    shortlex-least node there, is smaller still.  Nothing is requeued: the
+    join absorbs the class {i} alone, and i, the sweep's node, is no
+    member numbered below it.
 
     The closure runs on node numbers (``_Window``): ``parent`` is a list,
     and for w = p·a = b·q, p is ``pre[w]``, b is ``heads[w]``, rep(p)·a is
@@ -328,10 +380,11 @@ class _Words:
     among the arrows out of the common target), q is w less b's left shift
     at the length of q, and b·rep(q) is rep(q) plus b's left shift at the
     length of rep(q).  So no word is built or hashed on the way.  The loop
-    finds roots inline, halving paths, and compares two roots' words only
-    when their lengths are equal.  ``find`` and ``classes`` speak of nodes
-    as (source, letters) pairs, and ``classes`` lists them in the window's
-    order.
+    finds roots inline, halving paths, and compares two roots by length,
+    then by first letter, and builds their words (``_Window.word``) only
+    when both agree.
+    ``find`` and ``classes`` speak of nodes as (source, letters) pairs,
+    built on request, and ``classes`` lists them in the window's order.
 
     ``widen`` grows the window in place to a larger cap and closes it again.
     The partition so far stays: its joins are sound in the larger window.
@@ -345,7 +398,7 @@ class _Words:
     no relation is new to the window.
     """
 
-    __slots__ = ("pres", "window", "nodes", "parent", "members", "taken")
+    __slots__ = ("pres", "window", "parent", "members", "taken")
 
     def __init__(self, pres: PresentedCat, window: _Window):
         """The closed congruence on ``window``, which must be the window of
@@ -353,8 +406,7 @@ class _Words:
         _out_of(pres.arrows), cap, max_words)``)."""
         self.pres = pres
         self.window = window
-        self.nodes = window.nodes
-        self.parent = list(range(len(self.nodes)))
+        self.parent = list(range(len(window.tgts)))
         self.members: dict[int, list[int]] = {}  # classes of 2 or more nodes
         self.taken = 0
         self._close(-1, 0)
@@ -363,9 +415,10 @@ class _Words:
         """Grow the window to ``cap`` and close the congruence on it.  Raises
         SizeBoundExceeded as ``_paths`` does, after which the words are
         half made and not to be read."""
-        old, n = self.window.cap, len(self.nodes)
-        self.window.widen(cap, max_words)
-        self.parent.extend(range(n, len(self.nodes)))
+        window = self.window
+        old, n = window.cap, len(window.tgts)
+        window.widen(cap, max_words)
+        self.parent.extend(range(n, len(window.tgts)))
         self._close(old, n)
 
     def _find(self, i: int) -> int:
@@ -376,16 +429,17 @@ class _Words:
         return i
 
     def find(self, nd: _Node) -> _Node:
-        return self.nodes[self._find(self.window.index(nd))]
+        window = self.window
+        return window.word(self._find(window.index(nd)))
 
     def _close(self, old_cap: int, new: int) -> None:
         """Seed the relations longer than ``old_cap`` on a side and close,
         sweeping the nodes numbered from ``new`` on."""
-        window, nodes, parent, members = self.window, self.nodes, self.parent, self.members
-        cap, walk, root = window.cap, window.walk, window.root
+        window, parent, members = self.window, self.parent, self.members
+        cap, walk, root, word = window.cap, window.walk, window.root, window.word
         pre, lens, heads = window.pre, window.lens, window.heads
-        first_child = window.first_child
-        n = len(nodes)
+        first_child, objects = window.first_child, window.objects
+        n = len(parent)
         # both sides of a relation are paths (PresentedCat checks it), so nodes
         todo = [(walk(root[r.src], r.lhs), walk(root[r.src], r.rhs))
                 for r in self.pres.relations
@@ -411,8 +465,10 @@ class _Words:
                     parent[v] = v = parent[parent[v]]
                 if u == v:
                     continue
-                if lens[v] < lens[u] or (
-                        lens[v] == lens[u] and nodes[v][::-1] < nodes[u][::-1]):
+                # equal lengths: the first letters decide, or else the words
+                if lens[v] < lens[u] or lens[v] == lens[u] and (
+                        heads[v] < heads[u] if heads[v] != heads[u]
+                        else word(v)[::-1] < word(u)[::-1]):
                     u, v = v, u
                 parent[v] = u
                 moved = members.pop(v, None) or [v]
@@ -425,7 +481,10 @@ class _Words:
                         if not queued[ext]:
                             queued[ext] = 1
                             stack.append(ext)
-                    for c in into.get(nodes[x][0], ()):
+                    s = x  # the empty path at x's source
+                    while pre[s] >= 0:
+                        s = pre[s]
+                    for c in into.get(objects[s], ()):
                         ext = x + shifts[k][c]
                         if ext <= at and not queued[ext]:
                             queued[ext] = 1
@@ -446,17 +505,28 @@ class _Words:
             rq = i - shifts[k - 1][b]
             while parent[rq] != rq:
                 parent[rq] = rq = parent[parent[rq]]
-            todo = ((i, first_child[rp] + i - first_child[p]),
-                    (i, rq + shifts[lens[rq]][b]))
+            u = first_child[rp] + i - first_child[p]  # rep(p)·a
+            if i == at and rp != p and parent[i] == i and i not in members:
+                # a fresh node goes under the root of rep(p)·a, shortlex-
+                # smaller, and requeues nothing, being the sweep's node
+                while parent[u] != u:
+                    parent[u] = u = parent[parent[u]]
+                parent[i] = u
+                members.setdefault(u, [u]).append(i)
+                todo = ((i, rq + shifts[lens[rq]][b]),)
+            else:
+                todo = ((i, u), (i, rq + shifts[lens[rq]][b]))
         self.taken += taken
 
     def classes(self, max_len: int) -> dict[_Node, list[_Node]]:
         """Representative node -> all nodes of length <= max_len in the class,
         in the window's order."""
-        find, nodes, window = self._find, self.nodes, self.window
+        find, window = self._find, self.window
+        n = window.level[min(max_len, window.cap) + 1]
+        words = window.words(n)  # a representative is no longer than its members
         out: dict[_Node, list[_Node]] = {}
-        for i in range(window.level[min(max_len, window.cap) + 1]):
-            out.setdefault(nodes[find(i)], []).append(nodes[i])
+        for i in range(n):
+            out.setdefault(words[find(i)], []).append(words[i])
         return out
 
 
@@ -466,15 +536,17 @@ def _name(rep: _Node) -> str:
     return short_id("*".join(rep[1])) if rep[1] else "id_" + rep[0]
 
 
-def _quotient(words: _Words, classes: dict[_Node, list[_Node]],
+def _quotient(words: _Words, reps: Iterable[_Node],
               compose: Callable[[_Node, _Node], _Node]) -> FinCat:
-    """One morphism per class, named by its representative (``_name``), which
-    is its build_category payload: ``compose(r2, r1)`` is the representative
-    of r2 after r1."""
+    """One morphism per class, in the order of ``reps``, named by its
+    representative (``_name``), which is its build_category payload:
+    ``compose(r2, r1)`` is the representative of r2 after r1."""
     window = words.window
+    walk, root, tgts = window.walk, window.root, window.tgts
     return build_category(
         words.pres.objects,
-        [(_name(rep), rep[0], window.tgts[window.index(rep)], rep) for rep in classes],
+        [(_name(rep), rep[0], tgts[walk(root[rep[0]], rep[1])], rep)
+         for rep in reps],
         compose, lambda rep: not rep[1])
 
 
@@ -525,17 +597,18 @@ def _composites(words: _Words, cls: dict[_Node, list[_Node]]):
     and the count, which is that of the other composite classes, is always
     0 here; it is len(cls) only where ``_localize_presented`` finds the
     table inconsistent."""
-    window, nodes, find = words.window, words.nodes, words._find
+    window, find = words.window, words._find
     walk, root, tgts = window.walk, window.root, window.tgts
     ids = {r: walk(root[r[0]], r[1]) for r in cls}
+    rep_of = {i: r for r, i in ids.items()}  # the roots of cls, by number
     by_src: dict[str, list[_Node]] = {}
     for r in cls:
         by_src.setdefault(r[0], []).append(r)
     comp: dict[tuple[_Node, _Node], _Node] = {}
     for r1, i1 in ids.items():
         for r2 in by_src.get(tgts[i1], ()):
-            tgt = nodes[find(walk(i1, r2[1]))]
-            if tgt not in cls:
+            tgt = rep_of.get(find(walk(i1, r2[1])))
+            if tgt is None:
                 return None, ((r1[0], tgts[ids[r2]]), 0)
             comp[(r2, r1)] = tgt
     return comp, None

@@ -1,6 +1,7 @@
 """Category axioms, markings, and the basic constructors."""
 
 import itertools
+import random
 
 import pytest
 
@@ -89,6 +90,164 @@ def test_validate_reports_unit_law_failure():
         "dangling: identity given for non-object zzz\n"
         "dangling: morphism f has bad endpoints\n"
         "dangling: comp entry (g,i)=i unknown id")
+
+
+# -- the axiom check against its per-triple reference ------------------------------
+
+
+def _reference_check_axioms(C: FinCat) -> None:
+    """``check_axioms`` as it was before it read the table as rows, kept
+    verbatim as the reference the shipped check is compared with: accessor
+    calls per entry, totality by a look-up per composable pair, and a loop
+    over every composable triple."""
+    bad: list[str] = []
+    objects = set(C.objects)
+    for o in C.objects:
+        if o not in C.identity:
+            bad.append(f"dangling: object {o} has no identity")
+        elif not C.has_mor(C.identity[o]):
+            bad.append(f"dangling: identity of {o} is unknown")
+        elif (C.src(C.identity[o]), C.tgt(C.identity[o])) != (o, o):
+            bad.append(f"unit: identity {C.identity[o]} of {o} is no "
+                       f"endomorphism of {o}")
+    for o in sorted(set(C.identity) - objects):
+        bad.append(f"dangling: identity given for non-object {o}")
+    for m in C.morphisms:
+        if m.src not in objects or m.tgt not in objects:
+            bad.append(f"dangling: morphism {m.name} has bad endpoints")
+    for (g, f), h in C.comp.items():
+        if not (C.has_mor(g) and C.has_mor(f) and C.has_mor(h)):
+            bad.append(f"dangling: comp entry ({g},{f})={h} unknown id")
+            continue
+        if C.tgt(f) != C.src(g):
+            bad.append(f"composite: ({g},{f}) not composable")
+            continue
+        if C.src(h) != C.src(f) or C.tgt(h) != C.tgt(g):
+            bad.append(f"composite: ({g},{f})={h} has wrong endpoints")
+    _reference_fail_on(bad)
+    # totality
+    entries = C.comp.keys()
+    for g, f in C.composable_pairs():
+        if (g, f) not in entries:
+            bad.append(f"composite: missing composite ({g},{f})")
+    _reference_fail_on(bad)
+    # units
+    for m in C.morphisms:
+        e_src = C.identity[m.src]
+        e_tgt = C.identity[m.tgt]
+        if C.compose(m.name, e_src) != m.name:
+            bad.append(f"unit: ({m.name}, {e_src})")
+        if C.compose(e_tgt, m.name) != m.name:
+            bad.append(f"unit: ({e_tgt}, {m.name})")
+    # associativity on every composable triple
+    by_src: dict[str, list[str]] = {}
+    for m in C.morphisms:
+        by_src.setdefault(m.src, []).append(m.name)
+    for f in C.morphisms:
+        for g in by_src.get(f.tgt, []):
+            gf = C.comp[(g, f.name)]
+            for h in by_src.get(C.tgt(g), []):
+                if C.comp[(h, gf)] != C.comp[(C.comp[(h, g)], f.name)]:
+                    bad.append(f"associativity: ({h}, {g}, {f.name})")
+    _reference_fail_on(bad)
+
+
+def _reference_fail_on(violations: list[str]) -> None:
+    if violations:
+        raise MalformedTable("axiom failure:\n" + "\n".join(violations))
+
+
+def _verdict(check, C: FinCat) -> str | None:
+    """None when ``check`` accepts C, else its MalformedTable message."""
+    try:
+        check(C)
+    except MalformedTable as exc:
+        return str(exc)
+    return None
+
+
+def _mutants(C: FinCat, rng: random.Random):
+    """Single-point mutations of C's tables, as (kind, identity, comp)."""
+    names = [m.name for m in C.morphisms]
+    entries = sorted(C.comp)
+    # a changed composite: another id, in the composite's hom when it has one
+    g, f = rng.choice(entries)
+    others = [m for m in C.hom(C.src(f), C.tgt(g)) if m != C.comp[g, f]]
+    if not others or rng.random() < 0.2:
+        others = [m for m in names if m != C.comp[g, f]]
+    if others:
+        yield "changed composite", C.identity, {**C.comp, (g, f): rng.choice(others)}
+    # a deleted entry
+    comp = dict(C.comp)
+    del comp[rng.choice(entries)]
+    yield "deleted entry", C.identity, comp
+    # an added entry, for a pair of ids that has none, composable or not
+    absent = [(g, f) for g in names for f in names if (g, f) not in C.comp]
+    if absent:
+        yield "added entry", C.identity, {**C.comp, rng.choice(absent): rng.choice(names)}
+    # an unknown id, as a composite or in a key
+    comp = dict(C.comp)
+    g, f = rng.choice(entries)
+    key = rng.choice([(g, f), ("zz", f), (g, "zz")])
+    comp[key] = "zz" if key == (g, f) else comp.pop((g, f))
+    yield "unknown id", C.identity, comp
+    # a changed identity: another morphism, an unknown id, or a non-object
+    x = rng.choice(C.objects)
+    pick = rng.randrange(4)
+    if pick == 0 and len(C.hom(x, x)) > 1:
+        new = {x: rng.choice([m for m in C.hom(x, x) if m != C.identity[x]])}
+    elif pick == 1:
+        new = {x: rng.choice(names)}
+    elif pick == 2:
+        new = {x: "zz"}
+    else:
+        new = {"zz": C.identity[x]}
+    yield "changed identity", {**C.identity, **new}, C.comp
+
+
+def _axiom_corpus() -> list[FinCat]:
+    cats = [terminal_cat(), discrete_cat(["a", "b"]), walking_arrow(), walking_iso(),
+            parallel_pair(), chain_cat(3), checks._nonposet5(), checks._cospan_cat()]
+    cats += list(probe_suite().values())
+    for s in range(40):
+        cats.append(gen_category(GenParams(seed=s)))
+        cats.append(gen_category(GenParams(seed=s, max_objects=3, max_morphisms=6)))
+    for s in range(6):
+        p = GenParams(seed=s)
+        cats.append(grothendieck_cocart(gen_diagram(gen_marking(gen_category(p), p), p)).total.cat)
+    return cats
+
+
+def test_axiom_check_agrees_with_the_per_triple_reference_on_mutants():
+    # every single-point mutant is accepted by both checks, or rejected by
+    # both with the same message: the same stages, lines and line order
+    rng = random.Random(20801)
+    kinds: dict[str, int] = {}
+    lines: set[str] = set()
+    compared = several = 0
+    for C in _axiom_corpus():
+        assert _verdict(check_axioms, C) is None
+        for _ in range(5):
+            for kind, identity, comp in _mutants(C, rng):
+                # a table read from a file may list its entries in any order
+                items = list(comp.items())
+                rng.shuffle(items)
+                M = FinCat(C.objects, C.morphisms, identity, dict(items))
+                expected = _verdict(_reference_check_axioms, M)
+                assert _verdict(check_axioms, M) == expected, (kind, expected)
+                compared += 1
+                if expected is not None:
+                    kinds[kind] = kinds.get(kind, 0) + 1
+                    body = [line.split(":")[0] for line in expected.splitlines()[1:]]
+                    lines.update(body)
+                    several = max(several, body.count("associativity"))
+    assert compared >= 2000
+    assert set(kinds) == {"changed composite", "deleted entry", "added entry",
+                          "unknown id", "changed identity"}
+    # every stage rejects some mutant, and a message lists several
+    # associativity failures, whose order is pinned with their text
+    assert lines == {"dangling", "composite", "unit", "associativity"}
+    assert several >= 3
 
 
 def test_duplicate_ids_rejected():

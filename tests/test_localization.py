@@ -783,9 +783,14 @@ def _localize_stream_total(seed: int) -> PresentedCat:
     return present(grothendieck_cocart(F).total)
 
 
+def _all_words(window) -> list:
+    """Every word of a shipped window, in number order."""
+    return window.words(len(window.tgts))
+
+
 def _partition(words) -> dict:
     # a reference closure keeps its paths in its own endpoints dict
-    nodes = words.window.nodes if isinstance(words, _Words) else words.endpoints
+    nodes = _all_words(words.window) if isinstance(words, _Words) else words.endpoints
     return {nd: words.find(nd) for nd in nodes}
 
 
@@ -833,13 +838,33 @@ def test_closure_does_not_depend_on_the_order_of_the_relations():
                 (label, cap)
 
 
+def test_member_lists_are_the_classes_of_two_or_more_words():
+    # the requeue reads a class's members off its root, so after every
+    # closure, fresh or widened, the member lists are exactly the classes
+    # of two or more words, each under its root
+    for label, pres in _differential_presentations():
+        grown = _words(pres, 1, 4000)
+        for cap in range(2, 7):
+            try:
+                fresh = _words(pres, cap, 4000)
+            except SizeBoundExceeded:
+                break
+            grown.widen(cap, 4000)
+            for words in (fresh, grown):
+                classes: dict[int, list[int]] = {}
+                for i in range(len(words.window.tgts)):
+                    classes.setdefault(words._find(i), []).append(i)
+                assert {r: sorted(ms) for r, ms in words.members.items()} == \
+                    {r: ms for r, ms in classes.items() if len(ms) > 1}, (label, cap)
+
+
 def test_closure_takes_a_bounded_number_of_words():
     # the sweep takes each nonempty word of this window once, and the
     # worklist takes about 5% of them again (9,640 takes for 9,168 words);
     # one more full pass over the window would exceed 1.5 takes per word
     pres = _localize_stream_total(12)
     words = _words(pres, 6, 10_000)
-    n = len(words.window.nodes)
+    n = len(_all_words(words.window))
     assert n - len(pres.objects) < words.taken <= 1.5 * n
     # a widened window counts the takes of every closure
     grown = _words(pres, 4, 10_000)
@@ -864,10 +889,53 @@ def test_endpoints_keep_the_order_of_the_paths():
             grown.widen(cap, 4000)
             for words in (_words(pres, cap, 4000), grown):
                 window = words.window
-                endpoints = dict(zip(window.nodes, window.tgts))
+                endpoints = dict(zip(_all_words(window), window.tgts))
                 assert list(endpoints.items()) == list(expected.items()), \
                     (label, cap)
-                assert words.window.nodes == list(expected), (label, cap)
+                assert _all_words(words.window) == list(expected), (label, cap)
+
+
+def test_words_are_built_on_request_as_the_paths():
+    # word(i), words(n) and index agree with _tuple_paths' order on a fresh
+    # window and on one widened a length at a time
+    checked = 0
+    for label, pres in _differential_presentations():
+        out_of = _out_of(pres.arrows)
+        grown = _paths(pres.objects, out_of, 0, 4000)
+        for cap in range(0, 7):
+            try:
+                expected = list(_tuple_paths(pres.objects, out_of, cap, 4000))
+            except SizeBoundExceeded:
+                break
+            grown.widen(cap, 4000)
+            for window in (_paths(pres.objects, out_of, cap, 4000), grown):
+                assert len(window.tgts) == len(expected), (label, cap)
+                assert [window.word(i) for i in range(len(expected))] == expected, \
+                    (label, cap)
+                for n in {*window.level, len(expected) // 2, len(expected)}:
+                    assert window.words(n) == expected[:n], (label, cap, n)
+                assert [window.index(nd) for nd in expected] == \
+                    list(range(len(expected))), (label, cap)
+                checked += 1
+    assert checked >= 400
+
+
+def test_index_rejects_what_is_no_path_of_the_window():
+    # a: x -> y, b: y -> x, c: x -> x; the window of cap 2
+    pres = PresentedCat(("x", "y"), (Arrow("a", "x", "y"), Arrow("b", "y", "x"),
+                                     Arrow("c", "x", "x")), ())
+    window = _paths(pres.objects, _out_of(pres.arrows), 2, 4000)
+    assert window.index(("x", ("a", "b"))) == window.walk(0, ("a", "b"))
+    # c leaves from x, not from y where a ends: an unchecked walk lands on
+    # some other word of the window
+    assert window.walk(0, ("a", "c")) < len(window.tgts)
+    assert window.word(window.walk(0, ("a", "c"))) != ("x", ("a", "c"))
+    for nd in (("x", ("a", "c")),  # a letter that leaves from another object
+               ("x", ("zz",)),  # an unknown letter
+               ("x", ("c", "c", "c")),  # longer than the cap
+               ("z", ())):  # an unknown source
+        with pytest.raises(KeyError):
+            window.index(nd)
 
 
 def test_widened_window_closes_to_the_fresh_closure():
@@ -932,7 +1000,7 @@ def _all_pairs_composites(words, cls, L: int):
     """_composites as it was before one find per pair of classes: the
     composite classes of every pair of members whose composite is in the
     window.  Kept as the reference for the one-find version."""
-    endpoints = dict(zip(words.window.nodes, words.window.tgts))
+    endpoints = dict(zip(_all_words(words.window), words.window.tgts))
     comp = {}
     for r1, ws1 in cls.items():
         for r2, ws2 in cls.items():

@@ -15,10 +15,11 @@
   constructor checks every marking once, so no other module checks one.
 - ``check_axioms`` is called only in ``core.fincat``: one place checks a
   category's table, and io_formats is the one reader of category data.
-- ``composable_pairs()`` is called only inside ``check_axioms``,
-  ``validate_marking`` and ``saturate_marking``.  A functor or a diagram is
-  checked on the pairs whose left factor is a generator
-  (``FinCat.generator_pairs``), not on every composable pair.
+- ``composable_pairs()`` is called only inside ``validate_marking`` and
+  ``saturate_marking``.  A functor or a diagram is checked on the pairs
+  whose left factor is a generator (``FinCat.generator_pairs``), not on
+  every composable pair, and ``check_axioms`` counts the composable pairs
+  and reads the table as rows.
 - ``fincat`` is called only in ``build_category``, ``subcategory`` and
   ``opposite_cat``, in the named small categories of ``core.py``, in
   ``io_formats.py``, and in the literal tables ``generator._monoid3``,
@@ -53,6 +54,10 @@
 - No class defines ``__missing__``: no table is filled lazily.  A
   composition table is a plain ``dict`` built whole (``build_category``),
   and a functor category's composites come from ``FunHoms.compose``.
+- ``localization._Window`` holds no per-word list of words: its
+  ``__slots__`` has no ``nodes``, and nothing in ``src/laxcat`` reads a
+  ``.nodes`` attribute.  The window keeps integer arrays, and a word's
+  ``(source, letters)`` is built only when asked for (``word``, ``words``).
 
 One rule covers the tests themselves:
 
@@ -193,7 +198,7 @@ def test_no_assert_of_a_container(path):
     assert not lines, f"{path.name}: assert of a container at lines {lines}"
 
 
-COMPOSABLE_PAIRS_CALLERS = {"check_axioms", "validate_marking", "saturate_marking"}
+COMPOSABLE_PAIRS_CALLERS = {"validate_marking", "saturate_marking"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -307,3 +312,26 @@ def test_the_probe_check_imports_no_isomorphism_search():
         "is_essentially_surjective", "marked_functor_category",
         "unfaithful_pair", "unreached_object"}
     assert not found, f"localization.py imports {sorted(found)}"
+
+
+def _slots(path: pathlib.Path, class_name: str) -> set[str]:
+    tree = ast.parse(path.read_text(), str(path))
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == class_name)
+    value = next(stmt.value for stmt in cls.body if isinstance(stmt, ast.Assign)
+                 and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets))
+    return {elt.value for elt in value.elts}
+
+
+def test_the_word_window_keeps_no_list_of_words():
+    slots = _slots(SRC / "localization.py", "_Window")
+    assert {"tgts", "pre", "lens", "heads", "first_child", "level"} <= slots
+    assert "nodes" not in slots
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_a_nodes_attribute(path):
+    tree = ast.parse(path.read_text(), str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "nodes"]
+    assert not lines, f"{path.name}: .nodes read at lines {lines}"
