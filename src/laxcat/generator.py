@@ -105,8 +105,8 @@ def gen_category(p: GenParams) -> FinCat:
                 if rng.random() < p.relation_density:
                     relations.append(Relation(s, t, word(grp[a])[1], word(grp[b])[1]))
     words = _Words(PresentedCat(tuple(objects), arrows, tuple(relations)), window)
-    # the classes in the order of their first paths, as _Words.classes lists
-    # them, with only the representatives' words built; every path is
+    # the classes in the order of their first paths, as _Words.representatives
+    # lists them, with only the representatives' words built; every path is
     # shorter than n, so every composite r1·r2 is a path of the window
     find, walk = words._find, window.walk
     rep: dict[int, tuple] = {}  # a class's word, by its root

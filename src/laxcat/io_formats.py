@@ -1,13 +1,14 @@
 """JSON file formats: categories, functors, diagrams, presentations, reports.
 
 All writers emit canonical JSON (sorted keys, fixed separators) so that equal
-values serialize to identical bytes.
+values serialize to identical bytes.  Each public reader checks its file once
+against its kind's shape (``_check_shape``), then only builds.  A shape is
+``str``, ``[item]``, ``{str: item}`` or a record whose "?" keys are optional.
 """
 
 from __future__ import annotations
 
 import json
-from operator import itemgetter
 
 from .core import (
     FinCat,
@@ -15,42 +16,69 @@ from .core import (
     MarkedFinCat,
     Mor,
     fincat,
+    flat_marking,
     identity_functor,
 )
 from .diagrams import CatDiagram
 from .errors import MalformedTable
 from .localization import Arrow, PresentedCat, Relation
 
+_ROW = {"id": str, "src": str, "tgt": str}
+_CATEGORY = {"objects": [str], "morphisms?": [_ROW],  # also a fiber or a probe
+             "composition?": [{"after": str, "before": str, "equals": str}],
+             "identities?": {str: str}, "marked?": [str]}
+_FUNCTOR = {"object_map": {str: str}, "morphism_map?": {str: str}}
+_DIAGRAM = {"base": _CATEGORY, "fibers": {str: _CATEGORY},
+            "transitions?": {str: _FUNCTOR}}
+_PRESENTATION = {"objects": [str], "arrows": [_ROW], "relations": [
+    {"lhs": [str], "rhs": [str], "src?": str, "tgt?": str}]}
+_PROBES = {str: _CATEGORY}
+
+
+def _check_shape(data, shape, what: str) -> None:
+    """Raise MalformedTable at the path of the first field of data off its shape."""
+    bad = _misfit(data, shape)
+    if bad is not None:
+        raise MalformedTable(what + bad)
+
+
+def _misfit(value, shape) -> str | None:
+    """None if ``value`` has ``shape``, else its path to the problem."""
+    if shape is str:
+        return None if isinstance(value, str) else ": expected a string"
+    if not isinstance(value, type(shape)):
+        return ": expected a list" if isinstance(shape, list) else ": expected an object"
+    if isinstance(value, dict) and str not in shape:  # a record
+        given = 0
+        for key, item in shape.items():
+            name = key.rstrip("?")
+            if name in value:
+                given += 1
+                bad = _misfit(value[name], item)
+                if bad is not None:
+                    return f".{name}{bad}"
+            elif name == key:
+                return f": missing key {name}"
+        unknown = given < len(value) and value.keys() - {k.rstrip("?") for k in shape}
+        return f": unknown keys {sorted(unknown)}" if unknown else None
+    item = shape[0] if isinstance(shape, list) else shape[str]
+    items = value if isinstance(value, list) else value.values()
+    # one pass over strings, or over rows of exactly the same string fields
+    if item is str and all(isinstance(v, str) for v in items):
+        return None
+    if item is not str and all(s is str for s in item.values()) and all(
+            isinstance(e, dict) and e.keys() == item.keys() for e in items) and all(
+            isinstance(v, str) for e in items for v in e.values()):
+        return None
+    for k, v in enumerate(value) if items is value else value.items():
+        bad = _misfit(v, item)
+        if bad is not None:
+            return (f"[{k}]" if items is value else f".{k}") + bad
+    return None
+
 
 def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
-
-
-def _require_keys(data: dict, allowed: set[str], what: str) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise MalformedTable(f"{what}: unknown keys {sorted(unknown)}")
-
-
-def _strings(values) -> bool:
-    return isinstance(values, list) and all(isinstance(v, str) for v in values)
-
-
-def _string_map(value) -> bool:
-    return isinstance(value, dict) and _strings(list(value.values()))
-
-
-def _entries(entries, fields: tuple[str, ...], what: str) -> list[tuple]:
-    """The values of ``fields`` in each entry of a list of objects that have
-    exactly those fields, all strings."""
-    keys = set(fields)
-    if isinstance(entries, list) and all(
-            isinstance(e, dict) and e.keys() == keys for e in entries):
-        rows = list(map(itemgetter(*fields), entries))  # fields has >= 2
-        if all(isinstance(v, str) for row in rows for v in row):
-            return rows
-    raise MalformedTable(f"{what} must be a list of objects with exactly "
-                         f"the string fields {', '.join(fields)}")
 
 
 def category_to_data(C: FinCat, marked: frozenset[str] | None = None) -> dict:
@@ -68,63 +96,51 @@ def category_to_data(C: FinCat, marked: frozenset[str] | None = None) -> dict:
     return data
 
 
-def category_from_data(data: dict) -> tuple[FinCat, frozenset[str] | None]:
-    """Returns the category and the marked set if one was given (identities
-    and isomorphisms are added to it before validation)."""
-    C, mk = _category_parts(data)
-    return C, None if mk is None else MarkedFinCat(C, mk).marked
+def category_from_data(data) -> tuple[FinCat, frozenset[str] | None]:
+    """The category, and its marked set (with identities and isos) if given."""
+    _check_shape(data, _CATEGORY, "category")
+    C, Cm = _category(data)
+    return C, None if Cm is None else Cm.marked
 
 
-def marked_category_from_data(data: dict) -> MarkedFinCat:
-    C, mk = _category_parts(data)
-    return MarkedFinCat(C, C.iso_set() if mk is None else mk)
+def marked_category_from_data(data) -> MarkedFinCat:
+    _check_shape(data, _CATEGORY, "category")
+    C, Cm = _category(data)
+    return Cm or flat_marking(C)
 
 
-def _category_parts(data: dict) -> tuple[FinCat, frozenset[str] | None]:
-    """The checked category and the unchecked marked set of a file."""
-    if not isinstance(data, dict):
-        raise MalformedTable("category: expected a JSON object")
-    _require_keys(data, {"objects", "morphisms", "composition", "identities",
-                         "marked"}, "category")
-    objects = data.get("objects")
-    if not _strings(objects):
-        raise MalformedTable("category: objects must be a list of strings")
-    # a key given must have its type, falsy or not; an absent marked means
-    # no marking, and absent or empty identities mean the ids id_x
-    identities, marked = data.get("identities", {}), data.get("marked", [])
-    if not (_string_map(identities) and _strings(marked)):
-        raise MalformedTable("category: identities must map objects to "
-                             "strings, and marked must be a list of strings")
-    morphisms = [Mor(*e) for e in _entries(data.get("morphisms", []),
-                                           ("id", "src", "tgt"),
-                                           "category: morphisms")]
-    identity = dict(identities or {x: f"id_{x}" for x in objects})
+def _category(data: dict) -> tuple[FinCat, MarkedFinCat | None]:
+    """The category of file data, and its marking if the data gives one."""
+    objects = data["objects"]
+    identity = data.get("identities") or {x: f"id_{x}" for x in objects}
+    morphisms = [Mor(e["id"], e["src"], e["tgt"]) for e in data.get("morphisms", ())]
     named = {m.name for m in morphisms}
     for x, i in identity.items():
         if i not in named:
             morphisms.append(Mor(i, x, x))
             named.add(i)
-    comp = {(g, f): h for g, f, h in _entries(data.get("composition", []),
-                                              ("after", "before", "equals"),
-                                              "category: composition")}
-    # identity composites are synthesized
+    rows = data.get("composition", ())
+    comp = {(e["after"], e["before"]): e["equals"] for e in rows}
+    for e in rows if len(comp) < len(rows) else ():  # a pair given twice
+        if comp[e["after"], e["before"]] != e["equals"]:
+            raise MalformedTable(f"category: composition entry {e} contradicts another")
+    # unit composites not given are synthesized; check_axioms checks the rest
     for m in morphisms:
         if m.src not in identity or m.tgt not in identity:
             raise MalformedTable(f"category: morphism {m.name} does not end "
                                  f"at objects with identities")
-        comp[(identity[m.tgt], m.name)] = m.name
-        comp[(m.name, identity[m.src])] = m.name
+        comp.setdefault((identity[m.tgt], m.name), m.name)
+        comp.setdefault((m.name, identity[m.src]), m.name)
     C = fincat(objects, morphisms, identity, comp)
     if "marked" not in data:
         return C, None
-    return C, frozenset(marked) | frozenset(identity.values()) | C.iso_set()
+    return C, MarkedFinCat(C, C.iso_set().union(data["marked"], identity.values()))
 
 
-def probes_from_data(data: dict) -> dict[str, FinCat]:
+def probes_from_data(data) -> dict[str, FinCat]:
     """The checked categories of a probe manifest ``{name: category}``."""
-    if not isinstance(data, dict):
-        raise MalformedTable("probes: expected a JSON object {name: category}")
-    return {name: category_from_data(d)[0] for name, d in data.items()}
+    _check_shape(data, _PROBES, "probes")
+    return {name: _category(d)[0] for name, d in data.items()}
 
 
 def functor_to_data(F: Functor) -> dict:
@@ -132,12 +148,12 @@ def functor_to_data(F: Functor) -> dict:
             "morphism_map": dict(F.morphism_map)}
 
 
-def functor_from_data(data: dict, dom: FinCat, cod: FinCat) -> Functor:
-    if not (isinstance(data, dict) and _string_map(data.get("object_map"))
-            and _string_map(data.get("morphism_map", {}))):
-        raise MalformedTable("functor: expected the string maps object_map "
-                             "and morphism_map")
-    _require_keys(data, {"object_map", "morphism_map"}, "functor")
+def functor_from_data(data, dom: FinCat, cod: FinCat) -> Functor:
+    _check_shape(data, _FUNCTOR, "functor")
+    return _functor(data, dom, cod)
+
+
+def _functor(data: dict, dom: FinCat, cod: FinCat) -> Functor:
     omap = dict(data["object_map"])
     mmap = dict(data.get("morphism_map", {}))
     unknown = [x for x in omap if x not in dom.objects] + [
@@ -162,30 +178,24 @@ def diagram_to_data(F: CatDiagram) -> dict:
     }
 
 
-def diagram_from_data(data: dict) -> CatDiagram:
-    if not (isinstance(data, dict) and isinstance(data.get("fibers"), dict)
-            and isinstance(data.get("transitions", {}), dict)):
-        raise MalformedTable("diagram: expected a JSON object with a fibers "
-                             "object and a transitions object")
-    _require_keys(data, {"base", "fibers", "transitions"}, "diagram")
-    base = marked_category_from_data(data.get("base"))
-    fibers = {x: category_from_data(c)[0] for x, c in data["fibers"].items()}
-    missing = [x for x in base.cat.objects if x not in fibers]
+def diagram_from_data(data) -> CatDiagram:
+    _check_shape(data, _DIAGRAM, "diagram")
+    I, marked = _category(data["base"])
+    base = marked or flat_marking(I)
+    fibers = {x: _category(c)[0] for x, c in data["fibers"].items()}
+    missing = [x for x in I.objects if x not in fibers]
     if missing:
         raise MalformedTable(f"diagram: no fiber at base objects {missing}")
-    extra = sorted(set(fibers).difference(base.cat.objects))
+    extra = sorted(set(fibers).difference(I.objects))
     if extra:
         raise MalformedTable(f"diagram: fibers at non-objects {extra}")
     given = data.get("transitions", {})
-    unknown = sorted(m for m in given if not base.cat.has_mor(m))
+    unknown = sorted(m for m in given if not I.has_mor(m))
     if unknown:
         raise MalformedTable(f"diagram: transitions at non-morphisms {unknown}")
-    transitions = {}
-    for x in base.cat.objects:
-        transitions[base.cat.identity[x]] = identity_functor(fibers[x])
+    transitions = {I.identity[x]: identity_functor(fibers[x]) for x in I.objects}
     for m, fd in given.items():
-        transitions[m] = functor_from_data(
-            fd, fibers[base.cat.src(m)], fibers[base.cat.tgt(m)])
+        transitions[m] = _functor(fd, fibers[I.src(m)], fibers[I.tgt(m)])
     return CatDiagram(base, fibers, transitions)
 
 
@@ -203,25 +213,14 @@ def presentation_to_data(p: PresentedCat) -> dict:
     }
 
 
-def presentation_from_data(data: dict) -> PresentedCat:
+def presentation_from_data(data) -> PresentedCat:
     """The checked presentation of a file.  A relation may leave out ``src``
     and ``tgt`` when one of its sides is a nonempty path, which gives them."""
-    if not (isinstance(data, dict)
-            and set(data) == {"objects", "arrows", "relations"}
-            and _strings(data["objects"]) and isinstance(data["arrows"], list)
-            and isinstance(data["relations"], list)):
-        raise MalformedTable("presentation: expected the lists objects, arrows "
-                             "and relations, and no other key")
-    arrows = [Arrow(*e) for e in _entries(data["arrows"], ("id", "src", "tgt"),
-                                          "presentation: arrows")]
+    _check_shape(data, _PRESENTATION, "presentation")
+    arrows = [Arrow(e["id"], e["src"], e["tgt"]) for e in data["arrows"]]
     ends = {a.name: (a.src, a.tgt) for a in arrows}
     relations = []
     for e in data["relations"]:
-        if not (isinstance(e, dict) and _strings(e.get("lhs"))
-                and _strings(e.get("rhs"))
-                and _strings([e.get("src", ""), e.get("tgt", "")])):
-            raise MalformedTable(f"presentation: bad relation entry {e!r}")
-        _require_keys(e, {"lhs", "rhs", "src", "tgt"}, "relation")
         path = e["lhs"] or e["rhs"]
         if "src" in e or "tgt" in e or not path:
             s, t = e.get("src"), e.get("tgt")

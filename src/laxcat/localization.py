@@ -383,8 +383,9 @@ class _Words:
     finds roots inline, halving paths, and compares two roots by length,
     then by first letter, and builds their words (``_Window.word``) only
     when both agree.
-    ``find`` and ``classes`` speak of nodes as (source, letters) pairs,
-    built on request, and ``classes`` lists them in the window's order.
+    ``find`` and ``representatives`` speak of nodes as (source, letters)
+    pairs, built on request, and ``representatives`` lists them in the
+    window's order of the classes' first nodes.
 
     ``widen`` grows the window in place to a larger cap and closes it again.
     The partition so far stays: its joins are sound in the larger window.
@@ -518,16 +519,13 @@ class _Words:
                 todo = ((i, u), (i, rq + shifts[lens[rq]][b]))
         self.taken += taken
 
-    def classes(self, max_len: int) -> dict[_Node, list[_Node]]:
-        """Representative node -> all nodes of length <= max_len in the class,
-        in the window's order."""
-        find, window = self._find, self.window
+    def representatives(self, max_len: int) -> list[_Node]:
+        """The representative of each class of the nodes of length <= max_len,
+        in the window's order of each class's first node.  Only their words
+        are built; a representative is no longer than its members."""
+        window = self.window
         n = window.level[min(max_len, window.cap) + 1]
-        words = window.words(n)  # a representative is no longer than its members
-        out: dict[_Node, list[_Node]] = {}
-        for i in range(n):
-            out.setdefault(words[find(i)], []).append(words[i])
-        return out
+        return [window.word(r) for r in dict.fromkeys(map(self._find, range(n)))]
 
 
 def _name(rep: _Node) -> str:
@@ -583,12 +581,12 @@ def localize_presentation(pres: PresentedCat,
     return _localize_presented(pres, bounds)[0]
 
 
-def _composites(words: _Words, cls: dict[_Node, list[_Node]]):
+def _composites(words: _Words, cls: list[_Node]):
     """Each composite class keyed (second, first), and None; or None and the
     hom and class count of the first pair whose composites are not one class.
 
-    ``cls`` is ``words.classes(L)`` on a window of 2L.  One find per pair
-    of classes decides it: the composite of r2 after r1 is the class of
+    ``cls`` is ``words.representatives(L)`` on a window of 2L.  One find
+    per pair of classes decides it: the composite of r2 after r1 is the class of
     r1·r2, a node as both are at most L long.  For members n1 ~ r1 and n2 ~ r2 the congruence the window is
     closed under gives n1·n2 ~ r1·n2 ~ r1·r2, each a node since a
     representative is no longer than its members, so every member pair
@@ -625,7 +623,7 @@ def _localize_presented(pres: PresentedCat, bounds: Bounds):
             return LocalizationResult("size-bound", bound={
                 "which": "max_words", "cap": e.cap, "at": e.count,
                 "word_length": 2 * L}), None
-        cls = words.classes(L)
+        cls = words.representatives(L)
         if len(cls) > bounds.max_morphisms:
             return LocalizationResult("size-bound", bound={
                 "which": "max_morphisms", "cap": bounds.max_morphisms,

@@ -1,5 +1,6 @@
 """File formats, canonical serialization, and the command-line interface."""
 
+import copy
 import json
 import random
 
@@ -20,12 +21,19 @@ from laxcat.diagrams import constant_diagram
 from laxcat.errors import LaxcatError, MalformedTable
 from laxcat.generator import GenParams, gen_category, gen_diagram, gen_marking
 from laxcat.io_formats import (
+    _CATEGORY,
+    _DIAGRAM,
+    _FUNCTOR,
+    _PRESENTATION,
+    _PROBES,
+    _check_shape,
     canonical_json,
     category_from_data,
     category_to_data,
     diagram_from_data,
     diagram_to_data,
     functor_from_data,
+    functor_to_data,
     presentation_from_data,
     presentation_to_data,
     probes_from_data,
@@ -345,6 +353,8 @@ def _arrow_over_an_arrow(edit):
     return data
 
 
+_ENDO = {"objects": ["x"], "morphisms": [{"id": "f", "src": "x", "tgt": "x"}]}
+
 # each case: the command line before the file's name, and the file's data
 MALFORMED_INPUT_FILES = {
     "transition without object_map": (["grothendieck"], _arrow_over_an_arrow(
@@ -379,6 +389,14 @@ MALFORMED_INPUT_FILES = {
     "probe manifest that is a list": (
         ["check", "thm-lax-colim-probe", "--count", "1", "--probes"],
         [category_to_data(terminal_cat())]),
+    # a composition list that contradicts itself: an identity composite
+    # against the unit law, and one pair given two composites
+    "composite with an identity against the unit law": (["validate"], {
+        **_ENDO, "composition": [{"after": "f", "before": "f", "equals": "f"},
+                                 {"after": "id_x", "before": "f", "equals": "id_x"}]}),
+    "pair given two composites": (["validate"], {
+        **_ENDO, "composition": [{"after": "f", "before": "f", "equals": "id_x"},
+                                 {"after": "f", "before": "f", "equals": "f"}]}),
 }
 
 
@@ -388,6 +406,126 @@ def test_cli_malformed_input_file_exits_3(tmp_path, capsys, case):
     f = _write(tmp_path, "input.json", data)
     assert main(argv + [f]) == 3
     assert capsys.readouterr().err.startswith("invalid input:")
+
+
+def test_a_composition_entry_that_agrees_may_be_given_again():
+    # an identity composite as the unit law gives it, and a pair repeated
+    # with the same composite, read as the table without them
+    C, _ = category_from_data({**_ENDO, "composition": [
+        {"after": "f", "before": "f", "equals": "f"},
+        {"after": "f", "before": "f", "equals": "f"},
+        {"after": "id_x", "before": "f", "equals": "f"}]})
+    assert C.compose("f", "f") == "f"
+    assert C.compose("id_x", "f") == "f"
+
+
+def test_every_writer_writes_the_shape_its_reader_checks():
+    checked = 0
+    for s in range(15):
+        p = GenParams(seed=s)
+        F = gen_diagram(gen_marking(gen_category(p), p), p)
+        I = F.base.cat
+        written = [
+            (category_to_data(I), _CATEGORY),
+            (category_to_data(I, F.base.marked), _CATEGORY),
+            (diagram_to_data(F), _DIAGRAM),
+            (presentation_to_data(present(F.base)), _PRESENTATION),
+            ({x: category_to_data(c) for x, c in F.fiber.items()}, _PROBES),
+            *((functor_to_data(T), _FUNCTOR) for T in F.transition.values()),
+        ]
+        for data, shape in written:
+            _check_shape(data, shape, "written")
+            checked += 1
+    # relations with an empty side carry their endpoints
+    data = presentation_to_data(present(sharp_marking(walking_arrow())))
+    assert any("src" in r for r in data["relations"])
+    _check_shape(data, _PRESENTATION, "written")
+    assert checked > 100
+
+
+def _corrupt(data, path, value):
+    """data with the field at path (keys and indices) set to value, or
+    removed when value is _DROP."""
+    box = data
+    for step in path[:-1]:
+        box = box[step]
+    if value is _DROP:
+        del box[path[-1]]
+    else:
+        box[path[-1]] = value
+    return data
+
+
+_DROP = object()
+_ARROW_DIAGRAM = _arrow_over_an_arrow(lambda d: None)
+_ARROW_FUNCTOR = _ARROW_DIAGRAM["transitions"]["a01"]
+
+# each case: the reader, its file, the field changed and its new value, and
+# the start of the message, which names the field's path
+SHAPE_FAULTS = {
+    "diagram fiber morphism end": (
+        diagram_from_data, _ARROW_DIAGRAM, ("fibers", "1", "morphisms", 0, "src"), 5,
+        "diagram.fibers.1.morphisms[0].src: expected a string"),
+    "diagram transition object image": (
+        diagram_from_data, _ARROW_DIAGRAM, ("transitions", "a01", "object_map", "0"),
+        None, "diagram.transitions.a01.object_map.0: expected a string"),
+    "diagram base marked": (
+        diagram_from_data, _ARROW_DIAGRAM, ("base", "marked"), "",
+        "diagram.base.marked: expected a list"),
+    "diagram base composition entry": (
+        diagram_from_data, diagram_to_data(constant_diagram(
+            flat_marking(chain_cat(2)), walking_arrow())),
+        ("base", "composition", 0, "equals"), _DROP,
+        "diagram.base.composition[0]: missing key equals"),
+    "diagram without fibers": (
+        diagram_from_data, _ARROW_DIAGRAM, ("fibers",), _DROP,
+        "diagram: missing key fibers"),
+    "diagram fibers as a list": (
+        diagram_from_data, _ARROW_DIAGRAM, ("fibers",), [],
+        "diagram.fibers: expected an object"),
+    "diagram fiber key": (
+        diagram_from_data, _ARROW_DIAGRAM, ("fibers", "0", "zz"), [],
+        "diagram.fibers.0: unknown keys ['zz']"),
+    "category identities": (
+        category_from_data, category_to_data(chain_cat(2)), ("identities",),
+        ["id_0"], "category.identities: expected an object"),
+    "category object": (
+        category_from_data, category_to_data(chain_cat(2)), ("objects", 2), 2,
+        "category.objects[2]: expected a string"),
+    "presentation relation side": (
+        presentation_from_data, _CYCLE, ("relations", 0, "lhs", 1), ["b"],
+        "presentation.relations[0].lhs[1]: expected a string"),
+    "presentation relation source": (
+        presentation_from_data, _CYCLE, ("relations", 0, "src"), 0,
+        "presentation.relations[0].src: expected a string"),
+    # keys that spell the record's optional ones do not make a row of strings
+    "presentation relation keyed like its shape": (
+        presentation_from_data, _CYCLE, ("relations", 0),
+        {"lhs": "b", "rhs": "b", "src?": "x", "tgt?": "x"},
+        "presentation.relations[0].lhs: expected a list"),
+    "presentation relation key": (
+        presentation_from_data, _CYCLE, ("relations", 0, "zz"), "x",
+        "presentation.relations[0]: unknown keys ['zz']"),
+    "functor morphism image": (
+        lambda d: functor_from_data(d, walking_arrow(), walking_arrow()),
+        _ARROW_FUNCTOR, ("morphism_map", "a01"), {"zz": "zz"},
+        "functor.morphism_map.a01: expected a string"),
+    "functor without object_map": (
+        lambda d: functor_from_data(d, walking_arrow(), walking_arrow()),
+        _ARROW_FUNCTOR, ("object_map",), _DROP, "functor: missing key object_map"),
+    "probe category object": (
+        probes_from_data, {"t": category_to_data(terminal_cat())},
+        ("t", "objects", 0), True, "probes.t.objects[0]: expected a string"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_FAULTS))
+def test_a_shape_fault_is_named_by_its_path(case):
+    reader, data, path, value, message = SHAPE_FAULTS[case]
+    reader(copy.deepcopy(data))  # the file before the change is read
+    with pytest.raises(MalformedTable) as e:
+        reader(_corrupt(copy.deepcopy(data), path, value))
+    assert str(e.value) == message
 
 
 def test_absent_marking_and_identities_keep_their_meaning():

@@ -996,11 +996,22 @@ def test_word_count_bound_is_recorded_as_before():
                     break
 
 
-def _all_pairs_composites(words, cls, L: int):
+def _members(words, L: int) -> dict:
+    """Representative -> every word of length <= L in its class, in the
+    window's order, read off the whole window and the union-find."""
+    cls = {}
+    for w in _all_words(words.window):
+        if len(w[1]) <= L:
+            cls.setdefault(words.find(w), []).append(w)
+    return cls
+
+
+def _all_pairs_composites(words, L: int):
     """_composites as it was before one find per pair of classes: the
     composite classes of every pair of members whose composite is in the
     window.  Kept as the reference for the one-find version."""
     endpoints = dict(zip(_all_words(words.window), words.window.tgts))
+    cls = _members(words, L)
     comp = {}
     for r1, ws1 in cls.items():
         for r2, ws2 in cls.items():
@@ -1027,9 +1038,10 @@ def test_one_find_composites_match_the_all_pairs_composites():
                 words = _words(pres, 2 * L, 20_000)
             except SizeBoundExceeded:
                 break
-            cls = words.classes(L)
+            cls = words.representatives(L)
+            assert cls == list(_members(words, L)), (label, L)
             shipped = _composites(words, cls)
-            assert shipped == _all_pairs_composites(words, cls, L), (label, L)
+            assert shipped == _all_pairs_composites(words, L), (label, L)
             outcomes.add(shipped[0] is None)
             if shipped[1] is not None:
                 assert shipped[1][1] == 0, (label, L)

@@ -15,6 +15,11 @@
   constructor checks every marking once, so no other module checks one.
 - ``check_axioms`` is called only in ``core.fincat``: one place checks a
   category's table, and io_formats is the one reader of category data.
+- In ``io_formats.py``, ``isinstance`` is called only in the shape checker
+  (``_check_shape`` and its walk ``_misfit``), and each public reader
+  (``*_from_data``) calls ``_check_shape`` once: a file's types are checked
+  in one place, against the declared shape of its kind, and the readers
+  only build from data whose shape is known.
 - ``composable_pairs()`` is called only inside ``validate_marking`` and
   ``saturate_marking``.  A functor or a diagram is checked on the pairs
   whose left factor is a generator (``FinCat.generator_pairs``), not on
@@ -184,6 +189,26 @@ def test_check_axioms_called_only_in_fincat(path):
     found = sorted((scope, line) for module, scope, line in _calls(path, "check_axioms")
                    if (module, scope) != ("core.py", "fincat"))
     assert not found, f"{path.name}: check_axioms() called in {found}"
+
+
+SHAPE_CHECKER = {"_check_shape", "_misfit"}
+
+
+def test_io_formats_checks_types_only_in_the_shape_checker():
+    found = sorted((scope, line)
+                   for _, scope, line in _calls(SRC / "io_formats.py", "isinstance")
+                   if scope not in SHAPE_CHECKER)
+    assert not found, f"io_formats.py: isinstance() called in {found}"
+
+
+def test_each_reader_checks_its_shape_once():
+    tree = ast.parse((SRC / "io_formats.py").read_text())
+    readers = sorted(node.name for node in tree.body
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name.endswith("_from_data"))
+    callers = sorted(scope for _, scope, _ in
+                     _calls(SRC / "io_formats.py", "_check_shape"))
+    assert readers and callers == readers
 
 
 CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.Tuple, ast.DictComp, ast.ListComp,
