@@ -4,9 +4,11 @@ Derived object ids are canonical serializations of their content, so goldens
 are diffable and stable across runs.  Enumeration order is by object id, then
 by morphism id.
 
-The functor and transformation searches out of a category C run the one
-FunctorPlan compiled for C and kept on it (functor_plan), each as one flat
-depth-first loop.
+The searches out of a category C run the one FunctorPlan compiled for C and
+kept on it (functor_plan), each as one flat depth-first loop: the functor
+search (enumerate_functors), the transformation search (FunHoms), and the
+generator's search for the transitions of a diagram over C
+(generator._backtrack_transitions).
 """
 
 from __future__ import annotations
@@ -95,28 +97,33 @@ def _forward_schedule(
     any assignment that respects sources and targets, so it is left out.
     """
     index = {g: i for i, g in enumerate(gens)}
-    level = {m: max(map(index.__getitem__, w), default=-1)
+    # the identities, and only they, have the empty word, at level -1
+    level = {m: max(map(index.__getitem__, w)) if w else -1
              for m, w in words.items()}
     derived: list[list[tuple[str, str, tuple[str, ...]]]] = [[] for _ in gens]
     for m in C.morphisms:
-        if m.name not in index and not C.is_identity(m.name):
-            derived[level[m.name]].append((m.name, m.src, words[m.name]))
+        i = level[m.name]
+        if i >= 0 and m.name not in index:
+            derived[i].append((m.name, m.src, words[m.name]))
     entries: list[list[tuple[str, str, str]]] = [[] for _ in gens]
     for (g, f), h in C.comp.items():
-        if not (C.is_identity(g) or C.is_identity(f)):
-            entries[max(level[g], level[f], level[h])].append((g, f, h))
+        i, j = level[g], level[f]
+        if i >= 0 and j >= 0:
+            entries[max(i, j, level[h])].append((g, f, h))
     return derived, entries
 
 
 class FunctorPlan:
-    """The searches for functors and transformations out of C, compiled once
-    for C (functor_plan) and run by enumerate_functors and FunHoms.  It
+    """The schedules of the searches out of C, compiled once for C
+    (functor_plan).  Three searches run them: for functors
+    (enumerate_functors), for transformations (FunHoms), and for the
+    transitions of a diagram over C (generator._backtrack_transitions).  It
     holds C's names, never C, so the cache on C is no reference cycle.
 
     Functors: ``objects`` and ``identities`` are C's objects and their
     identities, ``names`` C's morphisms in id order, and ``gens`` holds one
-    level per generator of generating_morphisms(C), in its order:
-    (g, src, tgt, derived, entries), with the images derived and the
+    level per generator of generating_morphisms(C), in its order, which is
+    id order: (g, src, tgt, derived, entries), with the images derived and the
     composition entries decided there (_forward_schedule), every morphism
     as its index in ``names`` and every object as its index in ``objects``.
 
@@ -128,16 +135,16 @@ class FunctorPlan:
         gens, words = generating_morphisms(C)
         derived, entries = _forward_schedule(C, gens, words)
         self.objects = C.objects
-        self.names = tuple(m.name for m in C.morphisms)
+        self.names = tuple([m.name for m in C.morphisms])
         at = {x: i for i, x in enumerate(C.objects)}
         ix = {m: i for i, m in enumerate(self.names)}
-        self.identities = tuple(ix[C.identity[x]] for x in C.objects)
-        self.gens = tuple(
+        self.identities = tuple([ix[C.identity[x]] for x in C.objects])
+        self.gens = tuple([
             (ix[g], at[C.src(g)], at[C.tgt(g)],
-             tuple((ix[m], at[x], tuple(map(ix.__getitem__, word)))
-                   for m, x, word in derived[i]),
-             tuple((ix[a], ix[b], ix[h]) for a, b, h in entries[i]))
-            for i, g in enumerate(gens))
+             tuple([(ix[m], at[x], tuple(map(ix.__getitem__, word)))
+                    for m, x, word in der]),
+             tuple([(ix[a], ix[b], ix[h]) for a, b, h in ent]))
+            for g, der, ent in zip(gens, derived, entries)])
         self.squares: tuple[tuple[tuple[int, int, str], ...], ...] | None = None
 
 
@@ -170,7 +177,30 @@ def enumerate_functors(
     gen_filter: Callable[[str, str], bool] | None = None,
     max_candidates: int = DEFAULT_CAPS.max_candidates,
 ) -> Iterator[Functor]:
-    """All functors C -> D, by backtracking over objects then generators.
+    """All functors C -> D, by backtracking over objects then generators
+    (_functors).
+
+    obj_filter / gen_filter prune assignments early; both default to no
+    constraint, and both must be pure: an object's candidates are filtered
+    once, and a generator's each time its level is entered.  Every
+    candidate that passes its filter counts as explored, and
+    SizeBoundExceeded is raised once the count passes max_candidates.
+    """
+    return _functors(C, D, None, obj_filter, gen_filter, max_candidates)
+
+
+def _functors(
+    C: FinCat,
+    D: FinCat,
+    places: dict[str, int] | None,
+    obj_filter: Callable[[str, str], bool] | None = None,
+    gen_filter: Callable[[str, str], bool] | None = None,
+    max_candidates: int = DEFAULT_CAPS.max_candidates,
+) -> Iterator:
+    """Each functor C -> D; or, given the places of D's morphisms (their
+    indices in D.morphisms), each as the tuple of the places of its
+    morphism images, in the order of C's morphisms.  The filters and the
+    count are those of enumerate_functors.
 
     One flat depth-first loop runs C's FunctorPlan: a level per object of
     C, its image tried in D's object order, then a level per generator, its
@@ -180,19 +210,13 @@ def enumerate_functors(
     _forward_schedule).  A failed entry cuts the subtree, so the functors
     come out in the order of the unpruned search and only the explored
     count falls.  A missing composite of D raises UnknownMorphism.
-
-    obj_filter / gen_filter prune assignments early; both default to no
-    constraint, and both must be pure: an object's candidates are filtered
-    once, and a generator's each time its level is entered.  Every
-    candidate that passes its filter counts as explored, and
-    SizeBoundExceeded is raised once the count passes max_candidates.
     """
     plan = functor_plan(C)
     objs, names, gens = plan.objects, plan.names, plan.gens
     n = len(objs)
     last = n + len(gens) - 1
     if last < 0:  # C is empty: the one empty functor
-        yield Functor(C, D, {}, {})
+        yield Functor(C, D, {}, {}) if places is None else ()
         return
     obj_cands = [D.objects if obj_filter is None
                  else [y for y in D.objects if obj_filter(x, y)] for x in objs]
@@ -231,7 +255,8 @@ def enumerate_functors(
                     if not ok:
                         continue
                 if k == last:
-                    yield Functor(C, D, omap, dict(zip(names, img)))
+                    yield (Functor(C, D, omap, dict(zip(names, img))) if places is None
+                           else tuple(map(places.__getitem__, img)))
                     continue
                 k += 1
                 if k < n:

@@ -18,18 +18,13 @@ from .core import (
     Functor,
     MarkedFinCat,
     Mor,
-    compose_functors,
     fincat,
     identity_functor,
     parallel_pair,
     saturate_marking,
     walking_iso,
 )
-from .constructions import (
-    _forward_schedule,
-    enumerate_functors,
-    generating_morphisms,
-)
+from .constructions import _functors, functor_plan, generating_morphisms
 from .diagrams import CatDiagram, SetDiagram
 from .errors import GenerationExhausted, SizeBoundExceeded
 from .localization import (Arrow, PresentedCat, Relation, _out_of, _paths, _quotient,
@@ -105,17 +100,11 @@ def gen_category(p: GenParams) -> FinCat:
                 if rng.random() < p.relation_density:
                     relations.append(Relation(s, t, word(grp[a])[1], word(grp[b])[1]))
     words = _Words(PresentedCat(tuple(objects), arrows, tuple(relations)), window)
-    # the classes in the order of their first paths, as _Words.representatives
-    # lists them, with only the representatives' words built; every path is
-    # shorter than n, so every composite r1·r2 is a path of the window
+    # every path is shorter than n, so representatives(n) holds the class of
+    # every path, and every composite r1·r2 is a path of the window
     find, walk = words._find, window.walk
-    rep: dict[int, tuple] = {}  # a class's word, by its root
-    for i in range(len(tgts)):
-        r = find(i)
-        if r not in rep:
-            rep[r] = word(r)
-    number = {w: r for r, w in rep.items()}
-    return _quotient(words, number, lambda r2, r1: rep[find(walk(number[r1], r2[1]))])
+    reps = words.representatives(n)
+    return _quotient(words, reps, lambda r2, r1: find(walk(r1, reps[r2][1])))
 
 
 def gen_marking(C: FinCat, p: GenParams) -> MarkedFinCat:
@@ -132,42 +121,57 @@ _TRANSITION_NODES = 4000
 
 def _backtrack_transitions(I: FinCat, fibers: dict[str, FinCat],
                            rng: random.Random) -> dict[str, Functor] | None:
-    """Assign functors to a generating set of I, derive the rest from the
+    """Assign functors to the generators of I, derive the rest from the
     decomposition words, and keep only strictly functorial assignments.
 
-    The search is forward-checked, like enumerate_functors
-    (_forward_schedule): a morphism's level is the index of the last
-    generator of its word, its transition is composed along the word once
-    that generator is assigned, and each relation (g, f) -> h of I is
-    checked at the highest level among g, f and h.  A failed relation cuts
-    the subtree.
+    The search runs I's FunctorPlan (functor_plan), like enumerate_functors:
+    a level per generator, in id order; a morphism's transition is composed
+    along its word once the last generator of the word is assigned, and each
+    relation (g, f) -> h of I is checked at the highest level among g, f and
+    h (_forward_schedule).  A failed relation cuts the subtree.
+
+    A transition T: fibers[x] -> fibers[y] is held as a tuple of places:
+    T[j] is the place in fibers[y].morphisms of the image of the j-th
+    morphism of fibers[x].  A generator's candidates are these tuples, in
+    enumerate_functors' order, shuffled once per generator in id order; the
+    first generator with none ends the draw.  G after F is
+    (G[j] for j in F), and a relation holds when two tuples are equal.
+    That equality is Functor.same_maps: equal tuples are equal morphism
+    maps, and a functor F sends the identity of a to the identity of F(a),
+    distinct objects having distinct identities, so the morphism map fixes
+    the object map.  Functors are built only for the assignment returned.
 
     The node budget decides which fiber draw succeeds, and so the rest of
     the shared rng's stream.  A cut subtree holds no success, and it is
     charged the nodes the unpruned search would have spent in it, so every
     success and every exhausted budget falls where the unpruned search
     puts it."""
-    gens, words = generating_morphisms(I)
-    gens = sorted(gens)
-    candidates: dict[str, list[Functor]] = {}
-    for g in gens:
-        cs = list(enumerate_functors(fibers[I.src(g)], fibers[I.tgt(g)]))
+    plan = functor_plan(I)
+    names, gens = plan.names, plan.gens
+    fiber = [fibers[x] for x in plan.objects]
+    places: dict[int, dict[str, int]] = {}  # the target fibers' places
+    candidates = []
+    for _, s, t, _, _ in gens:
+        if t not in places:
+            places[t] = {m.name: j for j, m in enumerate(fiber[t].morphisms)}
+        cs = list(_functors(fiber[s], fiber[t], places[t]))
         if not cs:
             return None
         rng.shuffle(cs)
-        candidates[g] = cs
+        candidates.append(cs)
 
     n = len(gens)
-    derived, entries = _forward_schedule(I, gens, words)
     # below[i]: nodes of the unpruned tree under one node of level i - 1
     below = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        below[i] = len(candidates[gens[i]]) * (1 + below[i + 1])
+        below[i] = len(candidates[i]) * (1 + below[i + 1])
 
-    tr = {I.identity[x]: identity_functor(fibers[x]) for x in I.objects}
+    tr: list[tuple[int, ...]] = [()] * len(names)  # by index in names
+    for x, i in enumerate(plan.identities):
+        tr[i] = tuple(range(len(fiber[x].morphisms)))
     # depth first: one iterator per level, like enumerate_functors
     budget = _TRANSITION_NODES
-    its = [iter(candidates[g]) for g in gens]
+    its = [iter(cs) for cs in candidates]
     i = 0
     while i < n:
         c = next(its[i], None)
@@ -179,22 +183,41 @@ def _backtrack_transitions(I: FinCat, fibers: dict[str, FinCat],
         if budget <= 0:
             return None
         budget -= 1
-        tr[gens[i]] = c
-        for m, x, word in derived[i]:
-            T = tr[I.identity[x]]
-            for g in word:
-                T = compose_functors(tr[g], T)
+        gi, _, _, derived, entries = gens[i]
+        tr[gi] = c
+        for m, _, word in derived:
+            T = tr[word[0]]
+            for g in word[1:]:
+                G = tr[g]
+                T = tuple([G[j] for j in T])
             tr[m] = T
-        if not all(compose_functors(tr[g], tr[f]).same_maps(tr[h])
-                   for g, f, h in entries[i]):
-            budget -= below[i + 1]
-        elif i + 1 < n:
-            i += 1
-            its[i] = iter(candidates[gens[i]])
+        for g, f, h in entries:
+            G = tr[g]
+            if tuple([G[j] for j in tr[f]]) != tr[h]:
+                budget -= below[i + 1]
+                break
         else:
-            break
-    order = [I.identity[x] for x in I.objects] + I.nonidentity()
-    return {m: tr[m] for m in order}
+            if i + 1 < n:
+                i += 1
+                its[i] = iter(candidates[i])
+            else:
+                break
+    # the functors, identities first: a morphism's places read as names,
+    # and an object's image read off the image of its identity
+    out = {names[i]: identity_functor(F) for i, F in zip(plan.identities, fiber)}
+    if n:  # with no generator, every morphism of I is an identity
+        at = {x: i for i, x in enumerate(plan.objects)}
+        names_of = [[f.name for f in F.morphisms] for F in fiber]
+        object_of = [{i: a for a, i in F.identity.items()} for F in fiber]
+        for k, m in enumerate(I.morphisms):
+            if m.name in out:
+                continue
+            s, t = at[m.src], at[m.tgt]
+            src, objs = fiber[s], object_of[t]
+            mmap = dict(zip(names_of[s], map(names_of[t].__getitem__, tr[k])))
+            omap = {a: objs[mmap[src.identity[a]]] for a in src.objects}
+            out[m.name] = Functor(src, fiber[t], omap, mmap)
+    return out
 
 
 def gen_diagram(Im: MarkedFinCat, p: GenParams) -> CatDiagram:

@@ -4,6 +4,9 @@ All writers emit canonical JSON (sorted keys, fixed separators) so that equal
 values serialize to identical bytes.  Each public reader checks its file once
 against its kind's shape (``_check_shape``), then only builds.  A shape is
 ``str``, ``[item]``, ``{str: item}`` or a record whose "?" keys are optional.
+A category file and a diagram's base may give a marking; a fiber and a
+probe are categories without one (``_PLAIN``), so a ``marked`` key there is
+rejected at its path.
 """
 
 from __future__ import annotations
@@ -24,15 +27,16 @@ from .errors import MalformedTable
 from .localization import Arrow, PresentedCat, Relation
 
 _ROW = {"id": str, "src": str, "tgt": str}
-_CATEGORY = {"objects": [str], "morphisms?": [_ROW],  # also a fiber or a probe
-             "composition?": [{"after": str, "before": str, "equals": str}],
-             "identities?": {str: str}, "marked?": [str]}
+_PLAIN = {"objects": [str], "morphisms?": [_ROW],  # a fiber or a probe
+          "composition?": [{"after": str, "before": str, "equals": str}],
+          "identities?": {str: str}}
+_CATEGORY = {**_PLAIN, "marked?": [str]}
 _FUNCTOR = {"object_map": {str: str}, "morphism_map?": {str: str}}
-_DIAGRAM = {"base": _CATEGORY, "fibers": {str: _CATEGORY},
+_DIAGRAM = {"base": _CATEGORY, "fibers": {str: _PLAIN},
             "transitions?": {str: _FUNCTOR}}
 _PRESENTATION = {"objects": [str], "arrows": [_ROW], "relations": [
     {"lhs": [str], "rhs": [str], "src?": str, "tgt?": str}]}
-_PROBES = {str: _CATEGORY}
+_PROBES = {str: _PLAIN}
 
 
 def _check_shape(data, shape, what: str) -> None:
@@ -99,18 +103,19 @@ def category_to_data(C: FinCat, marked: frozenset[str] | None = None) -> dict:
 def category_from_data(data) -> tuple[FinCat, frozenset[str] | None]:
     """The category, and its marked set (with identities and isos) if given."""
     _check_shape(data, _CATEGORY, "category")
-    C, Cm = _category(data)
+    C = _category(data)
+    Cm = _marking(C, data)
     return C, None if Cm is None else Cm.marked
 
 
 def marked_category_from_data(data) -> MarkedFinCat:
     _check_shape(data, _CATEGORY, "category")
-    C, Cm = _category(data)
-    return Cm or flat_marking(C)
+    C = _category(data)
+    return _marking(C, data) or flat_marking(C)
 
 
-def _category(data: dict) -> tuple[FinCat, MarkedFinCat | None]:
-    """The category of file data, and its marking if the data gives one."""
+def _category(data: dict) -> FinCat:
+    """The category of file data."""
     objects = data["objects"]
     identity = data.get("identities") or {x: f"id_{x}" for x in objects}
     morphisms = [Mor(e["id"], e["src"], e["tgt"]) for e in data.get("morphisms", ())]
@@ -131,16 +136,21 @@ def _category(data: dict) -> tuple[FinCat, MarkedFinCat | None]:
                                  f"at objects with identities")
         comp.setdefault((identity[m.tgt], m.name), m.name)
         comp.setdefault((m.name, identity[m.src]), m.name)
-    C = fincat(objects, morphisms, identity, comp)
+    return fincat(objects, morphisms, identity, comp)
+
+
+def _marking(C: FinCat, data: dict) -> MarkedFinCat | None:
+    """The marking of C that file data gives, with C's identities and
+    isomorphisms, or None if it gives none."""
     if "marked" not in data:
-        return C, None
-    return C, MarkedFinCat(C, C.iso_set().union(data["marked"], identity.values()))
+        return None
+    return MarkedFinCat(C, C.iso_set().union(data["marked"], C.identity.values()))
 
 
 def probes_from_data(data) -> dict[str, FinCat]:
     """The checked categories of a probe manifest ``{name: category}``."""
     _check_shape(data, _PROBES, "probes")
-    return {name: _category(d)[0] for name, d in data.items()}
+    return {name: _category(d) for name, d in data.items()}
 
 
 def functor_to_data(F: Functor) -> dict:
@@ -180,9 +190,9 @@ def diagram_to_data(F: CatDiagram) -> dict:
 
 def diagram_from_data(data) -> CatDiagram:
     _check_shape(data, _DIAGRAM, "diagram")
-    I, marked = _category(data["base"])
-    base = marked or flat_marking(I)
-    fibers = {x: _category(c)[0] for x, c in data["fibers"].items()}
+    I = _category(data["base"])
+    base = _marking(I, data["base"]) or flat_marking(I)
+    fibers = {x: _category(c) for x, c in data["fibers"].items()}
     missing = [x for x in I.objects if x not in fibers]
     if missing:
         raise MalformedTable(f"diagram: no fiber at base objects {missing}")

@@ -383,9 +383,9 @@ class _Words:
     finds roots inline, halving paths, and compares two roots by length,
     then by first letter, and builds their words (``_Window.word``) only
     when both agree.
-    ``find`` and ``representatives`` speak of nodes as (source, letters)
-    pairs, built on request, and ``representatives`` lists them in the
-    window's order of the classes' first nodes.
+    ``find`` speaks of nodes as (source, letters) pairs, built on request,
+    and ``representatives`` maps each class's root, its number, to its
+    representative's pair, in the window's order of the classes' first nodes.
 
     ``widen`` grows the window in place to a larger cap and closes it again.
     The partition so far stays: its joins are sound in the larger window.
@@ -519,13 +519,14 @@ class _Words:
                 todo = ((i, u), (i, rq + shifts[lens[rq]][b]))
         self.taken += taken
 
-    def representatives(self, max_len: int) -> list[_Node]:
+    def representatives(self, max_len: int) -> dict[int, _Node]:
         """The representative of each class of the nodes of length <= max_len,
-        in the window's order of each class's first node.  Only their words
-        are built; a representative is no longer than its members."""
+        keyed by its number, the class's root, in the window's order of each
+        class's first node.  Only their words are built; a representative
+        is no longer than its members."""
         window = self.window
         n = window.level[min(max_len, window.cap) + 1]
-        return [window.word(r) for r in dict.fromkeys(map(self._find, range(n)))]
+        return {r: window.word(r) for r in dict.fromkeys(map(self._find, range(n)))}
 
 
 def _name(rep: _Node) -> str:
@@ -534,18 +535,16 @@ def _name(rep: _Node) -> str:
     return short_id("*".join(rep[1])) if rep[1] else "id_" + rep[0]
 
 
-def _quotient(words: _Words, reps: Iterable[_Node],
-              compose: Callable[[_Node, _Node], _Node]) -> FinCat:
-    """One morphism per class, in the order of ``reps``, named by its
-    representative (``_name``), which is its build_category payload:
-    ``compose(r2, r1)`` is the representative of r2 after r1."""
-    window = words.window
-    walk, root, tgts = window.walk, window.root, window.tgts
+def _quotient(words: _Words, reps: dict[int, _Node],
+              compose: Callable[[int, int], int]) -> FinCat:
+    """One morphism per class of ``reps`` (``_Words.representatives``), in
+    its order, named by its representative (``_name``).  Its build_category
+    payload is its root: ``compose(r2, r1)`` is the root of r2 after r1."""
+    tgts = words.window.tgts
     return build_category(
         words.pres.objects,
-        [(_name(rep), rep[0], tgts[walk(root[rep[0]], rep[1])], rep)
-         for rep in reps],
-        compose, lambda rep: not rep[1])
+        [(_name(rep), rep[0], tgts[r], r) for r, rep in reps.items()],
+        compose, lambda r: not reps[r][1])
 
 
 def localize(Cm: MarkedFinCat, bounds: Bounds = Bounds()) -> LocalizationResult:
@@ -581,9 +580,10 @@ def localize_presentation(pres: PresentedCat,
     return _localize_presented(pres, bounds)[0]
 
 
-def _composites(words: _Words, cls: list[_Node]):
-    """Each composite class keyed (second, first), and None; or None and the
-    hom and class count of the first pair whose composites are not one class.
+def _composites(words: _Words, cls: dict[int, _Node]):
+    """Each composite class keyed (second, first), all by their roots, and
+    None; or None and the hom and class count of the first pair whose
+    composites are not one class.
 
     ``cls`` is ``words.representatives(L)`` on a window of 2L.  One find
     per pair of classes decides it: the composite of r2 after r1 is the class of
@@ -596,19 +596,17 @@ def _composites(words: _Words, cls: list[_Node]):
     0 here; it is len(cls) only where ``_localize_presented`` finds the
     table inconsistent."""
     window, find = words.window, words._find
-    walk, root, tgts = window.walk, window.root, window.tgts
-    ids = {r: walk(root[r[0]], r[1]) for r in cls}
-    rep_of = {i: r for r, i in ids.items()}  # the roots of cls, by number
-    by_src: dict[str, list[_Node]] = {}
-    for r in cls:
-        by_src.setdefault(r[0], []).append(r)
-    comp: dict[tuple[_Node, _Node], _Node] = {}
-    for r1, i1 in ids.items():
-        for r2 in by_src.get(tgts[i1], ()):
-            tgt = rep_of.get(find(walk(i1, r2[1])))
-            if tgt is None:
-                return None, ((r1[0], tgts[ids[r2]]), 0)
-            comp[(r2, r1)] = tgt
+    walk, tgts = window.walk, window.tgts
+    by_src: dict[str, list[int]] = {}
+    for r, rep in cls.items():
+        by_src.setdefault(rep[0], []).append(r)
+    comp: dict[tuple[int, int], int] = {}
+    for r1 in cls:
+        for r2 in by_src.get(tgts[r1], ()):
+            tgt = find(walk(r1, cls[r2][1]))
+            if tgt not in cls:
+                return None, ((cls[r1][0], tgts[r2]), 0)
+            comp[r2, r1] = tgt
     return comp, None
 
 

@@ -6,7 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from laxcat.constructions import enumerate_functors, generating_morphisms
+from laxcat.checks import _SMALL, instance_seed
+from laxcat.constructions import enumerate_functors, functor_plan, generating_morphisms
 from laxcat.core import (
     Mor,
     check_axioms,
@@ -16,8 +17,10 @@ from laxcat.core import (
     short_id,
     validate_marking,
     walking_arrow,
+    walking_iso,
 )
 from laxcat.equiv import is_equivalent
+from laxcat.errors import GenerationExhausted
 import laxcat.generator as generator
 from laxcat.generator import (
     GenParams,
@@ -214,6 +217,103 @@ def test_backtrack_transitions_budget_matches_unpruned_search(monkeypatch):
             got, ran_out = _same_as_unpruned(I, fibers, random.Random(s), limit)
             outcomes.add((got is None, ran_out))
     assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def _retried_draws(I, p):
+    """gen_diagram's fiber draws over I, each checked against the unpruned
+    search: the same transitions, and the same rng state after every draw,
+    so the same next draw.  The transitions found must be gen_diagram's.
+    Returns the number of draws and whether one found transitions."""
+    rng = random.Random(("diagram", p.seed).__repr__())
+    for k in range(p.retries):
+        got, _ = _same_as_unpruned(I, _draw_fibers(I, rng, p), rng)
+        if got is not None:
+            F = gen_diagram(gen_marking(I, p), p)
+            assert list(F.transition) == list(got)
+            assert all(F.transition[m].same_maps(T) for m, T in got.items())
+            return k + 1, True
+    with pytest.raises(GenerationExhausted):
+        gen_diagram(gen_marking(I, p), p)
+    return p.retries, False
+
+
+def test_retried_draws_over_an_isomorphism_match_unpruned_search():
+    # stream 22 of the limit checks draws the walking isomorphism as its
+    # base, whose relations g f = id put an identity on one side, and makes
+    # many fiber draws before one admits strict transitions
+    p = GenParams(seed=instance_seed(22, 0))
+    I = gen_category(p)
+    assert I.same_table(walking_iso())
+    draws, found = _retried_draws(I, p)
+    assert found and draws >= 10
+    # the curated isomorphism under other seeds and smaller fibers
+    retried = 0
+    for s in range(40):
+        q = replace(_SMALL, seed=s)
+        draws, _ = _retried_draws(walking_iso(), q)
+        retried += draws > 1
+    assert retried >= 20
+
+
+def test_retried_draws_at_the_probe_size_match_unpruned_search():
+    retried = 0
+    for s in range(600):
+        p = replace(_SMALL, seed=s)
+        draws, _ = _retried_draws(gen_category(p), p)
+        retried += draws > 1
+    assert retried >= 20
+
+
+def test_retried_draws_at_the_larger_ghn_flat_size_match_unpruned_search():
+    size = dict(max_objects=7, max_morphisms=30, fiber_max_objects=5,
+                fiber_max_morphisms=12)
+    # seed 1 makes 22 draws, some 12 s against the unpruned search, and is
+    # left out for time
+    retried = 0
+    for s in range(2, 10):
+        p = GenParams(seed=s, **size)
+        draws, _ = _retried_draws(gen_category(p), p)
+        retried += draws > 1
+    assert retried >= 3
+
+
+def _chain_with_a_derived_composite():
+    """0 -a-> 1 -b-> 2 with c = b a: c is named after both of its letters,
+    so it is derived along the word (a, b).  A generated base derives only
+    words of one repeated letter, as a composite is named by its letters
+    and sorts before its last one."""
+    ms = [Mor("id_0", "0", "0"), Mor("id_1", "1", "1"), Mor("id_2", "2", "2"),
+          Mor("a", "0", "1"), Mor("b", "1", "2"), Mor("c", "0", "2")]
+    ends = {m.name: (m.src, m.tgt) for m in ms}
+    comp = {("b", "a"): "c"}
+    for m in ms:
+        comp[(f"id_{ends[m.name][1]}", m.name)] = m.name
+        comp[(m.name, f"id_{ends[m.name][0]}")] = m.name
+    return fincat(["0", "1", "2"], ms, {x: f"id_{x}" for x in "012"}, comp)
+
+
+def test_transitions_compose_along_a_word_of_two_letters():
+    I = _chain_with_a_derived_composite()
+    plan = functor_plan(I)
+    assert [[(plan.names[m], [plan.names[w] for w in word])
+             for m, _, word in level[3]] for level in plan.gens] == \
+        [[], [("c", ["a", "b"])]]
+    found = 0
+    for s in range(40):
+        found += _retried_draws(I, GenParams(seed=s))[1]
+    assert found == 40
+
+
+def test_the_plan_assigns_generators_in_id_order():
+    # the transition search draws one shuffle per generator in this order
+    sizes = [GenParams(), _SMALL, GenParams(max_objects=7, max_morphisms=30),
+             GenParams(max_objects=3, max_morphisms=6, relation_density=0.0)]
+    for s in range(100):
+        for q in sizes:
+            C = gen_category(replace(q, seed=s))
+            plan = functor_plan(C)
+            assert [plan.names[g[0]] for g in plan.gens] == \
+                sorted(generating_morphisms(C)[0]), (q, s)
 
 
 def test_gen_diagram_leaves_no_cyclic_garbage():

@@ -397,6 +397,12 @@ MALFORMED_INPUT_FILES = {
     "pair given two composites": (["validate"], {
         **_ENDO, "composition": [{"after": "f", "before": "f", "equals": "id_x"},
                                  {"after": "f", "before": "f", "equals": "f"}]}),
+    # a fiber or a probe is a category without a marking
+    "fiber with a marking": (["grothendieck"], _arrow_over_an_arrow(
+        lambda d: d["fibers"]["0"].update(marked=[]))),
+    "probe with a marking": (
+        ["check", "thm-lax-colim-probe", "--count", "1", "--probes"],
+        {"t": {**category_to_data(terminal_cat()), "marked": []}}),
 }
 
 
@@ -486,6 +492,9 @@ SHAPE_FAULTS = {
     "diagram fiber key": (
         diagram_from_data, _ARROW_DIAGRAM, ("fibers", "0", "zz"), [],
         "diagram.fibers.0: unknown keys ['zz']"),
+    "diagram fiber marked": (
+        diagram_from_data, _ARROW_DIAGRAM, ("fibers", "0", "marked"), [],
+        "diagram.fibers.0: unknown keys ['marked']"),
     "category identities": (
         category_from_data, category_to_data(chain_cat(2)), ("identities",),
         ["id_0"], "category.identities: expected an object"),
@@ -516,6 +525,9 @@ SHAPE_FAULTS = {
     "probe category object": (
         probes_from_data, {"t": category_to_data(terminal_cat())},
         ("t", "objects", 0), True, "probes.t.objects[0]: expected a string"),
+    "probe category marked": (
+        probes_from_data, {"t": category_to_data(terminal_cat())},
+        ("t", "marked"), ["id_*"], "probes.t: unknown keys ['marked']"),
 }
 
 

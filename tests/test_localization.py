@@ -1039,8 +1039,13 @@ def test_one_find_composites_match_the_all_pairs_composites():
             except SizeBoundExceeded:
                 break
             cls = words.representatives(L)
-            assert cls == list(_members(words, L)), (label, L)
-            shipped = _composites(words, cls)
+            assert list(cls.values()) == list(_members(words, L)), (label, L)
+            assert all(words._find(r) == r and words.window.word(r) == rep
+                       for r, rep in cls.items()), (label, L)
+            comp, failure = _composites(words, cls)
+            if comp is not None:  # roots read as the words of their classes
+                comp = {(cls[r2], cls[r1]): cls[r] for (r2, r1), r in comp.items()}
+            shipped = comp, failure
             assert shipped == _all_pairs_composites(words, L), (label, L)
             outcomes.add(shipped[0] is None)
             if shipped[1] is not None:

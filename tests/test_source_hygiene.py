@@ -59,6 +59,10 @@
 - No class defines ``__missing__``: no table is filled lazily.  A
   composition table is a plain ``dict`` built whole (``build_category``),
   and a functor category's composites come from ``FunHoms.compose``.
+- ``_forward_schedule`` is called only by ``FunctorPlan``, so each category
+  has one schedule, compiled once (``functor_plan``), and every search out
+  of it runs that plan.  ``generator.py`` calls no ``compose_functors``: the
+  transition search composes transitions as tuples of image places.
 - ``localization._Window`` holds no per-word list of words: its
   ``__slots__`` has no ``nodes``, and nothing in ``src/laxcat`` reads a
   ``.nodes`` attribute.  The window keeps integer arrays, and a word's
@@ -360,3 +364,18 @@ def test_no_module_reads_a_nodes_attribute(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "nodes"]
     assert not lines, f"{path.name}: .nodes read at lines {lines}"
+
+
+def test_forward_schedule_is_called_only_by_the_functor_plan():
+    found = {c[:2] for path in MODULES for c in _calls(path, "_forward_schedule")}
+    assert found == {("constructions.py", "__init__")}
+    path = SRC / "constructions.py"
+    plan = next(node for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.ClassDef) and node.name == "FunctorPlan")
+    lines = [line for _, _, line in _calls(path, "_forward_schedule")]
+    assert all(plan.lineno <= line <= plan.end_lineno for line in lines), lines
+
+
+def test_the_generator_composes_no_functors():
+    found = sorted(_calls(SRC / "generator.py", "compose_functors"))
+    assert not found, f"generator.py: compose_functors() called in {found}"
